@@ -1,0 +1,92 @@
+"""Shared machinery for building gadget graphs out of subdivided paths.
+
+Generated graphs are navigated structurally: every vertex carries a role
+token, and every subdivided path is registered under its own token with
+the full vertex sequence (endpoints included).  Role tokens are plain
+':'-joined strings, with '@<pos>' appended for a path's interior vertices,
+so they survive a round trip through instance files.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .errors import InputError, InternalCheckError
+from .graph import Graph, Instance, edge
+
+
+def role(*parts) -> str:
+    return ":".join(str(p) for p in parts)
+
+
+class GadgetBuilder:
+    """Accumulates vertices, edges, and subdivided paths, then emits a Graph."""
+
+    def __init__(self):
+        self.roles: list[str] = []
+        self.edges: set[tuple[int, int]] = set()
+        self.paths: dict[str, tuple[int, ...]] = {}
+        self.vertex_by_role: dict[str, int] = {}
+
+    def vertex(self, tag: str) -> int:
+        if tag in self.vertex_by_role:
+            raise InternalCheckError(f"duplicate vertex role {tag!r}")
+        vid = len(self.roles)
+        self.roles.append(tag)
+        self.vertex_by_role[tag] = vid
+        return vid
+
+    def edge(self, u: int, v: int) -> None:
+        e = edge(u, v)
+        if e in self.edges:
+            raise InternalCheckError(f"duplicate edge {e}")
+        self.edges.add(e)
+
+    def path(self, u: int, v: int, length: int, tag: str) -> tuple[int, ...]:
+        """A u-v path with `length` edges; interior vertices get tag@pos."""
+        if length < 1:
+            raise InternalCheckError(f"path {tag!r} needs positive length")
+        if tag in self.paths:
+            raise InternalCheckError(f"duplicate path role {tag!r}")
+        seq = [u]
+        for pos in range(1, length):
+            seq.append(self.vertex(f"{tag}@{pos}"))
+        seq.append(v)
+        for a, b in zip(seq, seq[1:]):
+            self.edge(a, b)
+        self.paths[tag] = tuple(seq)
+        return self.paths[tag]
+
+    def graph(self) -> Graph:
+        return Graph(len(self.roles), self.edges)
+
+
+@dataclass(frozen=True)
+class ReductionOutput:
+    """A generated hard instance with its structural annotations.
+
+    params always holds the reduction family plus the parameter values the
+    construction promises (k, n, m, and eta or nu); roles maps every vertex
+    of the instance graph to its role token.
+    """
+
+    instance: Instance
+    roles: tuple[str, ...]
+    paths: dict[str, tuple[int, ...]] = field(compare=False)
+    vertex_by_role: dict[str, int] = field(compare=False)
+    params: dict[str, int | str] = field(compare=False)
+    source: object = field(compare=False, default=None)
+
+    def anchor(self, *parts) -> int:
+        tag = role(*parts)
+        v = self.vertex_by_role.get(tag)
+        if v is None:
+            raise InputError(f"no vertex with role {tag!r}")
+        return v
+
+    def path_seq(self, *parts) -> tuple[int, ...]:
+        tag = role(*parts)
+        seq = self.paths.get(tag)
+        if seq is None:
+            raise InputError(f"no path with role {tag!r}")
+        return seq

@@ -1,0 +1,171 @@
+"""Independent exact solvers for cross-validation, plus a fuzzing generator.
+
+oracle_subset enumerates edge subsets by increasing size and is the ground
+truth on tiny instances.  oracle_branch is a bounded search tree: pick a
+shortest offending path and branch on deleting each of its edges.  Both
+refuse, with an explicit BudgetExceeded, to return anything they could not
+prove.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from random import Random
+
+from .errors import BudgetExceeded
+from .graph import Instance, edge
+from .intervals import IntervalModel
+
+
+@dataclass(frozen=True)
+class OracleBudget:
+    max_subset_edges: int = 16
+    max_branch_nodes: int = 200_000
+
+    def __post_init__(self):
+        if self.max_subset_edges <= 0 or self.max_branch_nodes <= 0:
+            raise ValueError("budgets must be positive")
+
+
+DEFAULT_BUDGET = OracleBudget()
+
+
+def oracle_subset(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+    """Minimum lam-cut size by exhaustive enumeration in increasing size order."""
+    g = inst.graph
+    if g.m > budget.max_subset_edges:
+        raise BudgetExceeded(
+            f"subset oracle refuses {g.m} edges (cap {budget.max_subset_edges})"
+        )
+    edges = g.edge_list()
+    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    for size in range(g.m + 1):
+        for subset in itertools.combinations(edges, size):
+            if _cuts_short_paths(adj, inst.s, inst.t, inst.lam, frozenset(subset)):
+                return size
+    return g.m  # unreachable: the full edge set always cuts
+
+
+def _cuts_short_paths(adj, s, t, lam, removed) -> bool:
+    """BFS limited to lam hops, skipping removed edges."""
+    if s == t:
+        return False
+    seen = {s}
+    frontier = [s]
+    depth = 0
+    while frontier and depth < lam:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if w in seen or edge(u, w) in removed:
+                    continue
+                if w == t:
+                    return False
+                seen.add(w)
+                nxt.append(w)
+        frontier = nxt
+    return True
+
+
+def oracle_branch(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+    """Minimum lam-cut size via iterative-deepening bounded search.
+
+    If no s-t path of length <= lam survives, the cost is 0; otherwise some
+    shortest such path is picked and we branch on deleting each of its
+    edges.  Exact whenever it returns at all; raises BudgetExceeded when
+    the node budget runs out.
+    """
+    g, s, t, lam = inst.graph, inst.s, inst.t, inst.lam
+    nodes = [0]
+    memo: dict[tuple[frozenset, int], bool] = {}
+
+    def short_path(removed):
+        # BFS parent tracing capped at lam hops, skipping removed edges
+        parent = [-1] * g.n
+        parent[s] = s
+        frontier = [s]
+        depth = 0
+        while frontier and depth < lam:
+            depth += 1
+            nxt = []
+            for u in frontier:
+                for w in g.adj[u]:
+                    if parent[w] != -1 or edge(u, w) in removed:
+                        continue
+                    parent[w] = u
+                    if w == t:
+                        path = [t]
+                        while path[-1] != s:
+                            path.append(parent[path[-1]])
+                        return tuple(reversed(path))
+                    nxt.append(w)
+            frontier = nxt
+        return None
+
+    def decide(removed: frozenset, depth: int) -> bool:
+        key = (removed, depth)
+        if key in memo:
+            return memo[key]
+        nodes[0] += 1
+        if nodes[0] > budget.max_branch_nodes:
+            raise BudgetExceeded(
+                f"branching oracle exceeded {budget.max_branch_nodes} nodes"
+            )
+        path = short_path(removed)
+        if path is None:
+            memo[key] = True
+            return True
+        if depth == 0:
+            memo[key] = False
+            return False
+        ok = any(
+            decide(removed | {edge(path[i], path[i + 1])}, depth - 1)
+            for i in range(len(path) - 1)
+        )
+        memo[key] = ok
+        return ok
+
+    upper = min(g.degree(s), g.degree(t))  # the star cut is feasible
+    for size in range(upper + 1):
+        if decide(frozenset(), size):
+            return size
+    return upper
+
+
+def random_proper_interval_instance(
+    n: int,
+    density: float = 0.5,
+    beta_range: tuple[int, int] = (1, 6),
+    lambda_range: tuple[int, int] = (2, 6),
+    seed: int = 0,
+):
+    """Seeded random unit-interval instance: (Instance, IntervalModel).
+
+    Draws n distinct start values on a rational grid spanning roughly
+    n/(2*density) units, so larger density packs intervals tighter and
+    yields denser graphs.  Terminals are two distinct random vertices
+    ordered so start(s) <= start(t).
+    """
+    if n < 2:
+        raise ValueError("need at least two vertices")
+    if not (0 < density <= 1):
+        raise ValueError("density must be in (0, 1]")
+    rng = Random(seed)
+    grid = 16
+    span = max(2, round(n / (2 * density)))
+    points = rng.sample(range(span * grid + 1), n)
+    starts = [Fraction(p, grid) for p in points]
+    model = IntervalModel.unit(starts)
+    g = model.induced_graph()
+    s, t = rng.sample(range(n), 2)
+    if model.starts[s] > model.starts[t]:
+        s, t = t, s
+    beta = rng.randint(*beta_range)
+    lam = rng.randint(*lambda_range)
+    inst = Instance(g, s, t, min(beta, g.m), min(lam, n))
+    return inst, model
+
+

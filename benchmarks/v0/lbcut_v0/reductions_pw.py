@@ -1,0 +1,261 @@
+"""Hard-instance generator with bounded pathwidth and maximum degree.
+
+From a clique-search instance (G, k) we emit a length-bounded cut instance
+whose cheap cuts encode k-cliques of G: k vertex-selection ladders (upper
+and lower rails with calibrated detours), one incidence-checking gadget
+per ladder pair (a/b rows indexed by vertices, c/d rows indexed by edges,
+coupled by cross links), and bundles of connectivity paths that pin the
+distances between the ladder ends and the terminals.
+
+All calibrated lengths are expressed in eta = 4m.  The budget is 2k^2 and
+the length bound is 8*eta + 2n + 1, so a feasible cut must spend exactly
+two edges per ladder and four per incidence gadget.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+
+from .errors import InputError, InternalCheckError
+from .gadgets import GadgetBuilder, ReductionOutput, role
+from .graph import Graph, Instance, edge
+
+
+@dataclass(frozen=True)
+class CliqueInstance:
+    """Clique-search input: find k pairwise-adjacent vertices in graph.
+
+    Vertices are identified with 1-based indices (index(v) = v + 1); edges
+    are ordered lexicographically by their endpoint index pairs.  Callers
+    must remove tree components first, which makes m >= n hold.
+    """
+
+    graph: Graph
+    k: int
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise InputError("k must be at least 2")
+        if self.graph.m < max(1, self.graph.n):
+            raise InputError(
+                "need m >= n >= 1; remove tree components before reducing"
+            )
+
+    @cached_property
+    def edges_lex(self) -> tuple[tuple[int, int], ...]:
+        """e_1..e_m as 0-based sorted pairs, lexicographic order."""
+        return tuple(sorted(self.graph.edges))
+
+    def edge_position(self, u: int, v: int) -> int:
+        """1-based lexicographic position of an edge."""
+        e = edge(u, v)
+        try:
+            return self.edges_lex.index(e) + 1
+        except ValueError:
+            raise InputError(f"{e} is not an edge of the source graph") from None
+
+    def link_target(self, x: int) -> int:
+        """Largest edge position whose lower endpoint index is <= x (0 if none).
+
+        These values delimit the lexicographic edge blocks: positions
+        link_target(x-1)+1 .. link_target(x) are exactly the edges whose
+        lower endpoint is vertex x.  They are non-decreasing in x, which
+        the incidence gadget's cross links and the bag schedule of the
+        pathwidth witness both rely on.
+        """
+        best = 0
+        for p, (a, _) in enumerate(self.edges_lex, start=1):
+            if a + 1 <= x:
+                best = p
+        return best
+
+
+def gen_pw(cq: CliqueInstance) -> ReductionOutput:
+    """Build the pathwidth-family instance for a clique-search input."""
+    g, k = cq.graph, cq.k
+    n, m = g.n, g.m
+    eta = 4 * m
+    lam = 8 * eta + 2 * n + 1
+    beta = 2 * k * k
+
+    b = GadgetBuilder()
+    s = b.vertex("s")
+    t = b.vertex("t")
+
+    u = {}
+    ell = {}
+    for j in range(1, k + 1):
+        for p in range(n + 1):
+            u[j, p] = b.vertex(role("u", j, p))
+            ell[j, p] = b.vertex(role("l", j, p))
+        for p in range(1, n + 1):
+            b.edge(u[j, p - 1], u[j, p])
+            b.edge(ell[j, p - 1], ell[j, p])
+            b.path(u[j, p - 1], u[j, p], 2 * eta + p, role("U", j, p))
+            b.path(ell[j, p - 1], ell[j, p], 2 * eta - p, role("L", j, p))
+        for p in range(n + 1):
+            b.path(u[j, p], ell[j, p], 2 * eta, role("rung", j, p))
+        for c in (1, 2):
+            b.path(s, u[j, 0], 2, role("su", j, c))
+            b.path(s, ell[j, 0], eta + 2, role("sl", j, c))
+
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            _incidence_gadget(b, cq, eta, s, t, u, ell, i, j)
+
+    for i in range(1, k + 1):
+        for q in (1, 2, 3):
+            b.path(u[i, n], t, lam - (n + 2), role("T", i, q))
+            b.path(ell[i, n], t, lam - (eta + 2 + n), role("Tb", i, q))
+        for j in range(1, k + 1):
+            if j == i:
+                continue
+            for q in (1, 2, 3, 4, 5):
+                b.path(s, u[i, n], lam - (4 * eta + n + 2), role("S", i, j, q))
+                b.path(s, ell[i, n], lam - (3 * eta + n + 2), role("Sb", i, j, q))
+
+    graph = b.graph()
+    _check_degree_bound(b, cq, graph, s, t)
+    inst = Instance(graph, s, t, beta, lam)
+    params = {"family": "pw", "k": k, "n": n, "m": m, "eta": eta}
+    return ReductionOutput(
+        instance=inst,
+        roles=tuple(b.roles),
+        paths=b.paths,
+        vertex_by_role=b.vertex_by_role,
+        params=params,
+        source=cq,
+    )
+
+
+def _check_degree_bound(b, cq, graph, s, t):
+    """Generator postcondition: only s, t, and ladder ends exceed constant
+    degree, and everything stays within the closed forms in k."""
+    k, n = cq.k, cq.graph.n
+    hubs = {s: 4 * k + 10 * k * (k - 1), t: 6 * k + 4 * k * (k - 1)}
+    for i in range(1, k + 1):
+        hubs[b.vertex_by_role[role("u", i, n)]] = 6 + 7 * (k - 1)
+        hubs[b.vertex_by_role[role("l", i, n)]] = 6 + 7 * (k - 1)
+    mult = max(
+        sum(1 for x in range(n) if cq.link_target(x) == q)
+        for q in range(cq.graph.m + 1)
+    )
+    for v in range(graph.n):
+        expected = hubs.get(v)
+        if expected is not None:
+            if graph.degree(v) != expected:
+                raise InternalCheckError(
+                    f"hub {v} has degree {graph.degree(v)}, expected {expected}"
+                )
+        elif graph.degree(v) > 7 + 2 * mult:
+            raise InternalCheckError(f"inner vertex {v} has excessive degree")
+
+
+def _incidence_gadget(b, cq, eta, s, t, u, ell, i, j):
+    n, m = cq.graph.n, cq.graph.m
+    a = [b.vertex(role("a", i, j, p)) for p in range(n + 1)]
+    bb = [b.vertex(role("b", i, j, p)) for p in range(n + 1)]
+    c = [b.vertex(role("c", i, j, p)) for p in range(m + 1)]
+    d = [b.vertex(role("d", i, j, p)) for p in range(m + 1)]
+
+    for p in range(1, n + 1):
+        b.edge(a[p - 1], a[p])
+        b.edge(bb[p - 1], bb[p])
+        b.path(a[p - 1], a[p], 2 * eta - p, role("A", i, j, p))
+        b.path(bb[p - 1], bb[p], 2 * eta + p, role("B", i, j, p))
+    for p in range(n + 1):
+        b.path(a[p], bb[p], 4 * eta, role("ab", i, j, p))
+    for p in range(1, m + 1):
+        b.edge(c[p - 1], c[p])
+        b.edge(d[p - 1], d[p])
+        wp = cq.edges_lex[p - 1][1] + 1  # index of the higher endpoint of e_p
+        b.path(c[p - 1], c[p], 2 * eta - wp, role("C", i, j, p))
+        b.path(d[p - 1], d[p], 2 * eta + wp, role("D", i, j, p))
+    for p in range(m + 1):
+        b.path(c[p], d[p], 2 * eta, role("cd", i, j, p))
+
+    for copy in (1, 2):
+        b.path(u[i, n], a[0], 4 * eta, role("ua", i, j, copy))
+        b.path(ell[i, n], bb[0], 2, role("lb", i, j, copy))
+        b.path(u[j, n], c[0], 3 * eta, role("uc", i, j, copy))
+        b.path(ell[j, n], d[0], eta, role("ld", i, j, copy))
+        b.path(a[n], t, 2, role("at", i, j, copy))
+        b.path(bb[n], t, 3 * eta, role("bt", i, j, copy))
+        b.path(c[m], t, eta + n - m + 2, role("ct", i, j, copy))
+        b.path(d[m], t, 2 * eta + n - m + 2, role("dt", i, j, copy))
+
+    for x in range(n):
+        q = cq.link_target(x)
+        b.path(a[x], c[q], 2 * eta, role("xac", i, j, x))
+        b.path(a[x], d[q], 3 * eta, role("xad", i, j, x))
+        b.path(bb[x], c[q], 3 * eta, role("xbc", i, j, x))
+        b.path(bb[x], d[q], 2 * eta, role("xbd", i, j, x))
+
+
+def _check_clique(cq: CliqueInstance, clique) -> list[int]:
+    members = sorted(set(clique))
+    if len(members) != cq.k:
+        raise InputError(f"expected {cq.k} distinct vertices, got {sorted(clique)}")
+    for v in members:
+        if not (0 <= v < cq.graph.n):
+            raise InputError(f"vertex {v} out of range")
+    for x in range(len(members)):
+        for y in range(x + 1, len(members)):
+            if not cq.graph.has_edge(members[x], members[y]):
+                raise InputError(
+                    f"vertices {members[x]} and {members[y]} are not adjacent"
+                )
+    return members
+
+
+def forward_cut_pw(out: ReductionOutput, clique) -> frozenset:
+    """The beta-sized cut encoding a k-clique, as an edge set of H."""
+    cq = out.source
+    if out.params.get("family") != "pw" or not isinstance(cq, CliqueInstance):
+        raise InputError("output was not generated by gen_pw")
+    members = _check_clique(cq, clique)
+    k = cq.k
+    cut = set()
+    for gadget, v in enumerate(members, start=1):
+        x = v + 1
+        cut.add(edge(out.anchor("u", gadget, x - 1), out.anchor("u", gadget, x)))
+        cut.add(edge(out.anchor("l", gadget, x - 1), out.anchor("l", gadget, x)))
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            xi = members[i - 1] + 1
+            p = cq.edge_position(members[i - 1], members[j - 1])
+            cut.add(edge(out.anchor("a", i, j, xi - 1), out.anchor("a", i, j, xi)))
+            cut.add(edge(out.anchor("b", i, j, xi - 1), out.anchor("b", i, j, xi)))
+            cut.add(edge(out.anchor("c", i, j, p - 1), out.anchor("c", i, j, p)))
+            cut.add(edge(out.anchor("d", i, j, p - 1), out.anchor("d", i, j, p)))
+    return frozenset(cut)
+
+
+def decode_pw(out: ReductionOutput, f) -> tuple[int, ...] | None:
+    """Read the selected clique back out of a cut, or None if unstructured.
+
+    A well-formed cut deletes exactly one rail edge on the upper and one on
+    the lower path of every ladder; the upper positions name the vertices.
+    """
+    cq = out.source
+    if out.params.get("family") != "pw" or not isinstance(cq, CliqueInstance):
+        raise InputError("output was not generated by gen_pw")
+    f = frozenset(edge(u, v) for u, v in f)
+    n, k = cq.graph.n, cq.k
+    chosen = []
+    for gadget in range(1, k + 1):
+        uppers = [
+            x
+            for x in range(1, n + 1)
+            if edge(out.anchor("u", gadget, x - 1), out.anchor("u", gadget, x)) in f
+        ]
+        lowers = [
+            x
+            for x in range(1, n + 1)
+            if edge(out.anchor("l", gadget, x - 1), out.anchor("l", gadget, x)) in f
+        ]
+        if len(uppers) != 1 or len(lowers) != 1:
+            return None
+        chosen.append(uppers[0] - 1)
+    return tuple(chosen)

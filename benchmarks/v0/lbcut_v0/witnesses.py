@@ -1,0 +1,275 @@
+"""Structural-parameter certificates: feedback vertex sets and path
+decompositions for the generated hard instances, plus validators that work
+on any claimed certificate.
+
+The pathwidth witness keeps the 2k+2 hub vertices (terminals and ladder
+ends) in every bag, lays a rolling 4-vertex window over each ladder and a
+rolling 8-vertex window over each incidence gadget (advancing the c/d side
+while the next cross-link target is ahead of it), and re-inserts each
+subdivided path between its endpoints by bag doubling: the host bag is
+repeated with consecutive path vertices added, costing at most two extra
+slots.  Total width is (2k+2) + 9 = 2k + 11.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import InputError, InternalCheckError
+from .gadgets import ReductionOutput, role
+from .graph import Graph, edge
+
+
+# ---------------------------------------------------------------------------
+# feedback vertex sets
+
+
+def verify_fvs(g: Graph, vertices) -> bool:
+    """True iff deleting `vertices` leaves an acyclic graph (union-find)."""
+    removed = set(vertices)
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in g.edges:
+        if u in removed or v in removed:
+            continue
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def build_fvs_witness(out: ReductionOutput) -> frozenset:
+    """The 2k+2 hub vertices of a feedback-vertex-family instance."""
+    if out.params.get("family") != "fvs":
+        raise InputError("FVS witnesses exist only for gen_fvs outputs")
+    k = int(out.params["k"])
+    hubs = {out.anchor("s"), out.anchor("t")}
+    for i in range(1, k + 1):
+        hubs.add(out.anchor("u", i))
+        hubs.add(out.anchor("l", i))
+    return frozenset(hubs)
+
+
+# ---------------------------------------------------------------------------
+# degree-two suppression
+
+
+@dataclass(frozen=True)
+class Suppression:
+    """Result of suppressing degree-two vertices.
+
+    graph: the contracted graph (dense ids); old_of_new maps its vertices
+    to the original ids; chains maps each contracted edge (in original-id
+    pairs) to the ordered run of suppressed original vertices inside it.
+    """
+
+    graph: Graph
+    old_of_new: tuple[int, ...]
+    chains: dict[tuple[int, int], tuple[int, ...]]
+
+    def expand(self, n: int) -> Graph:
+        """Rebuild the original n-vertex graph from the chains."""
+        edges = []
+        for u, v in self.graph.edges:
+            ou, ov = self.old_of_new[u], self.old_of_new[v]
+            seq = (ou, *self.chains.get(edge(ou, ov), ()), ov)
+            for a, b in zip(seq, seq[1:]):
+                edges.append((a, b))
+        return Graph(n, edges)
+
+
+def suppress_degree_two(g: Graph, protected=frozenset()) -> Suppression:
+    """Contract degree-two vertices until none are eligible.
+
+    A vertex is skipped when contracting it would create a parallel edge
+    or a self-loop, and when it is in `protected`.  Chains record the
+    suppressed vertices per surviving edge, oriented from the smaller
+    original endpoint, so expand() can reproduce the input exactly.
+    """
+    adj: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
+    chains: dict[tuple[int, int], list[int]] = {}
+
+    changed = True
+    while changed:
+        changed = False
+        for v in range(g.n):
+            if v in protected or v not in adj or len(adj[v]) != 2:
+                continue
+            a, b = sorted(adj[v])
+            if b in adj[a]:
+                continue  # would create a parallel edge
+            left = chains.pop(edge(a, v), [])
+            right = chains.pop(edge(v, b), [])
+            run = _oriented(left, a, v) + [v] + _oriented(right, v, b)
+            adj[a].discard(v)
+            adj[b].discard(v)
+            del adj[v]
+            adj[a].add(b)
+            adj[b].add(a)
+            chains[edge(a, b)] = run  # a < b, so the run is already a -> b
+            changed = True
+
+    kept = sorted(adj)
+    new_of_old = {v: i for i, v in enumerate(kept)}
+    out_edges = [
+        (new_of_old[v], new_of_old[w]) for v in kept for w in adj[v] if v < w
+    ]
+    return Suppression(
+        Graph(len(kept), out_edges),
+        tuple(kept),
+        {e: tuple(run) for e, run in chains.items()},
+    )
+
+
+def _oriented(run, frm, to):
+    """A stored chain for edge {frm,to}, re-oriented to start nearest `frm`."""
+    if not run:
+        return []
+    return list(run) if frm < to else list(reversed(run))
+
+
+# ---------------------------------------------------------------------------
+# path decompositions
+
+
+@dataclass(frozen=True)
+class PathDecomposition:
+    bags: tuple[frozenset, ...]
+
+    @property
+    def width(self) -> int:
+        return max((len(b) for b in self.bags), default=0) - 1
+
+
+@dataclass(frozen=True)
+class PdVerdict:
+    ok: bool
+    width: int | None = None
+    kind: str | None = None
+    witness: object = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def verify_path_decomposition(g: Graph, pd: PathDecomposition) -> PdVerdict:
+    """Check vertex coverage, edge coverage, and contiguity of occurrences."""
+    seen_in = {v: [] for v in range(g.n)}
+    for idx, bag in enumerate(pd.bags):
+        for v in bag:
+            if not (0 <= v < g.n):
+                return PdVerdict(False, kind="unknown-vertex", witness=v)
+            seen_in[v].append(idx)
+    span = {}
+    for v in range(g.n):
+        if not seen_in[v]:
+            return PdVerdict(False, kind="vertex-uncovered", witness=v)
+        lo, hi = seen_in[v][0], seen_in[v][-1]
+        if len(seen_in[v]) != hi - lo + 1:
+            return PdVerdict(False, kind="contiguity", witness=v)
+        span[v] = (lo, hi)
+    for e in g.edges:
+        # with contiguity verified, occurrence runs overlap iff some bag
+        # holds both endpoints
+        (alo, ahi), (blo, bhi) = span[e[0]], span[e[1]]
+        if max(alo, blo) > min(ahi, bhi):
+            return PdVerdict(False, kind="edge-uncovered", witness=e)
+    return PdVerdict(True, width=pd.width)
+
+
+def build_pw_witness(out: ReductionOutput) -> PathDecomposition:
+    """Path decomposition of a pathwidth-family instance, width <= 2k+11."""
+    if out.params.get("family") != "pw":
+        raise InputError("pathwidth witnesses exist only for gen_pw outputs")
+    k = int(out.params["k"])
+    n = int(out.params["n"])
+    m = int(out.params["m"])
+
+    hubs = {out.anchor("s"), out.anchor("t")}
+    for i in range(1, k + 1):
+        hubs.add(out.anchor("u", i, n))
+        hubs.add(out.anchor("l", i, n))
+
+    skeleton: list[set] = [set()]  # one hub-only bag for hub-to-hub paths
+    for j in range(1, k + 1):
+        for p in range(1, n + 1):
+            skeleton.append(
+                {
+                    out.anchor("u", j, p - 1),
+                    out.anchor("l", j, p - 1),
+                    out.anchor("u", j, p),
+                    out.anchor("l", j, p),
+                }
+            )
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            skeleton.extend(_incidence_bags(out, i, j, n, m))
+
+    # place every subdivided path at a bag containing both endpoints
+    assignments: dict[int, list[tuple[int, ...]]] = {i: [] for i in range(len(skeleton))}
+    for tag, seq in sorted(out.paths.items()):
+        need = {seq[0], seq[-1]} - hubs
+        host = next(
+            (idx for idx, bag in enumerate(skeleton) if need <= bag), None
+        )
+        if host is None:
+            raise InternalCheckError(f"no skeleton bag hosts path {tag!r}")
+        assignments[host].append(seq)
+
+    bags: list[frozenset] = []
+    for idx, bag in enumerate(skeleton):
+        base = frozenset(bag | hubs)
+        bags.append(base)
+        for seq in assignments[idx]:
+            inner = seq[1:-1]
+            if not inner:
+                continue
+            if len(inner) == 1:
+                bags.append(base | {inner[0]})
+            for a, b in zip(inner, inner[1:]):
+                bags.append(base | {a, b})
+            bags.append(base)
+    return PathDecomposition(tuple(bags))
+
+
+def _incidence_bags(out, i, j, n, m):
+    """Rolling windows over the a/b and c/d rows of one incidence gadget.
+
+    The c/d window advances while the cross-link target of the next a
+    column lies ahead; the targets are non-decreasing, so every cross link
+    sees a bag holding both its endpoints.
+    """
+    a = [out.anchor("a", i, j, p) for p in range(n + 1)]
+    b = [out.anchor("b", i, j, p) for p in range(n + 1)]
+    c = [out.anchor("c", i, j, p) for p in range(m + 1)]
+    d = [out.anchor("d", i, j, p) for p in range(m + 1)]
+    target = {}
+    for x in range(n):
+        seq = out.paths.get(role("xac", i, j, x))
+        if seq is None:
+            continue
+        endpoint = seq[-1] if seq[0] == a[x] else seq[0]
+        target[x] = c.index(endpoint)
+
+    def window(p, q):
+        return {a[p], b[p], a[p + 1], b[p + 1], c[q], d[q], c[q + 1], d[q + 1]}
+
+    p = q = 0
+    bags = [window(p, q)]
+    while (p, q) != (n - 1, m - 1):
+        nxt = target.get(p + 1)
+        if q < m - 1 and (p == n - 1 or (nxt is not None and q < nxt)):
+            q += 1
+        elif p < n - 1:
+            p += 1
+        else:
+            q += 1
+        bags.append(window(p, q))
+    return bags
