@@ -13,9 +13,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import formats
 from .dp import dp_solve, extract_cut, solve
-from .errors import BudgetExceeded, InputError, InternalCheckError, LbcutError
+from .errors import BudgetExceeded, InputError, InternalCheckError, LbcutError, ModelError
 from .graph import bfs_distances, verify_cut
-from .intervals import validate_model
 from .oracles import OracleBudget, oracle_branch, oracle_subset, random_proper_interval_instance
 from .reductions_fvs import (
     MulticoloredCliqueInstance,
@@ -172,21 +171,20 @@ def _solve_one(path, mode, subset_cap, branch_cap):
     inst, model = parsed.instance, parsed.model
     budget = OracleBudget(max_subset_edges=subset_cap, max_branch_nodes=branch_cap)
     if mode == "auto":
+        mode = "branch"
         if model is not None:
             try:
-                validate_model(inst.graph, model)
+                cost, cut, _ = solve(inst, model)  # rejects a bad model first
                 mode = "dp"
-            except InputError:
-                mode = "branch"
-        else:
-            mode = "branch"
-    if mode == "dp":
+            except ModelError:
+                pass
+    elif mode == "dp":
         if model is None:
             raise InputError("dp mode needs interval lines in the instance file")
         cost, cut, _ = solve(inst, model)
-    elif mode == "subset":
+    if mode == "subset":
         cost, cut = oracle_subset(inst, budget), None
-    else:
+    elif mode == "branch":
         cost, cut = oracle_branch(inst, budget), None
     verified = None
     if cut is not None:

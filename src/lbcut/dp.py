@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InputError, InternalCheckError
 from .graph import Instance, bfs_distances, edge, min_st_cut, verify_cut
-from .intervals import IntervalModel, NormalizedInstance, normalize, validate_model
+from .intervals import IntervalModel, NormalizedInstance, _normalize_valid, validate_model
 
 BIG = np.int64(1) << 40
 
@@ -56,14 +56,17 @@ class CrossingCounts:
 def compute_crossing_counts(norm: NormalizedInstance) -> CrossingCounts:
     """Crossing-edge table for a normalized instance (edges at s, t excluded)."""
     q = len(norm.order)
-    suf = np.zeros((q, q), dtype=np.int64)
-    pos = norm.pos
-    for u, v in norm.inst.graph.edges:
-        ru, rv = pos[u], pos[v]
-        if ru < 0 or rv < 0:
-            continue  # incident to s or t
-        suf[ru, : rv + 1] += 1
-        suf[rv, : ru + 1] += 1
+    pos = np.asarray(norm.pos, dtype=np.int64)
+    ranks = pos[np.array(tuple(norm.inst.graph.edges), dtype=np.int64).reshape(-1, 2)]
+    ranks = ranks[(ranks >= 0).all(axis=1)]  # drop edges incident to s or t
+    # edge {v_a, v_b} adds 1 to suf[a, :b+1] and suf[b, :a+1]: mark each row
+    # range in a difference array, then sum along the rows
+    rows = np.concatenate([ranks[:, 0], ranks[:, 1]])
+    stops = np.concatenate([ranks[:, 1], ranks[:, 0]]) + 1
+    diff = np.zeros((q, q + 1), dtype=np.int64)
+    diff[:, 0] = np.bincount(rows, minlength=q)
+    np.add.at(diff, (rows, stops), -1)
+    suf = np.cumsum(diff[:, :q], axis=1)
     prefix = np.zeros((q + 1, q), dtype=np.int64)
     np.cumsum(suf, axis=0, out=prefix[1:])
     return CrossingCounts(prefix)
@@ -116,7 +119,7 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
             inst, 1, "table", mincut=(mincut_size, mincut_edges), st_edge=True
         )
 
-    norm = normalize(inst, model)
+    norm = _normalize_valid(inst, model)  # validated on entry
     crossing = compute_crossing_counts(norm)
     T, S = _fill_tables(norm, crossing, lam)
     q = len(norm.order)
@@ -218,11 +221,12 @@ def _fill_tables(norm, crossing, lam):
 
     rows = np.arange(q)
     mask_lower = rows[:, None] > rows[None, :]  # j > i is forbidden
+    prefix_j = prefix[:q]  # prefix[j, :] for every row j
     for d in range(3, lam + 1):
         prev = T[:, d - 1]
         h_prev = S[:, d - 1]
         # M[j, i] = T[j, d-1] + C[S[j, d-1], j, i]
-        M = prev[:, None] + prefix[rows, :] - prefix[h_prev, :]
+        M = prev[:, None] + prefix_j - prefix[h_prev, :]
         M[mask_lower] = BIG
         T[1:, d] = M[:, 1:].min(axis=0)
         S[1:, d] = M[:, 1:].argmin(axis=0)

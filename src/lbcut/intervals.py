@@ -5,6 +5,11 @@ validate models rather than recognize interval graphs: the adjacency of the
 graph must coincide with interval intersection, and no interval may strictly
 contain another.  Identical intervals are allowed (they are true twins).
 
+Validation and `IntervalModel.induced_graph` share one sort-and-sweep over
+the starts (`IntervalModel.intersecting_pairs`), so both run in
+O(n log n + m).  A solve validates its model once, on entry to `dp_solve`;
+the public `normalize` and `mirror_if_needed` validate their own input.
+
 Normalization for the solver runs in three steps:
   mirror_if_needed  - reflect all intervals so start(s) <= start(t)
   canonicalize      - break start-value ties exactly, rank interior vertices
@@ -13,6 +18,7 @@ Normalization for the solver runs in three steps:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,32 +53,53 @@ class IntervalModel:
     def intersects(self, u: int, v: int) -> bool:
         return self.starts[u] <= self.ends[v] and self.starts[v] <= self.ends[u]
 
+    def intersecting_pairs(self) -> list[tuple[int, int]]:
+        """Every intersecting pair (u, v), u < v, in O(n log n + m).
+
+        After sorting by start, the intervals meeting u that start no
+        earlier than u are exactly the next ones whose start is <= end(u).
+        """
+        order = sorted(range(self.n), key=self.starts.__getitem__)
+        sorted_starts = [self.starts[v] for v in order]
+        pairs = []
+        for i, u in enumerate(order):
+            for v in order[i + 1 : bisect_right(sorted_starts, self.ends[u])]:
+                pairs.append((u, v) if u < v else (v, u))
+        return pairs
+
     def induced_graph(self) -> Graph:
-        n = self.n
-        return Graph(
-            n,
-            [(u, v) for u in range(n) for v in range(u + 1, n) if self.intersects(u, v)],
-        )
+        return Graph(self.n, self.intersecting_pairs())
 
 
 def validate_model(g: Graph, model: IntervalModel) -> None:
-    """Raise ModelError unless `model` is a proper interval model of `g`."""
+    """Raise ModelError unless `model` is a proper interval model of `g`.
+
+    Properness is checked on the (start, end) order: consecutive intervals
+    must be identical or grow strictly at both ends.  Adjacency is checked
+    against the sweep's intersecting pairs; a mismatch names the smallest
+    pair on which graph and model disagree.
+    """
     if model.n != g.n:
         raise ModelError(f"model has {model.n} intervals, graph has {g.n} vertices")
     s, e = model.starts, model.ends
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if model.intersects(u, v) != g.has_edge(u, v):
-                raise ModelError(
-                    f"adjacency mismatch at ({u}, {v}): intervals "
-                    f"[{s[u]},{e[u]}] vs [{s[v]},{e[v]}]"
-                )
-            contained = s[u] <= s[v] and e[v] <= e[u]
-            contains = s[v] <= s[u] and e[u] <= e[v]
-            if (contained or contains) and (s[u], e[u]) != (s[v], e[v]):
-                raise ModelError(
-                    f"interval of {v if contained else u} strictly contains the other"
-                )
+    by_interval = sorted(range(g.n), key=lambda v: (s[v], e[v]))
+    for u, v in zip(by_interval, by_interval[1:]):
+        if (s[u], e[u]) == (s[v], e[v]) or (s[u] < s[v] and e[u] < e[v]):
+            continue
+        # sorted, so either the starts tie and v reaches further, or v ends
+        # no later than u although it starts later
+        outer, inner = (v, u) if s[u] == s[v] else (u, v)
+        raise ModelError(
+            f"interval of {outer} [{s[outer]},{e[outer]}] strictly contains "
+            f"interval of {inner} [{s[inner]},{e[inner]}]"
+        )
+    mismatch = set(model.intersecting_pairs()).symmetric_difference(g.edges)
+    if mismatch:
+        u, v = min(mismatch)
+        raise ModelError(
+            f"adjacency mismatch at ({u}, {v}): intervals "
+            f"[{s[u]},{e[u]}] vs [{s[v]},{e[v]}]"
+        )
 
 
 def mirror_if_needed(inst: Instance, model: IntervalModel):
@@ -81,6 +108,10 @@ def mirror_if_needed(inst: Instance, model: IntervalModel):
     Adjacency is invariant under reflection, so the instance is unchanged.
     """
     validate_model(inst.graph, model)
+    return _mirror(inst, model)
+
+
+def _mirror(inst: Instance, model: IntervalModel):
     if model.starts[inst.s] <= model.starts[inst.t]:
         return inst, model
     mirrored = IntervalModel(
@@ -198,17 +229,20 @@ class NormalizedInstance:
 
 
 def normalize(inst: Instance, model: IntervalModel) -> NormalizedInstance:
-    """Run mirror -> canonicalize -> trim and package the result."""
+    """Validate, then run mirror -> canonicalize -> trim and package the result."""
+    validate_model(inst.graph, model)
+    return _normalize_valid(inst, model)
+
+
+def _normalize_valid(inst: Instance, model: IntervalModel) -> NormalizedInstance:
+    """`normalize` for a model the caller has already validated."""
     mirrored = model.starts[inst.s] > model.starts[inst.t]
-    inst, model = mirror_if_needed(inst, model)
-    inst, model, _ = canonicalize(inst, model)
+    inst, model = _mirror(inst, model)
+    inst, model, order = canonicalize(inst, model)
     inst, model, kept = trim(inst, model)
-    order = tuple(
-        sorted(
-            (v for v in range(model.n) if v not in (inst.s, inst.t)),
-            key=lambda v: model.starts[v],
-        )
-    )
+    # trim keeps relative order, so the canonical ranks carry over
+    new_of_old = {old: new for new, old in enumerate(kept)}
+    order = tuple(new_of_old[v] for v in order if v in new_of_old)
     pos = [-1] * model.n
     for r, v in enumerate(order):
         pos[v] = r

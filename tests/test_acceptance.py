@@ -6,14 +6,15 @@ Run with `pytest tests/test_acceptance.py -v -rA` to see the PASS lines.
 import itertools
 import math
 import time
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 from lbcut.dp import dp_solve, extract_cut, monotonize_cut
 from lbcut.errors import BudgetExceeded
-from lbcut.graph import bfs_distances, verify_cut
-from lbcut.intervals import normalize
+from lbcut.graph import Instance, bfs_distances, verify_cut
+from lbcut.intervals import IntervalModel, normalize
 from lbcut.oracles import (
     OracleBudget,
     oracle_branch,
@@ -281,4 +282,31 @@ def test_criterion_9_runtime_envelope():
         9,
         f"n=200 solved in {t200 * 1000:.0f}ms; growth over n in (50,100,200) "
         "stayed within 2x of the fitted n^4*m trend",
+    )
+
+
+def test_table_branch_runtime_envelope():
+    # criterion 9's seeds exit on "no-short-path"; this recipe reaches the
+    # table: n=800 unit intervals at ~20 per unit length, terminals at start
+    # ranks 10% and 90%, lam = dist(s,t) + 1
+    n = 800
+    times = []
+    for seed in (1, 2, 3):
+        rng = Random(seed)
+        model = IntervalModel.unit(
+            [Fraction(rng.randrange(40 * 1000), 1000) for _ in range(n)]
+        )
+        g = model.induced_graph()
+        ranked = sorted(range(n), key=lambda v: (model.starts[v], v))
+        s, t = ranked[n // 10], ranked[9 * n // 10]
+        inst = Instance(g, s, t, g.m, int(bfs_distances(g, s)[t]) + 1)
+        started = time.perf_counter()
+        cost, tables = dp_solve(inst, model)
+        times.append(time.perf_counter() - started)
+        assert tables.branch == "table", f"seed {seed} took {tables.branch!r}"
+    elapsed = sorted(times)[1]
+    assert elapsed < 3, f"n=800 table-branch solve took {elapsed:.2f}s"
+    report(
+        "9 (table branch)",
+        f"n=800 table-branch solve took {elapsed * 1000:.0f}ms (median of 3 seeds)",
     )

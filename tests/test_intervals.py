@@ -1,4 +1,7 @@
+import itertools
+import re
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -36,6 +39,126 @@ class TestValidation:
     def test_equal_intervals_are_fine(self):
         model = IntervalModel.unit([0, 0, 2])
         validate_model(model.induced_graph(), model)
+
+    @pytest.mark.parametrize(
+        "starts, ends, outer, inner",
+        [
+            ((0, 1), (3, 2), 0, 1),  # later start, earlier end
+            ((1, 0), (2, 3), 1, 0),
+            ((0, 0), (1, 2), 1, 0),  # same start, longer interval
+            ((0, 0), (2, 1), 0, 1),
+            ((0, 1), (2, 2), 0, 1),  # same end, later start
+        ],
+    )
+    def test_containment_names_the_containing_vertex(self, starts, ends, outer, inner):
+        model = IntervalModel(
+            tuple(Fraction(a) for a in starts), tuple(Fraction(b) for b in ends)
+        )
+        expected = (
+            f"interval of {outer} [{starts[outer]},{ends[outer]}] strictly contains "
+            f"interval of {inner} [{starts[inner]},{ends[inner]}]"
+        )
+        with pytest.raises(ModelError, match=re.escape(expected)):
+            validate_model(model.induced_graph(), model)
+
+
+def brute_pairs(model):
+    """O(n^2) reference for IntervalModel.intersecting_pairs."""
+    return {
+        (u, v)
+        for u, v in itertools.combinations(range(model.n), 2)
+        if model.intersects(u, v)
+    }
+
+
+def strictly_contains(model, u, v):
+    s, e = model.starts, model.ends
+    return s[u] <= s[v] and e[v] <= e[u] and (s[u], e[u]) != (s[v], e[v])
+
+
+def brute_fault(g, model):
+    """O(n^2) reference for validate_model.
+
+    Returns ("contains",) for a strict containment, else the smallest pair
+    whose adjacency disagrees with the model, else None.
+    """
+    if any(
+        strictly_contains(model, u, v)
+        for u, v in itertools.permutations(range(model.n), 2)
+    ):
+        return ("contains",)
+    mismatch = sorted(brute_pairs(model) ^ g.edges)
+    return mismatch[0] if mismatch else None
+
+
+def random_model(rng):
+    """Small integer coordinates, so tied starts and touching ends are common;
+    mixed lengths give strict containment, same-start/different-end included."""
+    n = rng.randint(1, 9)
+    starts = [rng.randint(0, 6) for _ in range(n)]
+    if rng.random() < 0.5:
+        lengths = [rng.randint(0, 2)] * n  # equal lengths: always proper
+    else:
+        lengths = [rng.randint(0, 3) for _ in range(n)]
+    return IntervalModel(
+        tuple(Fraction(a) for a in starts),
+        tuple(Fraction(a + b) for a, b in zip(starts, lengths)),
+    )
+
+
+class TestSweepAgainstBruteForce:
+    def test_intersecting_pairs_and_validation(self):
+        seen = set()
+        for seed in range(800):
+            rng = Random(seed)
+            model = random_model(rng)
+            pairs = brute_pairs(model)
+            swept = model.intersecting_pairs()
+            assert sorted(swept) == sorted(pairs)  # no duplicates either
+            assert model.induced_graph() == Graph(model.n, pairs)
+
+            edges = set(pairs)
+            non_edges = set(itertools.combinations(range(model.n), 2)) - edges
+            change = rng.choice(["none", "add", "remove"])
+            if change == "add" and non_edges:
+                edges.add(rng.choice(sorted(non_edges)))
+                seen.add("edge added")
+            elif change == "remove" and edges:
+                edges.remove(rng.choice(sorted(edges)))
+                seen.add("edge removed")
+            g = Graph(model.n, edges)
+
+            s, e = model.starts, model.ends
+            ordered_pairs = list(itertools.permutations(range(model.n), 2))
+            if len(set(s)) < model.n:
+                seen.add("tied starts")
+            if any(s[u] == e[v] for u, v in ordered_pairs):
+                seen.add("touching endpoints")
+            if any(s[u] == s[v] and e[u] != e[v] for u, v in ordered_pairs):
+                seen.add("same start, different end")
+
+            fault = brute_fault(g, model)
+            if fault is None:
+                validate_model(g, model)
+                continue
+            with pytest.raises(ModelError) as info:
+                validate_model(g, model)
+            message = str(info.value)
+            if fault == ("contains",):
+                seen.add("strict containment")
+                named = re.match(r"interval of (\d+) .* interval of (\d+) ", message)
+                outer, inner = map(int, named.groups())
+                assert strictly_contains(model, outer, inner), message
+            else:
+                assert message.startswith(f"adjacency mismatch at {fault}"), message
+        assert seen == {
+            "tied starts",
+            "touching endpoints",
+            "edge added",
+            "edge removed",
+            "strict containment",
+            "same start, different end",
+        }
 
 
 class TestMirror:
