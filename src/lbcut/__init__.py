@@ -21,10 +21,8 @@ from .errors import (
     ModelError,
 )
 from .graph import (
-    CutSet,
     Graph,
     Instance,
-    apply_cut,
     bfs_distances,
     edge,
     edge_set,

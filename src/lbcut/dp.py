@@ -327,7 +327,7 @@ def monotonize_cut(inst: Instance, model: IntervalModel, f, d: int) -> frozenset
         raise InputError("monotonize_cut expects a mirrored model")
     if any(ends[v] < starts[s] or starts[v] > ends[t] for v in range(g.n)):
         raise InputError("monotonize_cut expects a trimmed instance")
-    if bfs_distances(g.without_edges(f), s)[t] < d:
+    if bfs_distances(g, s, f)[t] < d:
         raise InputError(f"given edge set is not a {d}-cut")
 
     order = sorted((v for v in range(g.n) if v not in (s, t)), key=lambda v: starts[v])
@@ -355,7 +355,7 @@ def monotonize_cut(inst: Instance, model: IntervalModel, f, d: int) -> frozenset
                 result = frozenset()
             if len(result) > len(f):
                 raise InternalCheckError("monotonize grew the cut")
-            if bfs_distances(g.without_edges(result), s)[t] < d:
+            if bfs_distances(g, s, result)[t] < d:
                 raise InternalCheckError("monotonize broke the distance bound")
             if not _bfs_monotone(g, s, t, result, order):
                 raise InternalCheckError("monotonize left a distance inversion")
@@ -389,7 +389,7 @@ def monotonize_cut(inst: Instance, model: IntervalModel, f, d: int) -> frozenset
 
 
 def _bfs_monotone(g, s, t, cut, order) -> bool:
-    dist = bfs_distances(g.without_edges(cut), s)
+    dist = bfs_distances(g, s, cut)
     vals = [dist[v] for v in order]
     return all(a <= b for a, b in zip(vals, vals[1:]))
 

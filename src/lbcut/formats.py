@@ -49,6 +49,25 @@ def _fmt_rational(x: Fraction) -> str:
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
 
+def _parse_int(token: str, ln: int, what: str = "integer") -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise InputError(f"line {ln}: bad {what} {token!r}") from None
+
+
+def _vertex_ids(tokens: list[str], ln: int) -> list[int]:
+    """0-based vertex ids from 1-based tokens."""
+    return [_parse_int(x, ln, "vertex id") - 1 for x in tokens]
+
+
+def _single(rest: list[str], ln: int, usage: str) -> str:
+    """The one value of a record that takes exactly one."""
+    if len(rest) != 1:
+        raise InputError(f"line {ln}: expected `{usage}`")
+    return rest[0]
+
+
 def _parse_rational(token: str, ln: int) -> Fraction:
     try:
         return Fraction(token)
@@ -77,10 +96,7 @@ def parse_instance(text: str) -> ParsedInstance:
     warnings: list[str] = []
 
     def vid(token, ln):
-        try:
-            v = int(token)
-        except ValueError:
-            raise InputError(f"line {ln}: bad vertex id {token!r}") from None
+        v = _parse_int(token, ln, "vertex id")
         if n is None:
             raise InputError(f"line {ln}: vertex id before the p-line")
         if not (1 <= v <= n):
@@ -103,15 +119,16 @@ def parse_instance(text: str) -> ParsedInstance:
                 raise InputError(f"line {ln}: duplicate p-line")
             if len(rest) != 3 or rest[0] != "lbc":
                 raise InputError(f"line {ln}: expected `p lbc <n> <m>`")
-            n, m = int(rest[1]), int(rest[2])
+            n = _parse_int(rest[1], ln, "vertex count")
+            m = _parse_int(rest[2], ln, "edge count")
         elif kind == "s":
-            s = vid(rest[0], ln)
+            s = vid(_single(rest, ln, "s <id>"), ln)
         elif kind == "t":
-            t = vid(rest[0], ln)
+            t = vid(_single(rest, ln, "t <id>"), ln)
         elif kind == "b":
-            beta = int(rest[0])
+            beta = _parse_int(_single(rest, ln, "b <beta>"), ln)
         elif kind == "l":
-            lam = int(rest[0])
+            lam = _parse_int(_single(rest, ln, "l <lambda>"), ln)
         elif kind == "e":
             if len(rest) != 2:
                 raise InputError(f"line {ln}: expected `e <u> <v>`")
@@ -210,7 +227,11 @@ def load_reduction_output(text: str, source=None) -> ReductionOutput:
         tag = roles[v]
         if "@" in tag:
             base, pos = tag.rsplit("@", 1)
-            members.setdefault(base, {})[int(pos)] = v
+            try:
+                position = int(pos)
+            except ValueError:
+                raise InputError(f"role of vertex {v + 1}: bad path position {pos!r}") from None
+            members.setdefault(base, {})[position] = v
         else:
             vertex_by_role[tag] = v
 
@@ -257,11 +278,13 @@ def parse_source_graph(text: str) -> Graph:
         if kind == "p":
             if len(rest) != 3 or rest[0] != "graph":
                 raise InputError(f"line {ln}: expected `p graph <n> <m>`")
-            n = int(rest[1])
+            n = _parse_int(rest[1], ln, "vertex count")
         elif kind == "e":
             if n is None:
                 raise InputError(f"line {ln}: edge before the p-line")
-            u, v = int(rest[0]) - 1, int(rest[1]) - 1
+            if len(rest) != 2:
+                raise InputError(f"line {ln}: expected `e <u> <v>`")
+            u, v = _vertex_ids(rest, ln)
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"line {ln}: edge endpoint out of range")
             edges.append((u, v))
@@ -287,7 +310,7 @@ def parse_cut(text: str, g: Graph) -> frozenset:
         kind, *rest = line.split()
         if kind != "e" or len(rest) != 2:
             raise InputError(f"line {ln}: expected `e <u> <v>`")
-        e = edge(int(rest[0]) - 1, int(rest[1]) - 1)
+        e = edge(*_vertex_ids(rest, ln))
         if e not in g.edges:
             raise InputError(f"line {ln}: {e} is not an edge of the instance")
         cut.add(e)
@@ -307,7 +330,7 @@ def parse_fvs(text: str, g: Graph) -> frozenset:
         kind, *rest = line.split()
         if kind != "v" or len(rest) != 1:
             raise InputError(f"line {ln}: expected `v <id>`")
-        v = int(rest[0]) - 1
+        (v,) = _vertex_ids(rest, ln)
         if not (0 <= v < g.n):
             raise InputError(f"line {ln}: vertex id out of range")
         vertices.add(v)
@@ -327,10 +350,7 @@ def parse_path_decomposition(text: str, g: Graph) -> PathDecomposition:
         kind, *rest = line.split()
         if kind != "B":
             raise InputError(f"line {ln}: expected `B <id> <id> ...`")
-        try:
-            bag = frozenset(int(x) - 1 for x in rest)
-        except ValueError:
-            raise InputError(f"line {ln}: bad vertex id in bag") from None
+        bag = frozenset(_vertex_ids(rest, ln))
         for v in bag:
             if not (0 <= v < g.n):
                 raise InputError(f"line {ln}: vertex id out of range")

@@ -4,19 +4,46 @@ Generated graphs are navigated structurally: every vertex carries a role
 token, and every subdivided path is registered under its own token with
 the full vertex sequence (endpoints included).  Role tokens are plain
 ':'-joined strings, with '@<pos>' appended for a path's interior vertices,
-so they survive a round trip through instance files.
+so they survive a round trip through instance files.  `LexEdges` numbers
+the source graph's edges for both clique-search inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InputError, InternalCheckError
-from .graph import Graph, Instance, edge
+from .graph import Edge, Graph, Instance, edge
 
 
 def role(*parts) -> str:
     return ":".join(str(p) for p in parts)
+
+
+class LexEdges:
+    """Lexicographic edge numbering of a reduction's source graph.
+
+    Mixed into the clique-search inputs, which carry the source as `graph`;
+    both reductions index their gadgets by the positions e_1..e_m.
+    """
+
+    @cached_property
+    def edges_lex(self) -> tuple[Edge, ...]:
+        """e_1..e_m as 0-based sorted pairs, lexicographic order."""
+        return tuple(sorted(self.graph.edges))
+
+    @cached_property
+    def _edge_positions(self) -> dict[Edge, int]:
+        return {e: p for p, e in enumerate(self.edges_lex, start=1)}
+
+    def edge_position(self, u: int, v: int) -> int:
+        """1-based lexicographic position of an edge."""
+        e = edge(u, v)
+        p = self._edge_positions.get(e)
+        if p is None:
+            raise InputError(f"{e} is not an edge of the source graph")
+        return p
 
 
 class GadgetBuilder:

@@ -2,6 +2,10 @@
 
 Vertex ids are dense integers 0..n-1.  Edges are stored as sorted pairs.
 All types here are immutable after construction and safe to share.
+
+Hop distances come from one bounded BFS, exposed as `bfs_distances` and
+`shortest_bounded_path`; their `removed` edge set stands for G - F without
+building that graph.  `min_st_cut` searches the residual network instead.
 """
 
 from __future__ import annotations
@@ -67,11 +71,7 @@ class Graph:
         return sorted(self.edges)
 
     def without_edges(self, cut) -> "Graph":
-        removed = edge_set(cut)
-        extra = removed - self.edges
-        if extra:
-            raise InputError(f"cut contains non-edges: {sorted(extra)[:3]}")
-        return Graph(self.n, self.edges - removed)
+        return Graph(self.n, self.edges - _cut_edges(self, cut))
 
     def subgraph(self, keep) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph on `keep` with dense relabeling.
@@ -132,29 +132,48 @@ class Instance:
         object.__setattr__(self, "notes", tuple(notes))
 
 
-CutSet = frozenset  # of Edge
+def _cut_edges(g: Graph, cut) -> frozenset[Edge]:
+    """Normalize `cut` to an edge set of `g` in O(|cut|); non-edges raise."""
+    removed = edge_set(cut)
+    extra = removed - g.edges
+    if extra:
+        raise InputError(f"cut contains non-edges: {sorted(extra)[:3]}")
+    return removed
 
 
-def bfs_distances(g: Graph, source: int):
-    """Exact hop distances from `source`; unreachable vertices get math.inf."""
+def _bfs(g: Graph, source: int, removed, lam: int, target: int = -1):
+    """Level-synchronous BFS over sorted `g.adj`, skipping `removed` edges,
+    for at most `lam` levels or until `target` is discovered.  Returns the
+    first-discovery parents (-1 if unreached) and the completed levels."""
+    adj, parent = g.adj, [-1] * g.n
+    parent[source] = source
+    levels = [[source]]
+    for _ in range(lam):
+        nxt = []
+        for u in levels[-1]:
+            for w in adj[u]:
+                if parent[w] != -1 or (removed and ((u, w) if u < w else (w, u)) in removed):
+                    continue
+                parent[w] = u
+                if w == target:
+                    return parent, levels
+                nxt.append(w)
+        if not nxt:
+            break
+        levels.append(nxt)
+    return parent, levels
+
+
+def bfs_distances(g: Graph, source: int, removed=frozenset()):
+    """Hop distances from `source` in G - removed (normalized edges);
+    unreachable vertices get math.inf."""
     if not (0 <= source < g.n):
         raise InputError(f"invalid source vertex {source}")
     dist: list[float] = [INF] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in g.adj[u]:
-            if dist[w] == INF:
-                dist[w] = du + 1
-                queue.append(w)
+    for d, level in enumerate(_bfs(g, source, removed, g.n)[1]):
+        for v in level:
+            dist[v] = d
     return dist
-
-
-def apply_cut(g: Graph, f) -> Graph:
-    """The graph with exactly the edges of `f` removed; `g` is untouched."""
-    return g.without_edges(f)
 
 
 @dataclass(frozen=True)
@@ -172,38 +191,30 @@ def verify_cut(inst: Instance, f) -> CutVerdict:
     """Check that `f` kills every s-t path of length <= lam.
 
     Valid iff the s-t distance in G-F is at least lam+1.  On violation the
-    verdict carries one concrete offending path.
+    verdict carries one concrete offending path.  Raises InputError when
+    `f` holds a pair that is not an edge of the instance.
     """
-    h = apply_cut(inst.graph, f)
-    path = shortest_bounded_path(h, inst.s, inst.t, inst.lam)
+    removed = _cut_edges(inst.graph, f)
+    path = shortest_bounded_path(inst.graph, inst.s, inst.t, inst.lam, removed)
     if path is None:
         return CutVerdict(True)
     return CutVerdict(False, path)
 
 
-def shortest_bounded_path(g: Graph, s: int, t: int, lam: int):
-    """Some s-t path with at most `lam` edges, or None (BFS parent tracing)."""
+def shortest_bounded_path(g: Graph, s: int, t: int, lam: int, removed=frozenset()):
+    """A shortest s-t path of G - removed (normalized edges) with at most
+    `lam` edges, traced from BFS parents; None if there is none."""
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise InputError(f"invalid terminals {s}, {t}")
     if s == t:
         return (s,)
-    parent = [-1] * g.n
-    parent[s] = s
-    queue = deque([(s, 0)])
-    while queue:
-        u, du = queue.popleft()
-        if du >= lam:
-            continue
-        for w in g.adj[u]:
-            if parent[w] == -1:
-                parent[w] = u
-                if w == t:
-                    path = [t]
-                    while path[-1] != s:
-                        path.append(parent[path[-1]])
-                    return tuple(reversed(path))
-                queue.append((w, du + 1))
-    return None
+    parent = _bfs(g, s, removed, lam, t)[0]
+    if parent[t] == -1:
+        return None
+    path = [t]
+    while path[-1] != s:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
 
 
 def min_st_cut(g: Graph, s: int, t: int) -> tuple[int, frozenset]:

@@ -181,10 +181,18 @@ def _split_ties(model: IntervalModel) -> IntervalModel:
             prev_tied = v
     eps = slack / (2 * (max(level) + 1))
     new_starts = tuple(starts[v] - level[v] * eps for v in range(n))
-    new_ends = tuple(ends[v] - level[v] * eps for v in range(n))
+    new_ends = [ends[v] - level[v] * eps for v in range(n)]
+    for x, tied in by_start.items():
+        # A proper model has nothing else meeting a point interval [x, x], so
+        # tied point intervals are an isolated clique of twins: stretch them
+        # to one common length so that their staggered copies still overlap.
+        # Level 0 then ends at x + (len(tied)-1)*eps < x + slack/2.
+        if len(tied) > 1 and ends[tied[0]] == x:
+            for v in tied:
+                new_ends[v] += (len(tied) - 1) * eps
     if len(set(new_starts)) != n:
         raise InternalCheckError("tie splitting failed to separate start values")
-    return IntervalModel(new_starts, new_ends)
+    return IntervalModel(new_starts, tuple(new_ends))
 
 
 def trim(inst: Instance, model: IntervalModel):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from random import Random
 
 from .errors import BudgetExceeded
-from .graph import Instance, edge
+from .graph import Instance, edge, shortest_bounded_path
 from .intervals import IntervalModel
 
 
@@ -40,34 +40,11 @@ def oracle_subset(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET) -> int:
             f"subset oracle refuses {g.m} edges (cap {budget.max_subset_edges})"
         )
     edges = g.edge_list()
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
     for size in range(g.m + 1):
         for subset in itertools.combinations(edges, size):
-            if _cuts_short_paths(adj, inst.s, inst.t, inst.lam, frozenset(subset)):
+            if shortest_bounded_path(g, inst.s, inst.t, inst.lam, frozenset(subset)) is None:
                 return size
     return g.m  # unreachable: the full edge set always cuts
-
-
-def _cuts_short_paths(adj, s, t, lam, removed) -> bool:
-    """BFS limited to lam hops, skipping removed edges."""
-    if s == t:
-        return False
-    seen = {s}
-    frontier = [s]
-    depth = 0
-    while frontier and depth < lam:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w in seen or edge(u, w) in removed:
-                    continue
-                if w == t:
-                    return False
-                seen.add(w)
-                nxt.append(w)
-        frontier = nxt
-    return True
 
 
 def oracle_branch(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET) -> int:
@@ -82,29 +59,6 @@ def oracle_branch(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     nodes = [0]
     memo: dict[tuple[frozenset, int], bool] = {}
 
-    def short_path(removed):
-        # BFS parent tracing capped at lam hops, skipping removed edges
-        parent = [-1] * g.n
-        parent[s] = s
-        frontier = [s]
-        depth = 0
-        while frontier and depth < lam:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                for w in g.adj[u]:
-                    if parent[w] != -1 or edge(u, w) in removed:
-                        continue
-                    parent[w] = u
-                    if w == t:
-                        path = [t]
-                        while path[-1] != s:
-                            path.append(parent[path[-1]])
-                        return tuple(reversed(path))
-                    nxt.append(w)
-            frontier = nxt
-        return None
-
     def decide(removed: frozenset, depth: int) -> bool:
         key = (removed, depth)
         if key in memo:
@@ -114,7 +68,7 @@ def oracle_branch(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET) -> int:
             raise BudgetExceeded(
                 f"branching oracle exceeded {budget.max_branch_nodes} nodes"
             )
-        path = short_path(removed)
+        path = shortest_bounded_path(g, s, t, lam, removed)
         if path is None:
             memo[key] = True
             return True

@@ -16,15 +16,14 @@ feedback vertex set of size 2k + 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InputError
-from .gadgets import GadgetBuilder, ReductionOutput, role
+from .gadgets import GadgetBuilder, LexEdges, ReductionOutput, role
 from .graph import Graph, Instance, edge
 
 
 @dataclass(frozen=True)
-class MulticoloredCliqueInstance:
+class MulticoloredCliqueInstance(LexEdges):
     """k-partite clique-search input with equal part sizes.
 
     Vertex v (0-based) belongs to part v // nu + 1 (1-based) and has index
@@ -54,17 +53,6 @@ class MulticoloredCliqueInstance:
 
     def vertex(self, part: int, index: int) -> int:
         return (part - 1) * self.nu + (index - 1)
-
-    @cached_property
-    def edges_lex(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.graph.edges))
-
-    def edge_position(self, u: int, v: int) -> int:
-        e = edge(u, v)
-        try:
-            return self.edges_lex.index(e) + 1
-        except ValueError:
-            raise InputError(f"{e} is not an edge of the source graph") from None
 
 
 def gen_fvs(mc: MulticoloredCliqueInstance) -> ReductionOutput:

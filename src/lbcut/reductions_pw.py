@@ -14,16 +14,17 @@ two edges per ladder and four per incidence gadget.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InputError, InternalCheckError
-from .gadgets import GadgetBuilder, ReductionOutput, role
+from .gadgets import GadgetBuilder, LexEdges, ReductionOutput, role
 from .graph import Graph, Instance, edge
 
 
 @dataclass(frozen=True)
-class CliqueInstance:
+class CliqueInstance(LexEdges):
     """Clique-search input: find k pairwise-adjacent vertices in graph.
 
     Vertices are identified with 1-based indices (index(v) = v + 1); edges
@@ -42,19 +43,6 @@ class CliqueInstance:
                 "need m >= n >= 1; remove tree components before reducing"
             )
 
-    @cached_property
-    def edges_lex(self) -> tuple[tuple[int, int], ...]:
-        """e_1..e_m as 0-based sorted pairs, lexicographic order."""
-        return tuple(sorted(self.graph.edges))
-
-    def edge_position(self, u: int, v: int) -> int:
-        """1-based lexicographic position of an edge."""
-        e = edge(u, v)
-        try:
-            return self.edges_lex.index(e) + 1
-        except ValueError:
-            raise InputError(f"{e} is not an edge of the source graph") from None
-
     def link_target(self, x: int) -> int:
         """Largest edge position whose lower endpoint index is <= x (0 if none).
 
@@ -64,11 +52,7 @@ class CliqueInstance:
         the incidence gadget's cross links and the bag schedule of the
         pathwidth witness both rely on.
         """
-        best = 0
-        for p, (a, _) in enumerate(self.edges_lex, start=1):
-            if a + 1 <= x:
-                best = p
-        return best
+        return bisect_left(self.edges_lex, (x,))  # count of edges (a, _) with a < x
 
 
 def gen_pw(cq: CliqueInstance) -> ReductionOutput:
@@ -137,10 +121,7 @@ def _check_degree_bound(b, cq, graph, s, t):
     for i in range(1, k + 1):
         hubs[b.vertex_by_role[role("u", i, n)]] = 6 + 7 * (k - 1)
         hubs[b.vertex_by_role[role("l", i, n)]] = 6 + 7 * (k - 1)
-    mult = max(
-        sum(1 for x in range(n) if cq.link_target(x) == q)
-        for q in range(cq.graph.m + 1)
-    )
+    mult = max(Counter(cq.link_target(x) for x in range(n)).values())
     for v in range(graph.n):
         expected = hubs.get(v)
         if expected is not None:

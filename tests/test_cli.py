@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from lbcut.cli import main
 from lbcut.formats import (
     parse_cut,
@@ -65,6 +67,38 @@ class TestSolve:
         bad = tmp_path / "bad.gr"
         bad.write_text("p lbc 2 1\nzz\n")
         assert main(["solve", str(bad)]) == 2
+
+
+PATH_3 = "p lbc 3 2\ns 1\nt 3\nb 1\nl 2\ne 1 2\ne 2 3\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, line",
+    [
+        ("solve", PATH_3.replace("b 1", "b zz"), 4),
+        ("solve", PATH_3.replace("p lbc 3 2", "p lbc x 0"), 1),
+        ("solve", PATH_3.replace("s 1", "s"), 2),
+        ("source", "p graph 2 1\ne 1 x\n", 2),
+        ("cut", "e 1 3\n", 1),
+        ("cut", "e 1 x\n", 1),
+        ("fvs", "v 1\nv x\n", 2),
+    ],
+    ids=["b-zz", "p-lbc-x", "bare-s", "source-id", "cut-non-edge", "cut-id", "fvs-id"],
+)
+def test_malformed_input_is_usage_error(tmp_path, capsys, command, text, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    inst = tmp_path / "inst.gr"
+    inst.write_text(PATH_3)
+    argv = {
+        "solve": ["solve", str(bad)],
+        "source": ["gen", "pw", "--source", str(bad), "-k", "2",
+                   "-o", str(tmp_path / "out.gr")],
+        "cut": ["verify", "cut", str(inst), "-f", str(bad)],
+        "fvs": ["verify", "fvs", str(inst), "-f", str(bad)],
+    }[command]
+    assert main(argv) == 2
+    assert f"line {line}" in capsys.readouterr().err
 
 
 class TestGenerateAndDecode:

@@ -6,7 +6,7 @@ from lbcut.dp import compute_crossing_counts, dp_solve, extract_cut, solve
 from lbcut.errors import ModelError
 from lbcut.graph import Graph, Instance, verify_cut
 from lbcut.intervals import IntervalModel, normalize
-from lbcut.oracles import oracle_subset, random_proper_interval_instance
+from lbcut.oracles import oracle_branch, oracle_subset, random_proper_interval_instance
 
 
 def unit_instance(starts, s, t, beta=3, lam=3):
@@ -82,6 +82,23 @@ class TestDpSolveSmall:
     def test_lambda_zero(self):
         inst, model = unit_instance([0, Fraction(1, 2)], s=0, t=1, lam=0)
         assert dp_solve(inst, model)[0] == 0
+
+    @pytest.mark.parametrize(
+        "starts, ends",
+        [
+            ([0, 0, 2, 4, 6], [0, 0, 3, 5, 7]),
+            ([0, 0, 0, 2, 4], [0, 0, 0, 3, 5]),
+        ],
+    )
+    def test_zero_length_twins(self, starts, ends):
+        # tied point intervals [0,0] must stay adjacent through the tie split
+        model = IntervalModel(
+            tuple(Fraction(x) for x in starts), tuple(Fraction(x) for x in ends)
+        )
+        inst = Instance(model.induced_graph(), 0, 1, 1, 2)
+        cost, cut, _ = solve(inst, model)
+        assert cost == oracle_branch(inst) == len(cut)
+        assert verify_cut(inst, cut).ok
 
     def test_lambda_covers_all_paths(self):
         inst, model = unit_instance(

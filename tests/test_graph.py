@@ -9,7 +9,6 @@ from lbcut.errors import InputError
 from lbcut.graph import (
     Graph,
     Instance,
-    apply_cut,
     bfs_distances,
     edge,
     min_st_cut,
@@ -114,29 +113,33 @@ class TestBfsDistances:
 
 
 class TestApplyCut:
+    """Applying a cut builds G - F with `Graph.without_edges`."""
+
     def test_empty_cut_is_identity(self):
         g = random_graph(8, 0.5, seed=1)
-        assert apply_cut(g, frozenset()) == g
+        assert g.without_edges(frozenset()) == g
 
     def test_triangle_leaves_two_path(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        h = apply_cut(g, [(0, 2)])
+        h = g.without_edges([(0, 2)])
         assert bfs_distances(h, 0)[2] == 2
 
     def test_isolating_a_k4_vertex(self):
         g = Graph(4, itertools.combinations(range(4), 2))
-        h = apply_cut(g, [(0, 1), (0, 2), (0, 3)])
+        h = g.without_edges([(0, 1), (0, 2), (0, 3)])
         assert h.degree(0) == 0 and h.m == 3
 
     def test_input_graph_unmodified(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        apply_cut(g, [(0, 1)])
+        g.without_edges([(0, 1)])
         assert g.m == 2
 
     def test_non_edge_rejected(self):
         g = Graph(3, [(0, 1)])
         with pytest.raises(InputError):
-            apply_cut(g, [(1, 2)])
+            g.without_edges([(1, 2)])
+        with pytest.raises(InputError):
+            verify_cut(Instance(g, 0, 1, 1, 1), [(1, 2)])
 
 
 class TestVerifyCut:
@@ -161,6 +164,10 @@ class TestVerifyCut:
                 if all(edge(p[i], p[i + 1]) not in f for i in range(len(p) - 1))
             ]
             assert verify_cut(inst, f).ok == (not survivors)
+            # the removed set stands for the graph without those edges
+            h = g.without_edges(f)
+            assert verify_cut(inst, f).witness == shortest_bounded_path(h, 0, 7, 3)
+            assert bfs_distances(g, 0, f) == bfs_distances(h, 0)
 
 
 class TestMinStCut:
@@ -175,7 +182,7 @@ class TestMinStCut:
             g = random_graph(9, 0.5, seed=seed)
             size, cut = min_st_cut(g, 0, 8)
             assert len(cut) == size
-            assert bfs_distances(apply_cut(g, cut), 0)[8] == INF
+            assert bfs_distances(g.without_edges(cut), 0)[8] == INF
 
     def test_equals_max_edge_disjoint_path_packing(self):
         def max_packing(g, s, t, used):
@@ -197,7 +204,7 @@ class TestMinStCut:
         g = random_graph(8, 0.6, seed=3)
         size, _ = min_st_cut(g, 0, 7)
         for e in g.edge_list():
-            smaller, _ = min_st_cut(apply_cut(g, [e]), 0, 7)
+            smaller, _ = min_st_cut(g.without_edges([e]), 0, 7)
             assert smaller <= size
 
 
@@ -233,6 +240,13 @@ class TestShortestBoundedPath:
                 assert (p is not None) == bool(enumerated)
                 if p is not None:
                     assert len(p) - 1 <= lam
+                rng = Random(seed * 5 + lam)
+                removed = frozenset(e for e in g.edge_list() if rng.random() < 0.3)
+                h = g.without_edges(removed)
+                assert shortest_bounded_path(g, 0, 7, lam, removed) == (
+                    shortest_bounded_path(h, 0, 7, lam)
+                )
+                assert bfs_distances(g, 0, removed) == bfs_distances(h, 0)
 
 
 class TestInstance:
