@@ -249,7 +249,7 @@ def _load_output(args):
 
 def cmd_forward_cut(args) -> int:
     out = _load_output(args)
-    clique = [int(x) - 1 for x in args.clique.split(",")]
+    clique = [_int_option(x, "--clique") - 1 for x in args.clique.split(",")]
     cut = (forward_cut_pw if args.family == "pw" else forward_cut_fvs)(out, clique)
     verdict = verify_cut(out.instance, cut)
     if not verdict:
@@ -303,19 +303,32 @@ def cmd_verify_pd(args) -> int:
     return NO
 
 
-def _parse_range(token):
+def _int_option(token, option):
+    """An integer in an option value; a bad one is a usage error (exit 2)."""
+    try:
+        return int(token)
+    except ValueError:
+        raise InputError(f"{option}: bad integer {token!r}") from None
+
+
+def _parse_range(token, option):
     lo, _, hi = token.partition(":")
-    return int(lo), int(hi or lo)
+    lo, hi = _int_option(lo, option), _int_option(hi or lo, option)
+    if lo > hi:
+        raise InputError(f"{option}: empty range {token!r}")
+    return lo, hi
 
 
 def cmd_random_pig(args) -> int:
-    inst, model = random_proper_interval_instance(
-        args.n,
-        density=args.density,
-        beta_range=_parse_range(args.beta_range),
-        lambda_range=_parse_range(args.lambda_range),
-        seed=args.seed,
-    )
+    beta_range = _parse_range(args.beta_range, "--beta-range")
+    lambda_range = _parse_range(args.lambda_range, "--lambda-range")
+    try:
+        inst, model = random_proper_interval_instance(
+            args.n, density=args.density, beta_range=beta_range,
+            lambda_range=lambda_range, seed=args.seed,
+        )
+    except ValueError as exc:  # -n or --density out of range
+        raise InputError(str(exc)) from None
     _write(args.output, formats.serialize_instance(inst, model))
     print(f"wrote {args.output}: n={inst.graph.n} m={inst.graph.m}")
     return YES

@@ -14,6 +14,14 @@ The recurrence charges crossing edges through
 which we evaluate in O(1) from a prefix-sum matrix instead of the naive
 per-triple edge scan (same values, needed for the n=200 runtime target).
 
+Column d of the tables takes, for each rank i, a minimum over the rows
+j <= i of column d-1.  The rows that no edge crosses into i or beyond
+charge nothing and reduce to a running minimum of T[:, d-1]; only a band
+of at most W rows per rank, W being at most the largest forward degree
+(edges from a rank to higher ranks), needs the crossing counts.  The fill
+therefore costs O(lam * q * W), not O(lam * q^2); ties still go to the
+smallest row, so T and S equal those of the full q x q reduction.
+
 The table optimum is combined with the plain minimum s-t cut: a cheapest
 bounded-length cut either leaves s and t connected (then a monotone optimal
 solution exists and the table finds it) or disconnects them (then it is a
@@ -219,17 +227,38 @@ def _fill_tables(norm, crossing, lam):
         T[0, 3:] = deg_s
         S[0, 3:] = 0
 
-    rows = np.arange(q)
-    mask_lower = rows[:, None] > rows[None, :]  # j > i is forbidden
-    prefix_j = prefix[:q]  # prefix[j, :] for every row j
+    # T[i, d] = min over j <= i of T[j, d-1] + C[S[j, d-1], j, i], first
+    # minimizing j.  prefix[:, i] is non-decreasing from prefix[0, i] = 0;
+    # every row j <= z(i), the last with prefix[j, i] = 0, charges nothing
+    # (S[j, d-1] <= j), so those rows reduce to a running minimum of
+    # T[:, d-1].  Only the band z(i) < j <= i, at most W = max(i - z(i)) <=
+    # the largest forward degree wide, is computed, so a step costs O(q * W)
+    # and the fill O(lam * q * W).  The band comes after the running-minimum
+    # rows, so ties go to the running minimum, as in a plain argmin over j.
+    cols = np.arange(q)
+    z = np.minimum(cols, (prefix[1:] == 0).sum(axis=0))
+    width = max(1, int((cols - z).max()))  # an empty band still needs a column
+    band = z[:, None] + 1 + np.arange(width)  # band rows J[i, k], valid while <= i
+    invalid = band > cols[:, None]
+    band[invalid] = 0
+    # prefix[J, i], with BIG on the invalid cells so they never win
+    band_base = np.where(invalid, BIG, prefix[band, cols[:, None]])
+    flat_prefix = prefix.ravel()  # flat_prefix[h * q + i] = prefix[h, i]
+    new_min = np.ones(q, dtype=bool)
     for d in range(3, lam + 1):
         prev = T[:, d - 1]
-        h_prev = S[:, d - 1]
-        # M[j, i] = T[j, d-1] + C[S[j, d-1], j, i]
-        M = prev[:, None] + prefix_j - prefix[h_prev, :]
-        M[mask_lower] = BIG
-        T[1:, d] = M[:, 1:].min(axis=0)
-        S[1:, d] = M[:, 1:].argmin(axis=0)
+        run_min = np.minimum.accumulate(prev)
+        np.less(prev[1:], run_min[:-1], out=new_min[1:])
+        # run_arg[j]: the first row attaining run_min[j]
+        run_arg = np.maximum.accumulate(np.where(new_min, cols, 0))
+        # M[i, k] = T[J, d-1] + C[S[J, d-1], J, i] for J = band[i, k]
+        M = prev[band] + band_base - flat_prefix[S[band, d - 1] * q + cols[:, None]]
+        k = M.argmin(axis=1)
+        band_min = M[cols, k]
+        free_min = run_min[z]
+        use_band = band_min < free_min
+        T[1:, d] = np.where(use_band, band_min, free_min)[1:]
+        S[1:, d] = np.where(use_band, band[cols, k], run_arg[z])[1:]
     return T, S
 
 

@@ -276,9 +276,12 @@ def parse_source_graph(text: str) -> Graph:
             continue
         kind, *rest = line.split()
         if kind == "p":
+            if n is not None:
+                raise InputError(f"line {ln}: duplicate p-line")
             if len(rest) != 3 or rest[0] != "graph":
                 raise InputError(f"line {ln}: expected `p graph <n> <m>`")
             n = _parse_int(rest[1], ln, "vertex count")
+            m = _parse_int(rest[2], ln, "edge count")
         elif kind == "e":
             if n is None:
                 raise InputError(f"line {ln}: edge before the p-line")
@@ -292,6 +295,8 @@ def parse_source_graph(text: str) -> Graph:
             raise InputError(f"line {ln}: unknown record type {kind!r}")
     if n is None:
         raise InputError("missing `p graph` record")
+    if m != len(edges):
+        raise InputError(f"p-line promises {m} edges, file has {len(edges)}")
     return Graph(n, edges)
 
 

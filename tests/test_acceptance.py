@@ -310,3 +310,29 @@ def test_table_branch_runtime_envelope():
         "9 (table branch)",
         f"n=800 table-branch solve took {elapsed * 1000:.0f}ms (median of 3 seeds)",
     )
+
+
+def test_table_branch_runtime_envelope_large():
+    # the n=800 recipe at n=3200: ~20 starts per unit length, terminals at
+    # start ranks 10% and 90%, lam = dist(s,t) + 1
+    n = 3200
+    times = []
+    for seed in (1, 2, 3):
+        rng = Random(seed)
+        model = IntervalModel.unit(
+            [Fraction(rng.randrange(160 * 1000), 1000) for _ in range(n)]
+        )
+        g = model.induced_graph()
+        ranked = sorted(range(n), key=lambda v: (model.starts[v], v))
+        s, t = ranked[n // 10], ranked[9 * n // 10]
+        inst = Instance(g, s, t, g.m, int(bfs_distances(g, s)[t]) + 1)
+        started = time.perf_counter()
+        cost, tables = dp_solve(inst, model)
+        times.append(time.perf_counter() - started)
+        assert tables.branch == "table", f"seed {seed} took {tables.branch!r}"
+    elapsed = sorted(times)[1]
+    assert elapsed < 5, f"n=3200 table-branch solve took {elapsed:.2f}s"
+    report(
+        "9 (table branch, large)",
+        f"n=3200 table-branch solve took {elapsed * 1000:.0f}ms (median of 3 seeds)",
+    )

@@ -101,6 +101,29 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, command, text, line):
     assert f"line {line}" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["forward-cut", "pw", "--clique", "2,x"], "--clique: bad integer 'x'"),
+        (["random-pig", "-n", "5", "--beta-range", "1:x"],
+         "--beta-range: bad integer 'x'"),
+        (["random-pig", "-n", "5", "--lambda-range", "4:2"],
+         "--lambda-range: empty range"),
+        (["random-pig", "-n", "1"], "need at least two vertices"),
+    ],
+    ids=["clique-x", "beta-range-x", "lambda-range-empty", "random-pig-n1"],
+)
+def test_malformed_option_is_usage_error(tmp_path, capsys, argv, message):
+    if argv[0] == "forward-cut":
+        src = triangle_source(tmp_path)
+        hard = tmp_path / "hard.gr"
+        assert main(["gen", "pw", "--source", str(src), "-k", "2", "-o", str(hard)]) == 0
+        files = ["--instance", str(hard), "--source", str(src), "-k", "2"]
+        argv = argv[:2] + files + argv[2:]
+    assert main(argv + ["-o", str(tmp_path / "out.txt")]) == 2
+    assert message in capsys.readouterr().err
+
 class TestGenerateAndDecode:
     def test_pw_pipeline(self, tmp_path, capsys):
         src = triangle_source(tmp_path)

@@ -1,10 +1,19 @@
 from fractions import Fraction
+from random import Random
 
+import numpy as np
 import pytest
 
-from lbcut.dp import compute_crossing_counts, dp_solve, extract_cut, solve
+from lbcut.dp import (
+    BIG,
+    _fill_tables,
+    compute_crossing_counts,
+    dp_solve,
+    extract_cut,
+    solve,
+)
 from lbcut.errors import ModelError
-from lbcut.graph import Graph, Instance, verify_cut
+from lbcut.graph import Graph, Instance, bfs_distances, verify_cut
 from lbcut.intervals import IntervalModel, normalize
 from lbcut.oracles import oracle_branch, oracle_subset, random_proper_interval_instance
 
@@ -139,6 +148,68 @@ class TestDpAgainstOracle:
             extract_cut(inst, model, tables)
             checked += 1
         assert checked >= 20
+
+
+def dense_fill(T, S, prefix, lam):
+    """Reference for the d >= 3 columns of _fill_tables: the full q x q
+    reduction, given column 2 and row 0 of the tables."""
+    T, S = T.copy(), S.copy()
+    q = T.shape[0]
+    rows = np.arange(q)
+    mask_lower = rows[:, None] > rows[None, :]  # j > i is forbidden
+    for d in range(3, lam + 1):
+        # M[j, i] = T[j, d-1] + C[S[j, d-1], j, i]
+        M = T[:, d - 1][:, None] + prefix[:q] - prefix[S[:, d - 1], :]
+        M[mask_lower] = BIG
+        T[1:, d] = M[:, 1:].min(axis=0)
+        S[1:, d] = M[:, 1:].argmin(axis=0)
+    return T, S
+
+
+def fill_cases():
+    """(label, model, s, t): seeded unit intervals, often with tied starts,
+    point twins holding the terminals, and a model without interior edges."""
+    for seed in range(120):
+        rng = Random(seed)
+        n = rng.randint(5, 40)
+        grid = rng.choice([1, 2, 4, 1000])  # coarse grids tie many starts
+        span = max(1, n // rng.randint(1, 6))
+        model = IntervalModel.unit(
+            [Fraction(rng.randrange(span * grid + 1), grid) for _ in range(n)]
+        )
+        s, t = rng.sample(range(n), 2)
+        yield "unit", model, s, t
+    for k in (3, 4, 6):
+        # k point twins at 0 (s and t among them), unit intervals to the right
+        starts = [Fraction(0)] * k + [Fraction(x) for x in (2, 5, 6)]
+        ends = [Fraction(0)] * k + [Fraction(x) for x in (3, 6, 7)]
+        yield "twins", IntervalModel(tuple(starts), tuple(ends)), 0, 1
+    # s-x2-t is the only short route; x1 and x3 meet only s and t
+    model = IntervalModel.unit([0, 2, Fraction(-1, 2), 1, Fraction(5, 2)])
+    yield "no-interior-edge", model, 0, 1
+
+
+def test_banded_fill_matches_dense_reference():
+    seen = set()
+    for label, model, s, t in fill_cases():
+        g = model.induced_graph()
+        dist = bfs_distances(g, s)[t]
+        if dist == float("inf"):
+            continue
+        for lam in range(max(2, int(dist)), int(dist) + 7):
+            norm = normalize(Instance(g, s, t, 1, lam), model)
+            crossing = compute_crossing_counts(norm)
+            T, S = _fill_tables(norm, crossing, lam)
+            T_ref, S_ref = dense_fill(T, S, crossing.prefix, lam)
+            assert np.array_equal(T, T_ref), f"{label} lam={lam}: T differs"
+            assert np.array_equal(S, S_ref), f"{label} lam={lam}: S differs"
+            q = len(norm.order)
+            if label == "unit" and len(set(model.starts)) < model.n and q > 1:
+                seen.add("tied starts")
+            if label == "no-interior-edge" and q and not crossing.prefix.any() and lam >= 3:
+                seen.add("empty band")
+            seen.add(label)
+    assert seen == {"unit", "tied starts", "twins", "no-interior-edge", "empty band"}
 
 
 class TestTrimEquivalence:

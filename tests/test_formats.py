@@ -121,12 +121,56 @@ class TestAuxiliaryFormats:
         w = frozenset([0, 3])
         assert parse_fvs(serialize_fvs(w), g) == w
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p graph 2 x\ne 1 2\n", "line 1: bad edge count 'x'"),
+            ("p graph 3 9\ne 1 2\n", "p-line promises 9 edges, file has 1"),
+            ("p graph 2 0\np graph 3 1\ne 1 2\n", "line 2: duplicate p-line"),
+        ],
+        ids=["m-not-integer", "m-mismatch", "two-p-lines"],
+    )
+    def test_source_graph_header_checked(self, text, message):
+        with pytest.raises(InputError, match=message):
+            parse_source_graph(text)
+
     def test_pd_round_trip(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         pd = PathDecomposition(
             tuple(frozenset(b) for b in [{0, 1}, {1, 2}, {2, 3}])
         )
         assert parse_path_decomposition(serialize_path_decomposition(pd), g) == pd
+
+
+FUZZ_TOKENS = st.one_of(
+    st.sampled_from(["1", "2", "3"]),  # ids valid under the headers below
+    st.sampled_from(["graph", "lbc", "param", "role", "1/0", "1/2", "0.5", "nan", "1e3"]),
+    st.integers(min_value=-2, max_value=6).map(str),
+    st.text(max_size=3),
+)
+FUZZ_LINES = st.lists(
+    st.tuples(
+        st.sampled_from(["p", "s", "t", "b", "l", "e", "i", "c", "v", "x"]),
+        st.integers(0, 4).flatmap(
+            lambda k: st.lists(FUZZ_TOKENS, min_size=k, max_size=k)
+        ),
+    ).map(lambda rec: " ".join([rec[0], *rec[1]])),
+    max_size=3,
+)
+FUZZ_HEADERS = ["", "p lbc 3 2\ns 1\nt 3\nb 1\nl 2\n", "p lbc 3 2\n", "p graph 3 2\n"]
+
+
+@given(header=st.sampled_from(FUZZ_HEADERS), lines=FUZZ_LINES)
+@settings(max_examples=400, deadline=None)
+def test_parsers_raise_only_input_error(header, lines):
+    # vertex counts stay small so a well-formed file never builds a huge graph
+    text = header + "\n".join(lines)
+    g = Graph(3, [(0, 1), (1, 2)])
+    for parse in (parse_instance, parse_source_graph, lambda x: parse_cut(x, g)):
+        try:
+            parse(text)
+        except InputError:
+            pass
 
 
 def paths_equal_up_to_reversal(a, b):
