@@ -22,6 +22,11 @@ of at most W rows per rank, W being at most the largest forward degree
 therefore costs O(lam * q * W), not O(lam * q^2); ties still go to the
 smallest row, so T and S equal those of the full q x q reduction.
 
+The tables read ranks, never interval coordinates.  The interior
+neighbours of s are the first deg(s) ranks and those of t the last deg(t)
+(see NormalizedInstance), so the s-edges cut at d = 2 and the t-edges cut
+below the chosen rank follow from the two degrees alone.
+
 The table optimum is combined with the plain minimum s-t cut: a cheapest
 bounded-length cut either leaves s and t connected (then a monotone optimal
 solution exists and the table finds it) or disconnects them (then it is a
@@ -82,20 +87,24 @@ def compute_crossing_counts(norm: NormalizedInstance) -> CrossingCounts:
 
 @dataclass
 class DpTables:
-    """Everything dp_solve computed, enough to reconstruct and audit a cut."""
+    """Everything dp_solve computed, enough to reconstruct and audit a cut.
+
+    The fields from norm on are filled by the table fill only; they stay
+    None when dp_solve answers before it.
+    """
 
     cost: int
     decision: bool
     branch: str  # "no-short-path" | "all-paths" | "min-cut" | "table"
-    norm: NormalizedInstance | None
-    T: np.ndarray | None
-    S: np.ndarray | None
-    crossing: CrossingCounts | None
-    best_rank: int | None
-    table_cost: int | None
     mincut_size: int
     mincut_edges: frozenset
     st_edge: bool
+    norm: NormalizedInstance | None = None
+    T: np.ndarray | None = None
+    S: np.ndarray | None = None
+    crossing: CrossingCounts | None = None
+    best_rank: int | None = None
+    table_cost: int | None = None
 
 
 def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
@@ -111,20 +120,24 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
     st_edge = g.has_edge(s, t)
 
     if bfs_distances(g, s)[t] > lam:
-        return _done(inst, 0, "no-short-path", mincut=(0, frozenset()), st_edge=False)
+        return 0, DpTables(
+            cost=0, decision=0 <= inst.beta, branch="no-short-path",
+            mincut_size=0, mincut_edges=frozenset(), st_edge=False,
+        )
 
     mincut_size, mincut_edges = min_st_cut(g, s, t)
     if lam >= g.n - 1:
-        return _done(
-            inst, mincut_size, "all-paths", mincut=(mincut_size, mincut_edges),
-            st_edge=st_edge,
+        return mincut_size, DpTables(
+            cost=mincut_size, decision=mincut_size <= inst.beta, branch="all-paths",
+            mincut_size=mincut_size, mincut_edges=mincut_edges, st_edge=st_edge,
         )
     # here 1 <= dist(s,t) <= lam <= n-2
     base = 1 if st_edge else 0
     if lam <= 1:
         # dist(s,t) = lam = 1: the edge {s,t} exists and is the whole cut
-        return _done(
-            inst, 1, "table", mincut=(mincut_size, mincut_edges), st_edge=True
+        return 1, DpTables(
+            cost=1, decision=1 <= inst.beta, branch="table",
+            mincut_size=mincut_size, mincut_edges=mincut_edges, st_edge=True,
         )
 
     norm = _normalize_valid(inst, model)  # validated on entry
@@ -132,8 +145,10 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
     T, S = _fill_tables(norm, crossing, lam)
     q = len(norm.order)
     if q > 0:
-        tprefix = _t_neighbor_prefix(norm)
-        totals = T[:, lam] + tprefix
+        # t's interior neighbours are the last deg_t ranks; the ranks below
+        # i may stay closer to s than lam, so their t-edges are cut too
+        deg_t = norm.inst.graph.degree(norm.inst.t) - st_edge
+        totals = T[:, lam] + np.maximum(0, np.arange(q) - (q - deg_t))
         best_rank = int(np.argmin(totals))
         table_cost = base + int(totals[best_rank])
     else:
@@ -164,45 +179,8 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
     return cost, tables
 
 
-def _done(inst, cost, branch, mincut, st_edge):
-    tables = DpTables(
-        cost=cost,
-        decision=cost <= inst.beta,
-        branch=branch,
-        norm=None,
-        T=None,
-        S=None,
-        crossing=None,
-        best_rank=None,
-        table_cost=None,
-        mincut_size=mincut[0],
-        mincut_edges=mincut[1],
-        st_edge=st_edge,
-    )
-    return cost, tables
-
-
-def _interior_s_neighbors(norm: NormalizedInstance) -> list[int]:
-    """Ranks adjacent to s (excluding t), sorted."""
-    g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
-    return sorted(norm.pos[w] for w in g.adj[s] if w != t)
-
-
-def _t_neighbor_prefix(norm: NormalizedInstance) -> np.ndarray:
-    """tprefix[i] = number of t-neighbors among ranks < i."""
-    g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
-    q = len(norm.order)
-    marks = np.zeros(q + 1, dtype=np.int64)
-    for w in g.adj[t]:
-        if w != s:
-            marks[norm.pos[w] + 1] += 1
-    return np.cumsum(marks)[:q]
-
-
 def _fill_tables(norm, crossing, lam):
     q = len(norm.order)
-    starts = norm.model.starts
-    s_end = norm.model.ends[norm.inst.s]
     prefix = crossing.prefix
 
     T = np.full((q, lam + 1), BIG, dtype=np.int64)
@@ -210,17 +188,11 @@ def _fill_tables(norm, crossing, lam):
     if q == 0:
         return T, S
 
-    s_nbrs = _interior_s_neighbors(norm)
-    deg_s = len(s_nbrs)
-    # d = 2: cut the s-edges reaching rank i and beyond; non-neighbors of s
-    # are already at distance >= 2 (they all lie right of N(s) after trim)
-    suffix_nbrs = np.zeros(q, dtype=np.int64)
-    for r in s_nbrs:
-        suffix_nbrs[: r + 1] += 1
-    adj_to_s = np.array(
-        [starts[v] <= s_end for v in norm.order], dtype=bool
-    )
-    T[:, 2] = np.where(adj_to_s, suffix_nbrs, 0)
+    g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
+    deg_s = g.degree(s) - g.has_edge(s, t)
+    # d = 2: cut the s-edges reaching rank i and beyond; s's interior
+    # neighbours are the first deg_s ranks
+    T[:, 2] = np.maximum(deg_s - np.arange(q), 0)
     S[:, 2] = 0
 
     if lam >= 3:

@@ -49,6 +49,17 @@ def _fmt_rational(x: Fraction) -> str:
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
 
+def _records(text: str):
+    """(line number, record kind, fields) for every non-blank line.
+
+    The kind is the first whitespace-separated token; kind "c" is a comment.
+    """
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if tokens:
+            yield ln, tokens[0], tokens[1:]
+
+
 def _parse_int(token: str, ln: int, what: str = "integer") -> int:
     try:
         return int(token)
@@ -103,11 +114,7 @@ def parse_instance(text: str) -> ParsedInstance:
             raise InputError(f"line {ln}: vertex id {v} out of range 1..{n}")
         return v - 1
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        kind, *rest = line.split()
+    for ln, kind, rest in _records(text):
         if kind == "c":
             if len(rest) >= 3 and rest[0] == "param":
                 params[rest[1]] = " ".join(rest[2:])
@@ -219,7 +226,12 @@ def load_reduction_output(text: str, source=None) -> ReductionOutput:
         raise InputError("file lacks a complete role annotation")
     params: dict[str, int | str] = {}
     for key, value in raw_params.items():
-        params[key] = int(value) if value.lstrip("-").isdigit() else value
+        if value.lstrip("-").isdigit():  # also true for digits int() rejects
+            try:
+                value = int(value)
+            except ValueError:
+                raise InputError(f"param {key}: bad integer {value!r}") from None
+        params[key] = value
 
     members: dict[str, dict[int, int]] = {}
     vertex_by_role: dict[str, int] = {}
@@ -231,9 +243,14 @@ def load_reduction_output(text: str, source=None) -> ReductionOutput:
                 position = int(pos)
             except ValueError:
                 raise InputError(f"role of vertex {v + 1}: bad path position {pos!r}") from None
-            members.setdefault(base, {})[position] = v
+            slots, key = members.setdefault(base, {}), position
         else:
-            vertex_by_role[tag] = v
+            slots, key = vertex_by_role, tag
+        if key in slots:
+            raise InputError(
+                f"role of vertex {v + 1}: {tag!r} is already carried by vertex {slots[key] + 1}"
+            )
+        slots[key] = v
 
     g = inst.graph
     paths: dict[str, tuple[int, ...]] = {}
@@ -270,11 +287,9 @@ def parse_source_graph(text: str) -> Graph:
     """`p graph <n> <m>` header plus `e <u> <v>` lines (1-indexed)."""
     n = None
     edges = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for ln, kind, rest in _records(text):
+        if kind == "c":
             continue
-        kind, *rest = line.split()
         if kind == "p":
             if n is not None:
                 raise InputError(f"line {ln}: duplicate p-line")
@@ -308,11 +323,9 @@ def serialize_source_graph(g: Graph) -> str:
 
 def parse_cut(text: str, g: Graph) -> frozenset:
     cut = set()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for ln, kind, rest in _records(text):
+        if kind == "c":
             continue
-        kind, *rest = line.split()
         if kind != "e" or len(rest) != 2:
             raise InputError(f"line {ln}: expected `e <u> <v>`")
         e = edge(*_vertex_ids(rest, ln))
@@ -328,11 +341,9 @@ def serialize_cut(cut) -> str:
 
 def parse_fvs(text: str, g: Graph) -> frozenset:
     vertices = set()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for ln, kind, rest in _records(text):
+        if kind == "c":
             continue
-        kind, *rest = line.split()
         if kind != "v" or len(rest) != 1:
             raise InputError(f"line {ln}: expected `v <id>`")
         (v,) = _vertex_ids(rest, ln)
@@ -348,11 +359,9 @@ def serialize_fvs(vertices) -> str:
 
 def parse_path_decomposition(text: str, g: Graph) -> PathDecomposition:
     bags = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for ln, kind, rest in _records(text):
+        if kind == "c":
             continue
-        kind, *rest = line.split()
         if kind != "B":
             raise InputError(f"line {ln}: expected `B <id> <id> ...`")
         bag = frozenset(_vertex_ids(rest, ln))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 from .errors import InputError, InternalCheckError
 from .graph import Edge, Graph, Instance, edge
@@ -24,8 +25,9 @@ def role(*parts) -> str:
 class LexEdges:
     """Lexicographic edge numbering of a reduction's source graph.
 
-    Mixed into the clique-search inputs, which carry the source as `graph`;
-    both reductions index their gadgets by the positions e_1..e_m.
+    Mixed into the clique-search inputs, which carry the source as `graph`
+    and the clique size as `k`; both reductions index their gadgets by the
+    positions e_1..e_m.
     """
 
     @cached_property
@@ -44,6 +46,24 @@ class LexEdges:
         if p is None:
             raise InputError(f"{e} is not an edge of the source graph")
         return p
+
+    def check_clique(self, clique) -> list[int]:
+        """The sorted members of `clique`, a k-clique of `graph`, or InputError.
+
+        Messages name vertices by their 1-based index (index(v) = v + 1).
+        """
+        members = sorted(set(clique))
+        if len(members) != self.k:
+            raise InputError(
+                f"expected {self.k} distinct vertices, got {[v + 1 for v in sorted(clique)]}"
+            )
+        for v in members:
+            if not (0 <= v < self.graph.n):
+                raise InputError(f"vertex {v + 1} out of range")
+        for u, v in combinations(members, 2):
+            if not self.graph.has_edge(u, v):
+                raise InputError(f"vertices {u + 1} and {v + 1} are not adjacent")
+        return members
 
 
 class GadgetBuilder:

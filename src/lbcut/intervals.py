@@ -123,22 +123,19 @@ def _mirror(inst: Instance, model: IntervalModel):
 def canonicalize(inst: Instance, model: IntervalModel):
     """Make all start values distinct and rank the interior vertices.
 
-    Ties are broken by exact downward shifts of whole intervals.  A shift
-    assignment is solved so that every exact-touching pair (start of one
-    interval equal to the end of another) keeps intersecting: the right
-    vertex of a touching pair must shift at least as much as the left one.
-    The result provably has the same adjacency, which we re-verify.
+    Ties are split exactly by `_split_ties`, which provably keeps the
+    adjacency and properness; the result is re-verified anyway.
 
     Returns (instance, model, order) where order lists the vertices of
     V - {s,t} by increasing start value (the rank table v_1..v_{n-2}).
+    Tied vertices are identical intervals (true twins), and among them a
+    larger id gets an earlier rank.
     """
     if model.starts[inst.s] > model.starts[inst.t]:
         raise ModelError("canonicalize expects a mirrored model (start(s) <= start(t))")
     n = model.n
-    starts, ends = model.starts, model.ends
-    if len(set(starts)) != n:
+    if len(set(model.starts)) != n:
         model = _split_ties(model)
-        starts, ends = model.starts, model.ends
         try:
             validate_model(inst.graph, model)  # exact recheck of the perturbation
         except ModelError as exc:
@@ -146,6 +143,7 @@ def canonicalize(inst: Instance, model: IntervalModel):
                 "start-value ties cannot be split without changing adjacency "
                 f"(degenerate intervals?): {exc}"
             ) from exc
+    starts = model.starts
     order = tuple(
         sorted((v for v in range(n) if v not in (inst.s, inst.t)), key=lambda v: starts[v])
     )
@@ -153,46 +151,36 @@ def canonicalize(inst: Instance, model: IntervalModel):
 
 
 def _split_ties(model: IntervalModel) -> IntervalModel:
-    n = model.n
+    """Distinct starts, same intersections, still proper: widen, then stagger.
+
+    Let slack be the smallest gap between two distinct endpoint values.
+    Adding slack/2 to every end keeps the sign of every start-end
+    comparison, now with a margin of at least slack/2 either way.  In a
+    proper model tied starts mean identical intervals, so each tie group
+    is a set of twins; its k members move down as a whole by 0, eps, ...,
+    (k-1)*eps in id order, eps = slack/(2K) with K the largest group.  Every
+    shift is below slack/2, so no start-end comparison flips, intervals
+    with distinct starts keep their order at both ends, and the staggered
+    twins grow strictly at both ends.
+    """
     starts, ends = model.starts, model.ends
-    # integer shift levels: touching pairs force level(right) >= level(left),
-    # tied vertices get strictly increasing levels in id order
-    boundary = sorted({x for x in starts} | {x for x in ends})
+    boundary = sorted(set(starts) | set(ends))
     slack = min(
-        (b - a for a, b in zip(boundary, boundary[1:]) if b > a), default=Fraction(1)
+        (b - a for a, b in zip(boundary, boundary[1:])), default=Fraction(1)
     )
-    by_start: dict[Fraction, list[int]] = {}
-    for v in sorted(range(n), key=lambda v: (starts[v], v)):
-        by_start.setdefault(starts[v], []).append(v)
-    end_at: dict[Fraction, list[int]] = {}
-    for v in range(n):
-        end_at.setdefault(ends[v], []).append(v)
-    level = [0] * n
-    for x in sorted(by_start):
-        prev_tied = None
-        for v in by_start[x]:
-            c = 0
-            for w in end_at.get(x, ()):  # w's end touches v's start: w left, v right
-                if w != v:
-                    c = max(c, level[w])
-            if prev_tied is not None:
-                c = max(c, level[prev_tied] + 1)
-            level[v] = c
-            prev_tied = v
-    eps = slack / (2 * (max(level) + 1))
-    new_starts = tuple(starts[v] - level[v] * eps for v in range(n))
-    new_ends = [ends[v] - level[v] * eps for v in range(n)]
-    for x, tied in by_start.items():
-        # A proper model has nothing else meeting a point interval [x, x], so
-        # tied point intervals are an isolated clique of twins: stretch them
-        # to one common length so that their staggered copies still overlap.
-        # Level 0 then ends at x + (len(tied)-1)*eps < x + slack/2.
-        if len(tied) > 1 and ends[tied[0]] == x:
-            for v in tied:
-                new_ends[v] += (len(tied) - 1) * eps
-    if len(set(new_starts)) != n:
+    groups: dict[Fraction, list[int]] = {}
+    for v in range(model.n):
+        groups.setdefault(starts[v], []).append(v)
+    eps = slack / (2 * max(len(tied) for tied in groups.values()))
+    shift = [Fraction(0)] * model.n
+    for tied in groups.values():
+        for level, v in enumerate(tied):
+            shift[v] = level * eps
+    new_starts = tuple(a - d for a, d in zip(starts, shift))
+    if len(set(new_starts)) != model.n:
         raise InternalCheckError("tie splitting failed to separate start values")
-    return IntervalModel(new_starts, tuple(new_ends))
+    half = slack / 2
+    return IntervalModel(new_starts, tuple(b + half - d for b, d in zip(ends, shift)))
 
 
 def trim(inst: Instance, model: IntervalModel):
@@ -226,6 +214,12 @@ class NormalizedInstance:
     vertices from 0 in increasing start order.  pos[v] is the rank of
     vertex v, or -1 for the terminals.  kept maps trimmed ids back to the
     original instance.
+
+    The interior neighbours of s are a prefix of order, and those of t a
+    suffix: after trimming every vertex ends no earlier than s starts and
+    starts no later than t ends, so it meets s exactly when it starts by
+    end(s), and t exactly when it ends from start(t) on; with distinct
+    starts a proper model orders the ends as the starts.
     """
 
     inst: Instance

@@ -111,22 +111,6 @@ def gen_fvs(mc: MulticoloredCliqueInstance) -> ReductionOutput:
     )
 
 
-def _check_multicolored_clique(mc, clique) -> list[int]:
-    members = sorted(set(clique))
-    if len(members) != mc.k:
-        raise InputError(f"expected {mc.k} distinct vertices")
-    parts = [mc.part(v) for v in members]
-    if parts != list(range(1, mc.k + 1)):
-        raise InputError("clique must contain exactly one vertex per part")
-    for x in range(len(members)):
-        for y in range(x + 1, len(members)):
-            if not mc.graph.has_edge(members[x], members[y]):
-                raise InputError(
-                    f"vertices {members[x]} and {members[y]} are not adjacent"
-                )
-    return members
-
-
 def forward_cut_fvs(out: ReductionOutput, clique) -> frozenset:
     """The beta-sized cut encoding a multicolored clique."""
     mc = out.source
@@ -134,7 +118,9 @@ def forward_cut_fvs(out: ReductionOutput, clique) -> frozenset:
         mc, MulticoloredCliqueInstance
     ):
         raise InputError("output was not generated by gen_fvs")
-    members = _check_multicolored_clique(mc, clique)
+    members = mc.check_clique(clique)
+    if [mc.part(v) for v in members] != list(range(1, mc.k + 1)):
+        raise InputError("clique must contain exactly one vertex per part")
     s = out.anchor("s")
     t = out.anchor("t")
     m, nu = mc.graph.m, mc.nu

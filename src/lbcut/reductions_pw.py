@@ -174,28 +174,12 @@ def _incidence_gadget(b, cq, eta, s, t, u, ell, i, j):
         b.path(bb[x], d[q], 2 * eta, role("xbd", i, j, x))
 
 
-def _check_clique(cq: CliqueInstance, clique) -> list[int]:
-    members = sorted(set(clique))
-    if len(members) != cq.k:
-        raise InputError(f"expected {cq.k} distinct vertices, got {sorted(clique)}")
-    for v in members:
-        if not (0 <= v < cq.graph.n):
-            raise InputError(f"vertex {v} out of range")
-    for x in range(len(members)):
-        for y in range(x + 1, len(members)):
-            if not cq.graph.has_edge(members[x], members[y]):
-                raise InputError(
-                    f"vertices {members[x]} and {members[y]} are not adjacent"
-                )
-    return members
-
-
 def forward_cut_pw(out: ReductionOutput, clique) -> frozenset:
     """The beta-sized cut encoding a k-clique, as an edge set of H."""
     cq = out.source
     if out.params.get("family") != "pw" or not isinstance(cq, CliqueInstance):
         raise InputError("output was not generated by gen_pw")
-    members = _check_clique(cq, clique)
+    members = cq.check_clique(clique)
     k = cq.k
     cut = set()
     for gadget, v in enumerate(members, start=1):

@@ -124,6 +124,32 @@ def test_malformed_option_is_usage_error(tmp_path, capsys, argv, message):
     assert main(argv + ["-o", str(tmp_path / "out.txt")]) == 2
     assert message in capsys.readouterr().err
 
+
+@pytest.mark.parametrize(
+    "family, clique, message",
+    [
+        ("pw", "2,99", "vertex 99 out of range"),
+        ("pw", "2", "expected 2 distinct vertices, got [2]"),
+        ("fvs", "2,4", "vertices 2 and 4 are not adjacent"),
+    ],
+    ids=["pw-out-of-range", "pw-too-few", "fvs-not-adjacent"],
+)
+def test_clique_errors_name_1_based_ids(tmp_path, capsys, family, clique, message):
+    src = tmp_path / "src.gr"
+    if family == "pw":  # a triangle
+        src.write_text(serialize_source_graph(Graph(3, [(0, 1), (0, 2), (1, 2)])))
+        common = ["--source", str(src), "-k", "2"]
+    else:  # parts {1, 2} and {3, 4}
+        src.write_text(serialize_source_graph(Graph(4, [(0, 2), (0, 3), (1, 2)])))
+        common = ["--source", str(src), "-k", "2", "--nu", "2"]
+    hard = tmp_path / "hard.gr"
+    assert main(["gen", family, *common, "-o", str(hard)]) == 0
+    argv = ["forward-cut", family, "--instance", str(hard), *common,
+            "--clique", clique, "-o", str(tmp_path / "cut.txt")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 class TestGenerateAndDecode:
     def test_pw_pipeline(self, tmp_path, capsys):
         src = triangle_source(tmp_path)

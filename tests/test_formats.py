@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,78 @@ def test_parsers_raise_only_input_error(header, lines):
     text = header + "\n".join(lines)
     g = Graph(3, [(0, 1), (1, 2)])
     for parse in (parse_instance, parse_source_graph, lambda x: parse_cut(x, g)):
+        try:
+            parse(text)
+        except InputError:
+            pass
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (lambda x: parse_fvs(x, Graph(3)), "v 1\ncut 9\n", "line 2: expected `v <id>`"),
+        (parse_source_graph, "p graph 2 1\ncx 1 2\ne 1 2\n",
+         "line 2: unknown record type 'cx'"),
+        (lambda x: parse_cut(x, Graph(3, [(0, 1)])), "c ok\ncut 1 2\n",
+         "line 2: expected `e <u> <v>`"),
+        (lambda x: parse_path_decomposition(x, Graph(3)), "B 1\nc ok\nclear 1\n",
+         "line 3: expected `B <id> <id> ...`"),
+    ],
+    ids=["fvs-cut", "source-cx", "cut-cut", "pd-clear"],
+)
+def test_only_the_c_record_is_a_comment(parse, text, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        parse(text)
+
+
+ROLED = "p lbc 3 2\ns 1\nt 3\nb 1\nl 2\ne 1 2\ne 2 3\nc role 1 s\nc role 2 p@1\nc role 3 t\n"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("c param k \u00b2\n", "param k: bad integer '\u00b2'"),
+        ("c role 3 s\n", "role of vertex 3: 's' is already carried by vertex 1"),
+        ("c role 3 p@1\n", "role of vertex 3: 'p@1' is already carried by vertex 2"),
+    ],
+    ids=["param-superscript-two", "role-twice", "path-position-twice"],
+)
+def test_reduction_output_annotations_checked(extra, message):
+    assert load_reduction_output(ROLED).paths == {"p": (0, 1, 2)}
+    with pytest.raises(InputError, match=re.escape(message)):
+        load_reduction_output(ROLED + extra)
+
+
+ROLE_TAGS = st.sampled_from(["s", "t", "p@1", "p@2", "p@x", "@", "q"])
+AUX_LINES = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["c", "cx", "v", "B", "e", "p", "x"]),
+            st.integers(0, 4).flatmap(
+                lambda k: st.lists(st.one_of(FUZZ_TOKENS, ROLE_TAGS), min_size=k, max_size=k)
+            ),
+        ).map(lambda rec: " ".join([rec[0], *rec[1]])),
+        # "\u00b2" passes str.isdigit but not int()
+        st.tuples(
+            st.sampled_from(["k", "family"]),
+            st.sampled_from(["3", "-2", "1_0", "x", "\u00b2"]),
+        ).map(lambda rec: "c param %s %s" % rec),
+        st.tuples(FUZZ_TOKENS, ROLE_TAGS).map(lambda rec: "c role %s %s" % rec),
+    ),
+    max_size=3,
+)
+
+
+@given(header=st.sampled_from(["", ROLED, "p lbc 3 2\n"]), lines=AUX_LINES)
+@settings(max_examples=400, deadline=None)
+def test_aux_parsers_raise_only_input_error(header, lines):
+    text = header + "\n".join(lines)
+    g = Graph(3, [(0, 1), (1, 2)])
+    for parse in (
+        lambda x: parse_fvs(x, g),
+        lambda x: parse_path_decomposition(x, g),
+        load_reduction_output,
+    ):
         try:
             parse(text)
         except InputError:

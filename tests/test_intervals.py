@@ -242,3 +242,34 @@ class TestNormalize:
             for v in range(se.n):
                 assert se.ends[v] >= se.starts[norm.inst.s]
                 assert se.starts[v] <= se.ends[norm.inst.t]
+
+
+class TestTieSplitContract:
+    def test_random_proper_models(self):
+        """canonicalize on seeded proper models: distinct starts, the same
+        graph, a valid model, and twins ranked by (start, -id)."""
+        seen = set()
+        for seed in range(1500):
+            rng = Random(seed)
+            model = random_model(rng)
+            g = model.induced_graph()
+            if model.n < 2 or brute_fault(g, model) is not None:
+                continue
+            s, t = rng.sample(range(model.n), 2)
+            inst, model = mirror_if_needed(Instance(g, s, t, 1, 2), model)
+            starts, ends = model.starts, model.ends
+            pairs = list(itertools.permutations(range(model.n), 2))
+            if len(set(starts)) < model.n:
+                seen.add("tied starts")
+            if any(starts[u] == ends[v] for u, v in pairs):
+                seen.add("touching ends")
+            if any(starts[u] == starts[v] == ends[u] for u, v in pairs):
+                seen.add("point twins")
+
+            _, out, order = canonicalize(inst, model)
+            assert len(set(out.starts)) == out.n
+            assert out.induced_graph() == g
+            validate_model(g, out)
+            interior = [v for v in range(model.n) if v not in (s, t)]
+            assert order == tuple(sorted(interior, key=lambda v: (starts[v], -v)))
+        assert seen == {"tied starts", "touching ends", "point twins"}
