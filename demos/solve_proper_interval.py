@@ -1,7 +1,7 @@
 """Solve a random proper interval instance end to end.
 
 Generates a unit-interval instance, walks through the normalization
-pipeline (mirror, canonicalize, trim), solves it exactly, reconstructs a
+pipeline (mirror, rank, trim), solves it exactly, reconstructs a
 certified cut, and cross-checks against the exhaustive oracle.
 """
 

@@ -1,11 +1,14 @@
 """Exact length-bounded cut solver for proper interval graphs.
 
-The solver normalizes the instance (mirror, canonicalize, trim), then fills
-a table T[r, d] = minimum number of edge deletions in G - {t} making every
-interior vertex of rank >= r lie at distance >= d from s, under the
-constraint that distances from s are non-decreasing along the start order.
-A companion table S[r, d] records the cut frontier: the smallest rank j
-such that every edge from ranks < j to ranks >= r is already deleted.
+The solver normalizes the instance on ranks alone: one sort of the
+validated model gives an umbrella ordering, mirrored so s comes before t,
+and the vertices outside the s..t span are trimmed away (see intervals; no
+tie split, no coordinate model).  It then fills a table T[r, d] = minimum
+number of edge deletions in G - {t} making every interior vertex of rank
+>= r lie at distance >= d from s, under the constraint that distances from
+s are non-decreasing along the ranking.  A companion table S[r, d]
+records the cut frontier: the smallest rank j such that every edge from
+ranks < j to ranks >= r is already deleted.
 
 The recurrence charges crossing edges through
 

@@ -117,8 +117,12 @@ def parse_instance(text: str) -> ParsedInstance:
     for ln, kind, rest in _records(text):
         if kind == "c":
             if len(rest) >= 3 and rest[0] == "param":
-                params[rest[1]] = " ".join(rest[2:])
+                if rest[1] in params:
+                    raise InputError(f"line {ln}: param {rest[1]!r} given twice")
+                params[rest[1]] = " ".join(rest[2:])  # values may hold spaces
             elif len(rest) >= 3 and rest[0] == "role":
+                if len(rest) != 3:
+                    raise InputError(f"line {ln}: expected `c role <id> <tag>`")
                 roles[vid(rest[1], ln)] = rest[2]
             continue
         if kind == "p":

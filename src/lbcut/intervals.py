@@ -8,21 +8,33 @@ contain another.  Identical intervals are allowed (they are true twins).
 Validation and `IntervalModel.induced_graph` share one sort-and-sweep over
 the starts (`IntervalModel.intersecting_pairs`), so both run in
 O(n log n + m).  A solve validates its model once, on entry to `dp_solve`;
-the public `normalize` and `mirror_if_needed` validate their own input.
+the public `normalize`, `mirror_if_needed`, `canonicalize` and `trim`
+validate their own input.
 
-Normalization for the solver runs in three steps:
-  mirror_if_needed  - reflect all intervals so start(s) <= start(t)
-  canonicalize      - break start-value ties exactly, rank interior vertices
-  trim              - drop vertices entirely left of s or right of t
+Normalization needs the vertex order, not the coordinates.  A proper model
+sorted by (start, -id) is an umbrella ordering of its graph: every closed
+neighbourhood is a contiguous run of ranks (Roberts 1969; Looges & Olariu,
+"Optimal greedy algorithms for indifference graphs", 1993).  A solve reads
+the coordinates once more after validation, in one sort (`_rank`):
+  mirror - sort by (-end, -id) instead when start(s) > start(t), the
+           (start, -id) order of the reflected model [-b, -a]
+  twins  - tied starts are identical intervals; t goes last among its
+           twins, so s is ranked before t
+  trim   - keep v when (rank v >= rank s or v ~ s) and
+           (rank v <= rank t or v ~ t)
+No tie split runs on the solve path.  Where a model with distinct starts
+is wanted (`NormalizedInstance.model`, `canonicalize` on tied starts), it
+is the integer model of the ranking, built on demand (`_ordering_model`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
-from .errors import InternalCheckError, ModelError
+from .errors import ModelError
 from .graph import Graph, Instance
 
 
@@ -108,10 +120,6 @@ def mirror_if_needed(inst: Instance, model: IntervalModel):
     Adjacency is invariant under reflection, so the instance is unchanged.
     """
     validate_model(inst.graph, model)
-    return _mirror(inst, model)
-
-
-def _mirror(inst: Instance, model: IntervalModel):
     if model.starts[inst.s] <= model.starts[inst.t]:
         return inst, model
     mirrored = IntervalModel(
@@ -123,8 +131,9 @@ def _mirror(inst: Instance, model: IntervalModel):
 def canonicalize(inst: Instance, model: IntervalModel):
     """Make all start values distinct and rank the interior vertices.
 
-    Ties are split exactly by `_split_ties`, which provably keeps the
-    adjacency and properness; the result is re-verified anyway.
+    A model whose starts are distinct is returned untouched.  With tied
+    starts it is replaced by the integer ordering model of its ranking:
+    distinct starts, proper, the same graph.
 
     Returns (instance, model, order) where order lists the vertices of
     V - {s,t} by increasing start value (the rank table v_1..v_{n-2}).
@@ -133,105 +142,108 @@ def canonicalize(inst: Instance, model: IntervalModel):
     """
     if model.starts[inst.s] > model.starts[inst.t]:
         raise ModelError("canonicalize expects a mirrored model (start(s) <= start(t))")
-    n = model.n
-    if len(set(model.starts)) != n:
-        model = _split_ties(model)
-        try:
-            validate_model(inst.graph, model)  # exact recheck of the perturbation
-        except ModelError as exc:
-            raise ModelError(
-                "start-value ties cannot be split without changing adjacency "
-                f"(degenerate intervals?): {exc}"
-            ) from exc
-    starts = model.starts
-    order = tuple(
-        sorted((v for v in range(n) if v not in (inst.s, inst.t)), key=lambda v: starts[v])
-    )
-    return inst, model, order
-
-
-def _split_ties(model: IntervalModel) -> IntervalModel:
-    """Distinct starts, same intersections, still proper: widen, then stagger.
-
-    Let slack be the smallest gap between two distinct endpoint values.
-    Adding slack/2 to every end keeps the sign of every start-end
-    comparison, now with a margin of at least slack/2 either way.  In a
-    proper model tied starts mean identical intervals, so each tie group
-    is a set of twins; its k members move down as a whole by 0, eps, ...,
-    (k-1)*eps in id order, eps = slack/(2K) with K the largest group.  Every
-    shift is below slack/2, so no start-end comparison flips, intervals
-    with distinct starts keep their order at both ends, and the staggered
-    twins grow strictly at both ends.
-    """
-    starts, ends = model.starts, model.ends
-    boundary = sorted(set(starts) | set(ends))
-    slack = min(
-        (b - a for a, b in zip(boundary, boundary[1:])), default=Fraction(1)
-    )
-    groups: dict[Fraction, list[int]] = {}
-    for v in range(model.n):
-        groups.setdefault(starts[v], []).append(v)
-    eps = slack / (2 * max(len(tied) for tied in groups.values()))
-    shift = [Fraction(0)] * model.n
-    for tied in groups.values():
-        for level, v in enumerate(tied):
-            shift[v] = level * eps
-    new_starts = tuple(a - d for a, d in zip(starts, shift))
-    if len(set(new_starts)) != model.n:
-        raise InternalCheckError("tie splitting failed to separate start values")
-    half = slack / 2
-    return IntervalModel(new_starts, tuple(b + half - d for b, d in zip(ends, shift)))
+    validate_model(inst.graph, model)
+    ranked = _rank(inst, model)
+    if len(set(model.starts)) != model.n:
+        model = _ordering_model(inst.graph, ranked)
+    return inst, model, tuple(v for v in ranked if v not in (inst.s, inst.t))
 
 
 def trim(inst: Instance, model: IntervalModel):
     """Drop vertices entirely left of s or right of t; beta and lam stay.
 
+    The rank rule of `normalize`, so a model with start(s) > start(t) is
+    trimmed as its mirror image.
+
     Returns (instance, model, kept) where kept maps new vertex ids to the
     old ones (kept[new_id] == old_id).
     """
-    s, e = model.starts, model.ends
-    ss, tt = inst.s, inst.t
-    keep = [
-        v
-        for v in range(model.n)
-        if not (e[v] < s[ss] or s[v] > e[tt])
-    ]
-    if len(keep) == model.n:
-        return inst, model, tuple(range(model.n))
-    g2, new_of_old = inst.graph.subgraph(keep)
-    inst2 = Instance(g2, new_of_old[ss], new_of_old[tt], inst.beta, inst.lam, inst.notes)
-    model2 = IntervalModel(
-        tuple(s[v] for v in keep), tuple(e[v] for v in keep)
-    )
-    return inst2, model2, tuple(keep)
+    norm = normalize(inst, model)
+    kept = norm.kept
+    if len(kept) < model.n:
+        model = IntervalModel(
+            tuple(model.starts[v] for v in kept), tuple(model.ends[v] for v in kept)
+        )
+    return norm.inst, model, kept
+
+
+def _rank(inst: Instance, model: IntervalModel) -> list[int]:
+    """Every vertex in umbrella order: the one read of coordinates in a solve
+    after its validation.
+
+    By (start, -id), or by (-end, -id) when start(s) > start(t).  Both sorts
+    are stable over descending ids.  Twins share their key, and t moves to
+    the back of its run of twins, so s is ranked before t.
+    """
+    n, s, t = model.n, inst.s, inst.t
+    if model.starts[s] <= model.starts[t]:
+        key = model.starts
+        ranked = sorted(range(n - 1, -1, -1), key=key.__getitem__)
+    else:
+        key = model.ends
+        ranked = sorted(range(n - 1, -1, -1), key=key.__getitem__, reverse=True)
+    i = ranked.index(t)
+    while i < n - 1 and key[ranked[i + 1]] == key[t]:
+        ranked[i + 1], ranked[i] = t, ranked[i + 1]
+        i += 1
+    return ranked
+
+
+def _ordering_model(g: Graph, ranked) -> IntervalModel:
+    """Integer model of an umbrella ordering of g.
+
+    The vertex of rank r gets [r(n+1), hi(r)(n+1) + r], hi(r) the last rank
+    in its closed neighbourhood.  Ranks a < b meet exactly when b <= hi(a),
+    which in an umbrella ordering is adjacency.  The starts are distinct and
+    hi never decreases, so the ends grow strictly with the starts: the
+    model is proper.
+    """
+    n = len(ranked)
+    rank = [0] * n
+    for r, v in enumerate(ranked):
+        rank[v] = r
+    starts, ends = [Fraction(0)] * n, [Fraction(0)] * n
+    for r, v in enumerate(ranked):
+        hi = max([r, *(rank[w] for w in g.adj[v])])
+        starts[v] = Fraction(r * (n + 1))
+        ends[v] = Fraction(hi * (n + 1) + r)
+    return IntervalModel(tuple(starts), tuple(ends))
 
 
 @dataclass(frozen=True)
 class NormalizedInstance:
-    """Mirrored, canonicalized, trimmed instance plus rank bookkeeping.
+    """Mirrored, ranked, trimmed instance plus rank bookkeeping.
 
-    order[r] is the vertex (in trimmed ids) of rank r, counting interior
-    vertices from 0 in increasing start order.  pos[v] is the rank of
-    vertex v, or -1 for the terminals.  kept maps trimmed ids back to the
-    original instance.
+    ranked lists every vertex of inst, terminals included, in umbrella
+    order; order is ranked without s and t, so order[r] is the vertex (in
+    trimmed ids) of interior rank r, counting from 0.  pos[v] is the rank
+    of vertex v, or -1 for the terminals.  kept maps trimmed ids back to
+    the original instance.
 
     The interior neighbours of s are a prefix of order, and those of t a
-    suffix: after trimming every vertex ends no earlier than s starts and
-    starts no later than t ends, so it meets s exactly when it starts by
-    end(s), and t exactly when it ends from start(t) on; with distinct
-    starts a proper model orders the ends as the starts.
+    suffix: s is ranked before t, every kept vertex ranked before s meets
+    s and every one ranked after t meets t, and closed neighbourhoods are
+    contiguous runs of ranks.
+
+    model is the integer ordering model of ranked, built when first read:
+    distinct starts, start(s) < start(t), nothing outside the s..t span,
+    proper and inducing inst's graph.  The solver never reads it.
     """
 
     inst: Instance
-    model: IntervalModel
     order: tuple[int, ...]
     pos: tuple[int, ...]
     kept: tuple[int, ...]
     mirrored: bool
+    ranked: tuple[int, ...]
+
+    @cached_property
+    def model(self) -> IntervalModel:
+        return _ordering_model(self.inst.graph, self.ranked)
 
 
 def normalize(inst: Instance, model: IntervalModel) -> NormalizedInstance:
-    """Validate, then run mirror -> canonicalize -> trim and package the result."""
+    """Validate, then rank, mirror and trim, and package the result."""
     validate_model(inst.graph, model)
     return _normalize_valid(inst, model)
 
@@ -239,13 +251,21 @@ def normalize(inst: Instance, model: IntervalModel) -> NormalizedInstance:
 def _normalize_valid(inst: Instance, model: IntervalModel) -> NormalizedInstance:
     """`normalize` for a model the caller has already validated."""
     mirrored = model.starts[inst.s] > model.starts[inst.t]
-    inst, model = _mirror(inst, model)
-    inst, model, order = canonicalize(inst, model)
-    inst, model, kept = trim(inst, model)
-    # trim keeps relative order, so the canonical ranks carry over
-    new_of_old = {old: new for new, old in enumerate(kept)}
-    order = tuple(new_of_old[v] for v in order if v in new_of_old)
-    pos = [-1] * model.n
+    ranked = _rank(inst, model)
+    # the trim rule keeps the ranks from s to t and the neighbours of s and
+    # t: in an umbrella order a neighbour of s ranked after t meets t too,
+    # and a neighbour of t ranked before s meets s
+    g, s, t = inst.graph, inst.s, inst.t
+    keep = set(ranked[ranked.index(s) : ranked.index(t) + 1]).union(g.adj[s], g.adj[t])
+    kept = tuple(range(model.n))
+    if len(keep) < model.n:
+        g2, new_of_old = g.subgraph(keep)
+        s, t = new_of_old[s], new_of_old[t]
+        inst = Instance(g2, s, t, inst.beta, inst.lam, inst.notes)
+        kept = tuple(new_of_old)
+        ranked = [new_of_old[v] for v in ranked if v in new_of_old]
+    order = tuple(v for v in ranked if v != s and v != t)
+    pos = [-1] * len(ranked)
     for r, v in enumerate(order):
         pos[v] = r
-    return NormalizedInstance(inst, model, order, tuple(pos), kept, mirrored)
+    return NormalizedInstance(inst, order, tuple(pos), kept, mirrored, tuple(ranked))

@@ -210,6 +210,25 @@ def test_reduction_output_annotations_checked(extra, message):
         load_reduction_output(ROLED + extra)
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("c param k 3\nc param k 4\n", "line 9: param 'k' given twice"),
+        ("c param k 3\nc param k 3\n", "line 9: param 'k' given twice"),
+        ("c role 2 x y z\n", "line 8: expected `c role <id> <tag>`"),
+    ],
+    ids=["param-changed", "param-repeated", "role-extra-fields"],
+)
+def test_ambiguous_annotations_rejected(extra, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        parse_instance(MINIMAL + extra)
+
+
+def test_param_values_may_hold_spaces():
+    parsed = parse_instance(MINIMAL + "c param family two words\nc role 2 x\n")
+    assert parsed.params == {"family": "two words"} and parsed.roles == {1: "x"}
+
+
 ROLE_TAGS = st.sampled_from(["s", "t", "p@1", "p@2", "p@x", "@", "q"])
 AUX_LINES = st.lists(
     st.one_of(

@@ -5,8 +5,9 @@ from random import Random
 
 import pytest
 
+from lbcut.dp import monotonize_cut
 from lbcut.errors import ModelError
-from lbcut.graph import Graph, Instance
+from lbcut.graph import Graph, Instance, edge
 from lbcut.intervals import (
     IntervalModel,
     canonicalize,
@@ -273,3 +274,120 @@ class TestTieSplitContract:
             interior = [v for v in range(model.n) if v not in (s, t)]
             assert order == tuple(sorted(interior, key=lambda v: (starts[v], -v)))
         assert seen == {"tied starts", "touching ends", "point twins"}
+
+
+def coordinate_normalize(inst, model):
+    """Reference for the rank rule: the coordinate pipeline `normalize` ran
+    before it.  Reflect when start(s) > start(t); split tied starts by
+    widening every end by slack/2 (slack the smallest gap between endpoint
+    values) and staggering each group of twins down by 0, eps, 2 eps, ... in
+    id order (eps = slack/(2K), K the largest group); drop the vertices
+    ending before s starts or starting after t ends.
+
+    Returns (inst, order, pos, kept, mirrored) like `NormalizedInstance`.
+    """
+    s, t = inst.s, inst.t
+    starts, ends = model.starts, model.ends
+    mirrored = starts[s] > starts[t]
+    if mirrored:
+        starts, ends = tuple(-b for b in ends), tuple(-a for a in starts)
+    if len(set(starts)) < model.n:
+        boundary = sorted(set(starts) | set(ends))
+        slack = min((b - a for a, b in zip(boundary, boundary[1:])), default=Fraction(1))
+        groups = {}
+        for v in range(model.n):
+            groups.setdefault(starts[v], []).append(v)
+        eps = slack / (2 * max(len(tied) for tied in groups.values()))
+        shift = {v: level * eps for tied in groups.values() for level, v in enumerate(tied)}
+        starts = tuple(a - shift[v] for v, a in enumerate(starts))
+        ends = tuple(b + slack / 2 - shift[v] for v, b in enumerate(ends))
+    keep = [v for v in range(model.n) if not (ends[v] < starts[s] or starts[v] > ends[t])]
+    g2, new_of_old = inst.graph.subgraph(keep)
+    inst2 = Instance(g2, new_of_old[s], new_of_old[t], inst.beta, inst.lam, inst.notes)
+    order = tuple(
+        new_of_old[v] for v in sorted(keep, key=starts.__getitem__) if v not in (s, t)
+    )
+    pos = [-1] * len(keep)
+    for r, v in enumerate(order):
+        pos[v] = r
+    return inst2, order, tuple(pos), tuple(keep), mirrored
+
+
+def proper_instances(count):
+    """(inst, model) for the valid seeded `random_model`s among `count`,
+    with random terminals s != t and lam in 1..n."""
+    for seed in range(count):
+        rng = Random(seed)
+        model = random_model(rng)
+        g = model.induced_graph()
+        if model.n < 2 or brute_fault(g, model) is not None:
+            continue
+        s, t = rng.sample(range(model.n), 2)
+        yield Instance(g, s, t, 1, rng.randint(1, model.n)), model
+
+
+def twins(model, u, v):
+    return (model.starts[u], model.ends[u]) == (model.starts[v], model.ends[v])
+
+
+def test_rank_normalize_matches_coordinate_reference():
+    seen = set()
+    for inst, model in proper_instances(3000):
+        norm = normalize(inst, model)
+        inst2, order, pos, kept, mirrored = coordinate_normalize(inst, model)
+        assert (norm.inst, norm.order, norm.pos, norm.kept, norm.mirrored) == (
+            inst2, order, pos, kept, mirrored
+        )
+        if len(set(model.starts)) < model.n:
+            seen.add("tied starts")
+        if twins(model, inst.s, inst.t):
+            seen.add("twin terminals")
+        if len(kept) < model.n:
+            seen.add("trimmed")
+        if mirrored:
+            seen.add("mirrored")
+    assert seen == {"tied starts", "twin terminals", "trimmed", "mirrored"}
+
+
+class TestOrderingModel:
+    def test_twin_terminals_stay_mirrored(self):
+        """s and t identical with id(s) < id(t): the ordering model still
+        puts s first, so `monotonize_cut` takes `normalize`'s output."""
+        cases = [unit_instance([0, 0, 1], s=0, t=1, lam=2)]
+        cases += [
+            (inst, model)
+            for inst, model in proper_instances(1500)
+            if twins(model, inst.s, inst.t)
+        ]
+        assert len(cases) > 50
+        for inst, model in cases:
+            norm = normalize(inst, model)
+            g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
+            assert norm.model.starts[s] < norm.model.starts[t]
+            star = frozenset(edge(s, w) for w in g.adj[s])
+            out = monotonize_cut(norm.inst, norm.model, star, g.n)
+            assert len(out) <= len(star)
+
+    def test_model_of_the_ranking(self):
+        """norm.model: integer, distinct starts, proper, the trimmed graph,
+        ranks as in order, nothing outside the s..t span."""
+        for inst, model in proper_instances(600):
+            norm = normalize(inst, model)
+            out, s, t = norm.model, norm.inst.s, norm.inst.t
+            validate_model(norm.inst.graph, out)
+            assert all(a.denominator == 1 for a in out.starts + out.ends)
+            assert sorted(norm.order, key=out.starts.__getitem__) == list(norm.order)
+            assert len(set(out.starts)) == out.n and out.starts[s] < out.starts[t]
+            assert all(
+                out.ends[v] >= out.starts[s] and out.starts[v] <= out.ends[t]
+                for v in range(out.n)
+            )
+
+
+def test_trim_reads_an_unmirrored_model_as_its_mirror():
+    # s = [5,6] lies right of t = [0,1]: [2.5,3.5] is between them, [7,8] beyond s
+    inst, model = unit_instance([5, 0, Fraction(5, 2), 7], s=0, t=1)
+    inst2, model2, kept = trim(inst, model)
+    assert kept == (0, 1, 2) and (inst2.s, inst2.t) == (0, 1)
+    assert model2 == IntervalModel.unit([5, 0, Fraction(5, 2)])
+    validate_model(inst2.graph, model2)
