@@ -33,10 +33,7 @@ from .graph import (
 from .intervals import (
     IntervalModel,
     NormalizedInstance,
-    canonicalize,
-    mirror_if_needed,
     normalize,
-    trim,
     validate_model,
 )
 from .dp import (

@@ -153,10 +153,15 @@ def build_parser():
 
 def _read(path):
     try:
-        with open(path) as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}: line {line}: not UTF-8 text") from None
 
 
 def _write(path, content):

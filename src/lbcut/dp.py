@@ -274,7 +274,7 @@ def _reconstruct(inst, tables):
             cut.add(edge(kept[t], kept[w]))
 
     S = tables.S
-    i, d = best, tables.T.shape[1] - 1  # d starts at the original lambda
+    i, d = best, tables.T.shape[1] - 1  # d begins at the original lambda
     while True:
         if i == 0 or d == 2:
             # initialization cuts: s-edges to ranks >= i (all of them at rank 0)
@@ -300,13 +300,13 @@ def solve(inst: Instance, model: IntervalModel):
     return cost, cut, tables
 
 
-def monotonize_cut(inst: Instance, model: IntervalModel, f, d: int) -> frozenset:
-    """Repair a d-cut so distances from s are monotone in the start order.
+def monotonize_cut(norm: NormalizedInstance, f, d: int) -> frozenset:
+    """Repair a d-cut so distances from s are monotone in the rank order.
 
-    Requires a normalized instance (distinct starts, start(s) <= start(t),
-    nothing outside the s..t interval span) and a cut `f` with
-    dist(s,t) >= d in G-F.  Returns F' with |F'| <= |F|, dist >= d, and
-    dist(s, v_i) <= dist(s, v_j) whenever start(v_i) < start(v_j).
+    Requires a `normalize` output and a cut `f` of its trimmed instance
+    with dist(s,t) >= d in G-F.  Returns F' with |F'| <= |F|, dist >= d,
+    and dist(s, v_i) <= dist(s, v_j) for interior ranks i < j
+    (norm.order).
 
     Implementation follows the exchange argument: while some consecutive
     pair v_j, v_{j+1} has a monotone-path distance inversion, swap cut
@@ -320,21 +320,15 @@ def monotonize_cut(inst: Instance, model: IntervalModel, f, d: int) -> frozenset
     any vertex beyond the first kept t-neighbor keeps its own t-edge and
     sits within dist(t)+1 of s.
     """
-    g, s, t = inst.graph, inst.s, inst.t
-    starts, ends = model.starts, model.ends
+    g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
     f = frozenset(edge(u, v) for u, v in f)
     if not f <= g.edges:
         raise InputError("cut contains non-edges")
-    if len(set(starts)) != g.n:
-        raise InputError("monotonize_cut expects distinct start values (canonicalize)")
-    if starts[s] > starts[t]:
-        raise InputError("monotonize_cut expects a mirrored model")
-    if any(ends[v] < starts[s] or starts[v] > ends[t] for v in range(g.n)):
-        raise InputError("monotonize_cut expects a trimmed instance")
     if bfs_distances(g, s, f)[t] < d:
         raise InputError(f"given edge set is not a {d}-cut")
 
-    order = sorted((v for v in range(g.n) if v not in (s, t)), key=lambda v: starts[v])
+    order = norm.order
+    rank = {v: r for r, v in enumerate(norm.ranked)}
     adj = g.adj
     current = set(f)
     max_iters = max(1, g.m) * g.n * g.n + 10
@@ -368,14 +362,14 @@ def monotonize_cut(inst: Instance, model: IntervalModel, f, d: int) -> frozenset
         X = [
             x
             for x in adj[vj1]
-            if (starts[x] < starts[vj] or x == s)
+            if (rank[x] < rank[vj] or x == s)
             and edge(vj, x) in current
             and edge(vj1, x) not in current
         ]
         Y = [
             y
             for y in adj[vj]
-            if (starts[y] > starts[vj1] or y == t)
+            if (rank[y] > rank[vj1] or y == t)
             and edge(vj1, y) in current
             and edge(vj, y) not in current
         ]
@@ -412,7 +406,7 @@ def _monotone_distances(g, s, t, cut, order):
     """Shortest monotone-path distances from s in G-cut.
 
     A monotone path may start with any edge at s, then must strictly
-    increase in start value; the final step into t is unconstrained.  t is
+    increase in rank; the final step into t is unconstrained.  t is
     never an interior vertex.
     """
     INF = float("inf")

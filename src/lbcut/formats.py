@@ -123,7 +123,10 @@ def parse_instance(text: str) -> ParsedInstance:
             elif len(rest) >= 3 and rest[0] == "role":
                 if len(rest) != 3:
                     raise InputError(f"line {ln}: expected `c role <id> <tag>`")
-                roles[vid(rest[1], ln)] = rest[2]
+                v = vid(rest[1], ln)
+                if v in roles:
+                    raise InputError(f"line {ln}: role of vertex {v + 1} given twice")
+                roles[v] = rest[2]
             continue
         if kind == "p":
             if n is not None:

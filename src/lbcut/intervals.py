@@ -8,8 +8,7 @@ contain another.  Identical intervals are allowed (they are true twins).
 Validation and `IntervalModel.induced_graph` share one sort-and-sweep over
 the starts (`IntervalModel.intersecting_pairs`), so both run in
 O(n log n + m).  A solve validates its model once, on entry to `dp_solve`;
-the public `normalize`, `mirror_if_needed`, `canonicalize` and `trim`
-validate their own input.
+the public `normalize` validates its own input.
 
 Normalization needs the vertex order, not the coordinates.  A proper model
 sorted by (start, -id) is an umbrella ordering of its graph: every closed
@@ -22,16 +21,15 @@ the coordinates once more after validation, in one sort (`_rank`):
            twins, so s is ranked before t
   trim   - keep v when (rank v >= rank s or v ~ s) and
            (rank v <= rank t or v ~ t)
-No tie split runs on the solve path.  Where a model with distinct starts
-is wanted (`NormalizedInstance.model`, `canonicalize` on tied starts), it
-is the integer model of the ranking, built on demand (`_ordering_model`).
+This module is the only place that turns coordinates into an order: what
+comes after normalization (the solver, cut reconstruction and
+`monotonize_cut`) reads ranks alone.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .errors import ModelError
@@ -114,59 +112,6 @@ def validate_model(g: Graph, model: IntervalModel) -> None:
         )
 
 
-def mirror_if_needed(inst: Instance, model: IntervalModel):
-    """Reflect every interval [a,b] to [-b,-a] when start(s) > start(t).
-
-    Adjacency is invariant under reflection, so the instance is unchanged.
-    """
-    validate_model(inst.graph, model)
-    if model.starts[inst.s] <= model.starts[inst.t]:
-        return inst, model
-    mirrored = IntervalModel(
-        tuple(-b for b in model.ends), tuple(-a for a in model.starts)
-    )
-    return inst, mirrored
-
-
-def canonicalize(inst: Instance, model: IntervalModel):
-    """Make all start values distinct and rank the interior vertices.
-
-    A model whose starts are distinct is returned untouched.  With tied
-    starts it is replaced by the integer ordering model of its ranking:
-    distinct starts, proper, the same graph.
-
-    Returns (instance, model, order) where order lists the vertices of
-    V - {s,t} by increasing start value (the rank table v_1..v_{n-2}).
-    Tied vertices are identical intervals (true twins), and among them a
-    larger id gets an earlier rank.
-    """
-    if model.starts[inst.s] > model.starts[inst.t]:
-        raise ModelError("canonicalize expects a mirrored model (start(s) <= start(t))")
-    validate_model(inst.graph, model)
-    ranked = _rank(inst, model)
-    if len(set(model.starts)) != model.n:
-        model = _ordering_model(inst.graph, ranked)
-    return inst, model, tuple(v for v in ranked if v not in (inst.s, inst.t))
-
-
-def trim(inst: Instance, model: IntervalModel):
-    """Drop vertices entirely left of s or right of t; beta and lam stay.
-
-    The rank rule of `normalize`, so a model with start(s) > start(t) is
-    trimmed as its mirror image.
-
-    Returns (instance, model, kept) where kept maps new vertex ids to the
-    old ones (kept[new_id] == old_id).
-    """
-    norm = normalize(inst, model)
-    kept = norm.kept
-    if len(kept) < model.n:
-        model = IntervalModel(
-            tuple(model.starts[v] for v in kept), tuple(model.ends[v] for v in kept)
-        )
-    return norm.inst, model, kept
-
-
 def _rank(inst: Instance, model: IntervalModel) -> list[int]:
     """Every vertex in umbrella order: the one read of coordinates in a solve
     after its validation.
@@ -189,27 +134,6 @@ def _rank(inst: Instance, model: IntervalModel) -> list[int]:
     return ranked
 
 
-def _ordering_model(g: Graph, ranked) -> IntervalModel:
-    """Integer model of an umbrella ordering of g.
-
-    The vertex of rank r gets [r(n+1), hi(r)(n+1) + r], hi(r) the last rank
-    in its closed neighbourhood.  Ranks a < b meet exactly when b <= hi(a),
-    which in an umbrella ordering is adjacency.  The starts are distinct and
-    hi never decreases, so the ends grow strictly with the starts: the
-    model is proper.
-    """
-    n = len(ranked)
-    rank = [0] * n
-    for r, v in enumerate(ranked):
-        rank[v] = r
-    starts, ends = [Fraction(0)] * n, [Fraction(0)] * n
-    for r, v in enumerate(ranked):
-        hi = max([r, *(rank[w] for w in g.adj[v])])
-        starts[v] = Fraction(r * (n + 1))
-        ends[v] = Fraction(hi * (n + 1) + r)
-    return IntervalModel(tuple(starts), tuple(ends))
-
-
 @dataclass(frozen=True)
 class NormalizedInstance:
     """Mirrored, ranked, trimmed instance plus rank bookkeeping.
@@ -225,9 +149,8 @@ class NormalizedInstance:
     s and every one ranked after t meets t, and closed neighbourhoods are
     contiguous runs of ranks.
 
-    model is the integer ordering model of ranked, built when first read:
-    distinct starts, start(s) < start(t), nothing outside the s..t span,
-    proper and inducing inst's graph.  The solver never reads it.
+    Every consumer (`dp_solve`, `extract_cut`, `monotonize_cut`) reads
+    these ranks and never the interval coordinates.
     """
 
     inst: Instance
@@ -236,10 +159,6 @@ class NormalizedInstance:
     kept: tuple[int, ...]
     mirrored: bool
     ranked: tuple[int, ...]
-
-    @cached_property
-    def model(self) -> IntervalModel:
-        return _ordering_model(self.inst.graph, self.ranked)
 
 
 def normalize(inst: Instance, model: IntervalModel) -> NormalizedInstance:

@@ -160,21 +160,17 @@ def test_criterion_4_monotonization():
             5 + seed % 6, density=(0.4, 0.7, 0.95)[seed % 3], seed=seed * 17
         )
         norm = normalize(inst, model)
-        inst2, model2 = norm.inst, norm.model
+        inst2 = norm.inst
         g = inst2.graph
         rng = Random(seed)
         f = frozenset(e for e in g.edge_list() if rng.random() < 0.4)
         dist = bfs_distances(g.without_edges(f), inst2.s)[inst2.t]
         d = g.n + 2 if dist == math.inf else int(dist)
-        out = monotonize_cut(inst2, model2, f, d)
+        out = monotonize_cut(norm, f, d)
         assert len(out) <= len(f)
         after = bfs_distances(g.without_edges(out), inst2.s)
         assert after[inst2.t] >= d
-        order = sorted(
-            (v for v in range(g.n) if v not in (inst2.s, inst2.t)),
-            key=lambda v: model2.starts[v],
-        )
-        vals = [after[v] for v in order]
+        vals = [after[v] for v in norm.order]
         assert all(a <= b for a, b in zip(vals, vals[1:])), f"seed {seed}"
         checked += 1
     report(4, f"monotonize_cut met all three postconditions on {checked} triples")

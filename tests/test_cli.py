@@ -82,12 +82,17 @@ PATH_3 = "p lbc 3 2\ns 1\nt 3\nb 1\nl 2\ne 1 2\ne 2 3\n"
         ("cut", "e 1 3\n", 1),
         ("cut", "e 1 x\n", 1),
         ("fvs", "v 1\nv x\n", 2),
+        ("solve", PATH_3.replace("b 1", "b \xff").encode("latin-1"), 4),
     ],
-    ids=["b-zz", "p-lbc-x", "bare-s", "source-id", "cut-non-edge", "cut-id", "fvs-id"],
+    ids=["b-zz", "p-lbc-x", "bare-s", "source-id", "cut-non-edge", "cut-id", "fvs-id",
+         "not-utf-8"],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, text, line):
     bad = tmp_path / "bad.txt"
-    bad.write_text(text)
+    if isinstance(text, bytes):
+        bad.write_bytes(text)
+    else:
+        bad.write_text(text)
     inst = tmp_path / "inst.gr"
     inst.write_text(PATH_3)
     argv = {
@@ -248,3 +253,12 @@ class TestRandomAndBench:
         assert [l.split("\t")[0] for l in lines[1:]] == files
         for line in lines[1:]:
             assert line.split("\t")[5] == "dp"
+
+    def test_bench_reports_undecodable_file_row(self, tmp_path, capsys):
+        good, _, _ = write_instance(tmp_path, name="good.gr", seed=1)
+        bad = tmp_path / "bad.gr"
+        bad.write_bytes(PATH_3.replace("b 1", "b \xff").encode("latin-1"))
+        assert main(["bench", str(bad), str(good)]) == 0
+        rows = [l.split("\t") for l in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert [r[0] for r in rows] == [str(bad), str(good)]
+        assert rows[0][6] == "InputError" and rows[1][5] == "dp"

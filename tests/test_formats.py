@@ -192,22 +192,24 @@ def test_only_the_c_record_is_a_comment(parse, text, message):
         parse(text)
 
 
-ROLED = "p lbc 3 2\ns 1\nt 3\nb 1\nl 2\ne 1 2\ne 2 3\nc role 1 s\nc role 2 p@1\nc role 3 t\n"
+ROLED_BUT_3 = "p lbc 3 2\ns 1\nt 3\nb 1\nl 2\ne 1 2\ne 2 3\nc role 1 s\nc role 2 p@1\n"
+ROLED = ROLED_BUT_3 + "c role 3 t\n"
 
 
 @pytest.mark.parametrize(
     "extra, message",
     [
-        ("c param k \u00b2\n", "param k: bad integer '\u00b2'"),
+        ("c role 3 t\nc param k \u00b2\n", "param k: bad integer '\u00b2'"),
         ("c role 3 s\n", "role of vertex 3: 's' is already carried by vertex 1"),
         ("c role 3 p@1\n", "role of vertex 3: 'p@1' is already carried by vertex 2"),
     ],
     ids=["param-superscript-two", "role-twice", "path-position-twice"],
 )
 def test_reduction_output_annotations_checked(extra, message):
+    # the extra lines carry vertex 3's only role
     assert load_reduction_output(ROLED).paths == {"p": (0, 1, 2)}
     with pytest.raises(InputError, match=re.escape(message)):
-        load_reduction_output(ROLED + extra)
+        load_reduction_output(ROLED_BUT_3 + extra)
 
 
 @pytest.mark.parametrize(
@@ -216,8 +218,9 @@ def test_reduction_output_annotations_checked(extra, message):
         ("c param k 3\nc param k 4\n", "line 9: param 'k' given twice"),
         ("c param k 3\nc param k 3\n", "line 9: param 'k' given twice"),
         ("c role 2 x y z\n", "line 8: expected `c role <id> <tag>`"),
+        ("c role 2 x\nc role 2 y\n", "line 9: role of vertex 2 given twice"),
     ],
-    ids=["param-changed", "param-repeated", "role-extra-fields"],
+    ids=["param-changed", "param-repeated", "role-extra-fields", "role-repeated"],
 )
 def test_ambiguous_annotations_rejected(extra, message):
     with pytest.raises(InputError, match=re.escape(message)):

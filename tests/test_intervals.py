@@ -8,14 +8,7 @@ import pytest
 from lbcut.dp import monotonize_cut
 from lbcut.errors import ModelError
 from lbcut.graph import Graph, Instance, edge
-from lbcut.intervals import (
-    IntervalModel,
-    canonicalize,
-    mirror_if_needed,
-    normalize,
-    trim,
-    validate_model,
-)
+from lbcut.intervals import IntervalModel, normalize, validate_model
 from lbcut.oracles import random_proper_interval_instance
 
 
@@ -162,70 +155,90 @@ class TestSweepAgainstBruteForce:
         }
 
 
+def kept_model(model, kept):
+    """The intervals of the kept vertices, in trimmed ids."""
+    return IntervalModel(
+        tuple(model.starts[v] for v in kept), tuple(model.ends[v] for v in kept)
+    )
+
+
+def is_umbrella(norm):
+    """Every closed neighbourhood of norm.inst is a run of consecutive ranks."""
+    g, rank = norm.inst.graph, {v: r for r, v in enumerate(norm.ranked)}
+    for v in range(g.n):
+        ranks = sorted(rank[w] for w in (v, *g.adj[v]))
+        if ranks != list(range(ranks[0], ranks[-1] + 1)):
+            return False
+    return True
+
+
 class TestMirror:
     def test_identity_when_ordered(self):
         inst, model = unit_instance([0, 1, 2], s=0, t=2)
-        _, out = mirror_if_needed(inst, model)
-        assert out == model
+        norm = normalize(inst, model)
+        assert not norm.mirrored and norm.ranked == (0, 1, 2)
 
     def test_definition(self):
+        # start(s) > start(t): ranked by descending end, as the reflection
+        # [-b, -a] of every interval would be by ascending start
         inst, model = unit_instance([5, 0, 2.5], s=0, t=1)
-        _, out = mirror_if_needed(inst, model)
-        assert out.starts[0] == -6 and out.ends[0] == -5
-        assert out.starts[1] == -1 and out.ends[1] == 0
+        norm = normalize(inst, model)
+        assert norm.mirrored and norm.ranked == (0, 2, 1) and norm.order == (2,)
 
     def test_edge_set_preserved(self):
         for seed in range(20):
             inst, model = random_proper_interval_instance(9, seed=seed)
             flipped = Instance(inst.graph, inst.t, inst.s, inst.beta, inst.lam)
-            _, out = mirror_if_needed(flipped, model)
-            assert out.induced_graph() == inst.graph
+            norm, out = normalize(inst, model), normalize(flipped, model)
+            assert out.mirrored and out.inst.graph == norm.inst.graph
+            assert out.ranked == norm.ranked[::-1]
 
 
 class TestCanonicalize:
+    """The rank order `normalize` gives a model: ties by descending id."""
+
     def test_distinct_starts_keep_coordinates(self):
         inst, model = unit_instance([0, 1, 2], s=0, t=2)
-        _, out, order = canonicalize(inst, model)
-        assert out == model and order == (1,)
+        assert normalize(inst, model).order == (1,)
 
     def test_identical_intervals_keep_neighborhoods(self):
         inst, model = unit_instance([0, 0, Fraction(1, 2)], s=0, t=2)
-        _, out, _ = canonicalize(inst, model)
-        assert len(set(out.starts)) == 3
-        assert out.induced_graph() == inst.graph
+        norm = normalize(inst, model)
+        assert norm.ranked == (1, 0, 2) and norm.inst.graph == inst.graph
+        assert is_umbrella(norm)
 
     def test_touching_pairs_survive_tie_split(self):
         # two twins at 0, touched from below at -1 and above at +1
         inst, model = unit_instance([-1, 0, 0, 1], s=0, t=3)
-        _, out, _ = canonicalize(inst, model)
-        assert len(set(out.starts)) == 4
-        assert out.induced_graph() == inst.graph
+        norm = normalize(inst, model)
+        assert norm.ranked == (0, 2, 1, 3) and norm.inst.graph == inst.graph
+        assert is_umbrella(norm)
 
     def test_random_models_sorted_strictly(self):
         for seed in range(20):
             inst, model = random_proper_interval_instance(10, seed=seed)
-            _, out, order = canonicalize(inst, model)
-            starts = [out.starts[v] for v in order]
+            norm = normalize(inst, model)
+            starts = [model.starts[norm.kept[v]] for v in norm.order]
             assert all(a < b for a, b in zip(starts, starts[1:]))
 
 
 class TestTrim:
     def test_identity_without_outliers(self):
         inst, model = unit_instance([0, Fraction(1, 2), 1], s=0, t=2)
-        inst2, model2, kept = trim(inst, model)
-        assert inst2.graph == inst.graph and kept == (0, 1, 2)
+        norm = normalize(inst, model)
+        assert norm.inst.graph == inst.graph and norm.kept == (0, 1, 2)
 
     def test_left_outlier_removed(self):
         inst, model = unit_instance([-3, 0, Fraction(1, 2)], s=1, t=2)
-        inst2, _, kept = trim(inst, model)
-        assert kept == (1, 2) and inst2.graph.n == 2
+        norm = normalize(inst, model)
+        assert norm.kept == (1, 2) and norm.inst.graph.n == 2
 
     def test_terminals_never_trimmed(self):
         for seed in range(30):
             inst, model = random_proper_interval_instance(8, seed=seed)
-            inst2, model2, kept = trim(*mirror_if_needed(inst, model))
-            assert inst.s in kept and inst.t in kept
-            validate_model(inst2.graph, model2)
+            norm = normalize(inst, model)
+            assert inst.s in norm.kept and inst.t in norm.kept
+            validate_model(norm.inst.graph, kept_model(model, norm.kept))
 
 
 class TestNormalize:
@@ -236,10 +249,10 @@ class TestNormalize:
             for r, v in enumerate(norm.order):
                 assert norm.pos[v] == r
             assert norm.pos[norm.inst.s] == -1 and norm.pos[norm.inst.t] == -1
-            starts = [norm.model.starts[v] for v in norm.order]
+            se = kept_model(model, norm.kept)
+            starts = [se.starts[v] for v in norm.order]
             assert starts == sorted(starts)
             # nothing outside the s..t span remains
-            se = norm.model
             for v in range(se.n):
                 assert se.ends[v] >= se.starts[norm.inst.s]
                 assert se.starts[v] <= se.ends[norm.inst.t]
@@ -247,8 +260,9 @@ class TestNormalize:
 
 class TestTieSplitContract:
     def test_random_proper_models(self):
-        """canonicalize on seeded proper models: distinct starts, the same
-        graph, a valid model, and twins ranked by (start, -id)."""
+        """normalize on seeded proper models: the kept intervals induce the
+        trimmed graph, the ranking is an umbrella order, and twins are
+        ranked by (start, -id) of the mirrored model."""
         seen = set()
         for seed in range(1500):
             rng = Random(seed)
@@ -257,8 +271,9 @@ class TestTieSplitContract:
             if model.n < 2 or brute_fault(g, model) is not None:
                 continue
             s, t = rng.sample(range(model.n), 2)
-            inst, model = mirror_if_needed(Instance(g, s, t, 1, 2), model)
             starts, ends = model.starts, model.ends
+            if starts[s] > starts[t]:  # the reflection [-b, -a]
+                starts, ends = tuple(-b for b in ends), tuple(-a for a in starts)
             pairs = list(itertools.permutations(range(model.n), 2))
             if len(set(starts)) < model.n:
                 seen.add("tied starts")
@@ -267,11 +282,12 @@ class TestTieSplitContract:
             if any(starts[u] == starts[v] == ends[u] for u, v in pairs):
                 seen.add("point twins")
 
-            _, out, order = canonicalize(inst, model)
-            assert len(set(out.starts)) == out.n
-            assert out.induced_graph() == g
-            validate_model(g, out)
-            interior = [v for v in range(model.n) if v not in (s, t)]
+            norm = normalize(Instance(g, s, t, 1, 2), model)
+            kept = norm.kept
+            validate_model(norm.inst.graph, kept_model(model, kept))
+            assert is_umbrella(norm)
+            interior = [v for v in kept if v not in (s, t)]
+            order = tuple(kept[v] for v in norm.order)
             assert order == tuple(sorted(interior, key=lambda v: (starts[v], -v)))
         assert seen == {"tied starts", "touching ends", "point twins"}
 
@@ -351,8 +367,8 @@ def test_rank_normalize_matches_coordinate_reference():
 
 class TestOrderingModel:
     def test_twin_terminals_stay_mirrored(self):
-        """s and t identical with id(s) < id(t): the ordering model still
-        puts s first, so `monotonize_cut` takes `normalize`'s output."""
+        """s and t identical with id(s) < id(t): the ranking still puts s
+        first, so `monotonize_cut` takes `normalize`'s output."""
         cases = [unit_instance([0, 0, 1], s=0, t=1, lam=2)]
         cases += [
             (inst, model)
@@ -363,31 +379,34 @@ class TestOrderingModel:
         for inst, model in cases:
             norm = normalize(inst, model)
             g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
-            assert norm.model.starts[s] < norm.model.starts[t]
+            assert norm.ranked.index(s) < norm.ranked.index(t)
             star = frozenset(edge(s, w) for w in g.adj[s])
-            out = monotonize_cut(norm.inst, norm.model, star, g.n)
+            out = monotonize_cut(norm, star, g.n)
             assert len(out) <= len(star)
 
     def test_model_of_the_ranking(self):
-        """norm.model: integer, distinct starts, proper, the trimmed graph,
-        ranks as in order, nothing outside the s..t span."""
+        """norm.ranked: every closed neighbourhood a run of consecutive
+        ranks, s before t, order the interior of ranked, and nothing
+        outside the s..t span (a vertex ranked before s meets s, one ranked
+        after t meets t)."""
         for inst, model in proper_instances(600):
             norm = normalize(inst, model)
-            out, s, t = norm.model, norm.inst.s, norm.inst.t
-            validate_model(norm.inst.graph, out)
-            assert all(a.denominator == 1 for a in out.starts + out.ends)
-            assert sorted(norm.order, key=out.starts.__getitem__) == list(norm.order)
-            assert len(set(out.starts)) == out.n and out.starts[s] < out.starts[t]
-            assert all(
-                out.ends[v] >= out.starts[s] and out.starts[v] <= out.ends[t]
-                for v in range(out.n)
-            )
+            g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
+            assert is_umbrella(norm)
+            assert sorted(norm.ranked) == list(range(g.n))
+            assert norm.order == tuple(v for v in norm.ranked if v not in (s, t))
+            rs, rt = norm.ranked.index(s), norm.ranked.index(t)
+            assert rs < rt
+            assert all(g.has_edge(v, s) for v in norm.ranked[:rs])
+            assert all(g.has_edge(v, t) for v in norm.ranked[rt + 1 :])
 
 
 def test_trim_reads_an_unmirrored_model_as_its_mirror():
     # s = [5,6] lies right of t = [0,1]: [2.5,3.5] is between them, [7,8] beyond s
     inst, model = unit_instance([5, 0, Fraction(5, 2), 7], s=0, t=1)
-    inst2, model2, kept = trim(inst, model)
+    norm = normalize(inst, model)
+    kept, inst2 = norm.kept, norm.inst
     assert kept == (0, 1, 2) and (inst2.s, inst2.t) == (0, 1)
+    model2 = kept_model(model, kept)
     assert model2 == IntervalModel.unit([5, 0, Fraction(5, 2)])
     validate_model(inst2.graph, model2)

@@ -8,72 +8,84 @@ from lbcut.errors import InputError
 from lbcut.graph import bfs_distances, edge
 from lbcut.intervals import normalize
 from lbcut.oracles import random_proper_interval_instance
+from test_intervals import proper_instances, twins
 
 
 def normalized(seed, n=9, density=0.6):
     inst, model = random_proper_interval_instance(n, density=density, seed=seed)
-    norm = normalize(inst, model)
-    return norm.inst, norm.model
+    return normalize(inst, model)
 
 
-def rank_order(inst, model):
-    return sorted(
-        (v for v in range(inst.graph.n) if v not in (inst.s, inst.t)),
-        key=lambda v: model.starts[v],
-    )
-
-
-def distance_monotone(inst, model, cut):
-    d = bfs_distances(inst.graph.without_edges(cut), inst.s)
-    vals = [d[v] for v in rank_order(inst, model)]
+def distance_monotone(norm, cut):
+    d = bfs_distances(norm.inst.graph.without_edges(cut), norm.inst.s)
+    vals = [d[v] for v in norm.order]
     return all(a <= b for a, b in zip(vals, vals[1:]))
+
+
+def random_cut_repaired(norm, rng):
+    """Repair a random cut at its own distance and check the postconditions."""
+    inst = norm.inst
+    g = inst.graph
+    f = frozenset(e for e in g.edge_list() if rng.random() < 0.35)
+    dist = bfs_distances(g.without_edges(f), inst.s)[inst.t]
+    d = g.n + 2 if dist == math.inf else int(dist)
+    out = monotonize_cut(norm, f, d)
+    assert len(out) <= len(f)
+    new_dist = bfs_distances(g.without_edges(out), inst.s)[inst.t]
+    assert new_dist >= d
+    assert distance_monotone(norm, out)
 
 
 class TestMonotonize:
     def test_empty_cut_stays_empty(self):
-        inst, model = normalized(2)
+        norm = normalized(2)
+        inst = norm.inst
         d = bfs_distances(inst.graph, inst.s)[inst.t]
         d = 3 if d == math.inf else int(d)
-        assert monotonize_cut(inst, model, frozenset(), d) == frozenset()
+        assert monotonize_cut(norm, frozenset(), d) == frozenset()
 
     def test_already_monotone_unchanged(self):
-        inst, model = normalized(4)
-        out = monotonize_cut(inst, model, frozenset(), 1)
+        norm = normalized(4)
+        out = monotonize_cut(norm, frozenset(), 1)
         assert out == frozenset()
 
     def test_not_a_cut_rejected(self):
         for seed in range(30):
-            inst, model = normalized(seed)
-            dist = bfs_distances(inst.graph, inst.s)[inst.t]
+            norm = normalized(seed)
+            dist = bfs_distances(norm.inst.graph, norm.inst.s)[norm.inst.t]
             if dist != math.inf:
                 break
         else:
             pytest.fail("no connected sample found")
         with pytest.raises(InputError):
-            monotonize_cut(inst, model, frozenset(), int(dist) + 1)
+            monotonize_cut(norm, frozenset(), int(dist) + 1)
 
     def test_random_cuts_get_repaired(self):
         repaired = 0
         for seed in range(300):
-            inst, model = normalized(seed, n=9, density=0.7)
-            g = inst.graph
-            rng = Random(seed)
-            f = frozenset(e for e in g.edge_list() if rng.random() < 0.35)
-            dist = bfs_distances(g.without_edges(f), inst.s)[inst.t]
-            d = g.n + 2 if dist == math.inf else int(dist)
-            out = monotonize_cut(inst, model, f, d)
-            assert len(out) <= len(f)
-            new_dist = bfs_distances(g.without_edges(out), inst.s)[inst.t]
-            assert new_dist >= d
-            assert distance_monotone(inst, model, out)
+            random_cut_repaired(normalized(seed, n=9, density=0.7), Random(seed))
             repaired += 1
         assert repaired == 300
+        # tied starts, mirrored models, trimmed vertices and twin terminals
+        seen = set()
+        for i, (inst, model) in enumerate(proper_instances(1500)):
+            norm = normalize(inst, model)
+            random_cut_repaired(norm, Random(i))
+            if len(set(model.starts)) < model.n:
+                seen.add("tied starts")
+            if norm.mirrored:
+                seen.add("mirrored")
+            if len(norm.kept) < model.n:
+                seen.add("trimmed")
+            if twins(model, inst.s, inst.t):
+                seen.add("twin terminals")
+        assert seen == {"tied starts", "mirrored", "trimmed", "twin terminals"}
 
     def test_monotone_distance_definition(self):
-        # D(v) only uses strictly increasing interior starts; first step free
-        inst, model = normalized(8)
-        order = rank_order(inst, model)
-        dvec = _monotone_distances(inst.graph, inst.s, inst.t, frozenset(), order)
+        # D(v) only uses strictly increasing interior ranks; first step free
+        norm = normalized(8)
+        inst = norm.inst
+        dvec = _monotone_distances(inst.graph, inst.s, inst.t, frozenset(), norm.order)
         real = bfs_distances(inst.graph, inst.s)
-        for v in order:
+        for v in norm.order:
             assert dvec[v] >= real[v]
