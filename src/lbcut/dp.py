@@ -14,8 +14,10 @@ The recurrence charges crossing edges through
 
     C[h, j, i] = #{ {v_l, v_r} in E : h <= l < j, r >= i, both interior }
 
-which we evaluate in O(1) from a prefix-sum matrix instead of the naive
-per-triple edge scan (same values, needed for the n=200 runtime target).
+which we evaluate in O(1) from prefix sums instead of the naive per-triple
+edge scan (same values, needed for the n=200 runtime target).  Per rank i
+only the at most W + 1 prefix sums the fill can read are stored (see
+CrossingCounts), so the counts take O(q * W) memory, not O(q^2).
 
 Column d of the tables takes, for each rank i, a minimum over the rows
 j <= i of column d-1.  The rows that no edge crosses into i or beyond
@@ -56,36 +58,46 @@ BIG = np.int64(1) << 40
 
 @dataclass(frozen=True)
 class CrossingCounts:
-    """Queryable crossing-edge counts over interior ranks.
+    """Crossing-edge counts over interior ranks, kept to the band the fill reads.
 
-    prefix[x, i] counts edges {v_l, v_r} with l < x and r >= i (0-based
-    ranks, both endpoints interior), so count(h, j, i) answers C[h, j, i]
-    in O(1).
+    Write P[x, i] for the number of edges {v_l, v_r}, l < r, with l < x and
+    r >= i (0-based ranks, both endpoints interior).  P[x, i] is zero for
+    x <= z[i] = min(i, L(i)), L(i) being the smallest rank with an edge to a
+    rank >= i, so only the rows z[i] .. i of column i are stored:
+    prefix[i, k] = P[z[i] + k, i] for k = 0 .. W, W = max(1, i - z[i]).
+    count(h, j, i) answers C[h, j, i] in O(1) for 0 <= h <= j <= i < q.
     """
 
+    z: np.ndarray
     prefix: np.ndarray
 
     def count(self, h: int, j: int, i: int) -> int:
-        return int(self.prefix[j, i] - self.prefix[h, i])
+        z = int(self.z[i])
+        return int(self.prefix[i, max(j - z, 0)] - self.prefix[i, max(h - z, 0)])
 
 
 def compute_crossing_counts(norm: NormalizedInstance) -> CrossingCounts:
-    """Crossing-edge table for a normalized instance (edges at s, t excluded)."""
+    """Crossing-edge band for a normalized instance (edges at s, t excluded),
+    built in O(m log m + q * W * log m) time and O(m + q * W) memory."""
     q = len(norm.order)
     pos = np.asarray(norm.pos, dtype=np.int64)
     ranks = pos[np.array(tuple(norm.inst.graph.edges), dtype=np.int64).reshape(-1, 2)]
-    ranks = ranks[(ranks >= 0).all(axis=1)]  # drop edges incident to s or t
-    # edge {v_a, v_b} adds 1 to suf[a, :b+1] and suf[b, :a+1]: mark each row
-    # range in a difference array, then sum along the rows
-    rows = np.concatenate([ranks[:, 0], ranks[:, 1]])
-    stops = np.concatenate([ranks[:, 1], ranks[:, 0]]) + 1
-    diff = np.zeros((q, q + 1), dtype=np.int64)
-    diff[:, 0] = np.bincount(rows, minlength=q)
-    np.add.at(diff, (rows, stops), -1)
-    suf = np.cumsum(diff[:, :q], axis=1)
-    prefix = np.zeros((q + 1, q), dtype=np.int64)
-    np.cumsum(suf, axis=0, out=prefix[1:])
-    return CrossingCounts(prefix)
+    ranks = np.sort(ranks[(ranks >= 0).all(axis=1)], axis=1)  # drop s, t; l < r
+    # edge {v_l, v_r}, l < r, as the key l * q + r, sorted by (l, r)
+    keys = np.sort(ranks[:, 0] * q + ranks[:, 1])
+    cols = np.arange(q)
+    # L(i): the row l of the first key whose running maximum of r reaches i,
+    # or q when no edge reaches i
+    first = np.searchsorted(np.maximum.accumulate(keys % q), cols)
+    z = np.minimum(cols, np.append(keys // q, q)[first])
+    W = max(1, int((cols - z).max()) if q else 0)  # an empty band still needs a column
+    # P[x + 1, i] - P[x, i] = #{r >= i : {v_x, v_r}, x < r}, read off the
+    # keys as (end of row x) - (first key >= x * q + i); both are m for x >= q
+    rows = z[:, None] + np.arange(W)  # x = z(i) + k for column i
+    step = np.searchsorted(keys, (rows + 1) * q) - np.searchsorted(keys, rows * q + cols[:, None])
+    prefix = np.zeros((q, W + 1), dtype=np.int64)
+    np.cumsum(step, axis=1, out=prefix[:, 1:])
+    return CrossingCounts(z, prefix)
 
 
 @dataclass
@@ -184,7 +196,7 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
 
 def _fill_tables(norm, crossing, lam):
     q = len(norm.order)
-    prefix = crossing.prefix
+    z, prefix = crossing.z, crossing.prefix
 
     T = np.full((q, lam + 1), BIG, dtype=np.int64)
     S = np.zeros((q, lam + 1), dtype=np.int64)
@@ -203,22 +215,25 @@ def _fill_tables(norm, crossing, lam):
         S[0, 3:] = 0
 
     # T[i, d] = min over j <= i of T[j, d-1] + C[S[j, d-1], j, i], first
-    # minimizing j.  prefix[:, i] is non-decreasing from prefix[0, i] = 0;
-    # every row j <= z(i), the last with prefix[j, i] = 0, charges nothing
-    # (S[j, d-1] <= j), so those rows reduce to a running minimum of
-    # T[:, d-1].  Only the band z(i) < j <= i, at most W = max(i - z(i)) <=
-    # the largest forward degree wide, is computed, so a step costs O(q * W)
-    # and the fill O(lam * q * W).  The band comes after the running-minimum
-    # rows, so ties go to the running minimum, as in a plain argmin over j.
+    # minimizing j.  P[:, i] is non-decreasing from P[0, i] = 0 (see
+    # CrossingCounts); every row j <= z(i), the last with P[j, i] = 0,
+    # charges nothing (S[j, d-1] <= j), so those rows reduce to a running
+    # minimum of T[:, d-1].  Only the band z(i) < j <= i, at most W =
+    # max(i - z(i)) <= the largest forward degree wide, is computed, so a
+    # step costs O(q * W) and the fill O(lam * q * W).  The band comes after
+    # the running-minimum rows, so ties go to the running minimum, as in a
+    # plain argmin over j.
     cols = np.arange(q)
-    z = np.minimum(cols, (prefix[1:] == 0).sum(axis=0))
-    width = max(1, int((cols - z).max()))  # an empty band still needs a column
+    width = prefix.shape[1] - 1
     band = z[:, None] + 1 + np.arange(width)  # band rows J[i, k], valid while <= i
     invalid = band > cols[:, None]
     band[invalid] = 0
-    # prefix[J, i], with BIG on the invalid cells so they never win
-    band_base = np.where(invalid, BIG, prefix[band, cols[:, None]])
-    flat_prefix = prefix.ravel()  # flat_prefix[h * q + i] = prefix[h, i]
+    # P[J, i] = prefix[i, k + 1], with BIG on the invalid cells so they never win
+    band_base = np.where(invalid, BIG, prefix[:, 1:])
+    # P[h, i] = flat_prefix[row_at[i] + max(h, z(i))] for h <= i
+    flat_prefix = prefix.ravel()
+    row_at = (cols * (width + 1) - z)[:, None]
+    zcol = z[:, None]
     new_min = np.ones(q, dtype=bool)
     for d in range(3, lam + 1):
         prev = T[:, d - 1]
@@ -227,7 +242,7 @@ def _fill_tables(norm, crossing, lam):
         # run_arg[j]: the first row attaining run_min[j]
         run_arg = np.maximum.accumulate(np.where(new_min, cols, 0))
         # M[i, k] = T[J, d-1] + C[S[J, d-1], J, i] for J = band[i, k]
-        M = prev[band] + band_base - flat_prefix[S[band, d - 1] * q + cols[:, None]]
+        M = prev[band] + band_base - flat_prefix[np.maximum(S[band, d - 1], zcol) + row_at]
         k = M.argmin(axis=1)
         band_min = M[cols, k]
         free_min = run_min[z]

@@ -5,13 +5,15 @@ All types here are immutable after construction and safe to share.
 
 Hop distances come from one bounded BFS, exposed as `bfs_distances` and
 `shortest_bounded_path`; their `removed` edge set stands for G - F without
-building that graph.  `min_st_cut` searches the residual network instead.
+building that graph.  `min_st_cut` searches the residual network instead,
+in Dinic phases: a BFS from t levels the residual arcs, and a depth-first
+search from s augments along the levels; the flow is kept as one set of
+saturated out-neighbours per vertex.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import InputError, InternalCheckError
@@ -76,16 +78,20 @@ class Graph:
     def subgraph(self, keep) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph on `keep` with dense relabeling.
 
-        Returns the new graph and a map old-id -> new-id.
+        Returns the new graph and a map old-id -> new-id.  The relabeling
+        preserves order, so each adjacency stays sorted without a re-sort.
         """
         keep = sorted(set(keep))
-        new_of_old = {v: i for i, v in enumerate(keep)}
-        es = [
-            (new_of_old[u], new_of_old[v])
-            for u, v in self.edges
-            if u in new_of_old and v in new_of_old
-        ]
-        return Graph(len(keep), es), new_of_old
+        new = [-1] * self.n
+        for i, v in enumerate(keep):
+            new[v] = i
+        adj = tuple(
+            tuple(x for x in map(new.__getitem__, self.adj[v]) if x >= 0) for v in keep
+        )
+        g = Graph.__new__(Graph)
+        g.n, g.adj = len(keep), adj
+        g.edges = frozenset((u, w) for u, a in enumerate(adj) for w in a if u < w)
+        return g, {v: i for i, v in enumerate(keep)}
 
     def __eq__(self, other):
         return (
@@ -218,47 +224,73 @@ def shortest_bounded_path(g: Graph, s: int, t: int, lam: int, removed=frozenset(
 
 
 def min_st_cut(g: Graph, s: int, t: int) -> tuple[int, frozenset]:
-    """Minimum s-t edge cut via augmenting paths on unit capacities.
+    """Minimum s-t edge cut via Dinic phases on unit capacities.
 
     Returns (size, cut edges).  Size equals the max number of edge-disjoint
-    s-t paths; the cut is read off the residual reachability split.
+    s-t paths; the cut is read off the residual reachability split.  Every
+    maximum flow leaves the same residual-reachable source side (the
+    inclusion-minimal minimum cut), so the cut does not depend on which
+    augmenting paths were found.
     """
+    if not (0 <= s < g.n and 0 <= t < g.n):
+        raise InputError(f"invalid terminals {s}, {t}")
     if s == t:
         raise InputError("min_st_cut needs s != t")
-    # residual capacity per directed arc; undirected edge = two unit arcs
-    resid: dict[tuple[int, int], int] = {}
-    for u, v in g.edges:
-        resid[(u, v)] = 1
-        resid[(v, u)] = 1
+    adj = g.adj
+    # sat[u]: the w with one unit of net flow on u -> w.  Each undirected edge
+    # is two unit arcs, so u -> w has residual capacity iff w not in sat[u].
+    sat: list[set[int]] = [set() for _ in range(g.n)]
     value = 0
     while True:
-        parent = [-1] * g.n
-        parent[s] = s
-        queue = deque([s])
-        while queue and parent[t] == -1:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if parent[w] == -1 and resid[(u, w)] > 0:
-                    parent[w] = u
-                    queue.append(w)
-        if parent[t] == -1:
+        # reverse BFS from t: level[u] is the residual distance from u to t
+        level = [-1] * g.n
+        level[t] = 0
+        layer = [t]
+        while layer and level[s] < 0:
+            upper, layer = layer, []
+            for w in upper:
+                d = level[w] + 1
+                for u in adj[w]:
+                    if level[u] < 0 and w not in sat[u]:
+                        level[u] = d
+                        layer.append(u)
+        if level[s] < 0:
             break
-        v = t
-        while v != s:
-            u = parent[v]
-            resid[(u, v)] -= 1
-            resid[(v, u)] += 1
-            v = u
-        value += 1
+        # blocking flow: depth-first from s down the levels, so every step
+        # heads for t; next_arc[u] skips the arcs found dead or saturated
+        next_arc = [0] * g.n
+        path = [s]
+        while path:
+            u = path[-1]
+            if u == t:
+                for a, b in zip(path, path[1:]):
+                    if a in sat[b]:
+                        sat[b].discard(a)  # cancel the opposite flow
+                    else:
+                        sat[a].add(b)
+                value += 1
+                path = [s]
+                continue
+            arcs, i, below, su = adj[u], next_arc[u], level[u] - 1, sat[u]
+            while i < len(arcs) and (level[arcs[i]] != below or arcs[i] in su):
+                i += 1
+            next_arc[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+            else:
+                level[u] = -1  # dead end for the rest of the phase
+                path.pop()
+    # the source side: everything s still reaches over residual arcs
     reach = [False] * g.n
     reach[s] = True
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if not reach[w] and resid[(u, w)] > 0:
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        su = sat[u]
+        for w in adj[u]:
+            if not reach[w] and w not in su:
                 reach[w] = True
-                queue.append(w)
+                stack.append(w)
     cut = frozenset(e for e in g.edges if reach[e[0]] != reach[e[1]])
     if len(cut) != value:
         raise InternalCheckError(

@@ -4,13 +4,19 @@ Run with `pytest tests/test_acceptance.py -v -rA` to see the PASS lines.
 """
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import lbcut
 from lbcut.dp import dp_solve, extract_cut, monotonize_cut
 from lbcut.errors import BudgetExceeded
 from lbcut.graph import Instance, bfs_distances, verify_cut
@@ -331,4 +337,57 @@ def test_table_branch_runtime_envelope_large():
     report(
         "9 (table branch, large)",
         f"n=3200 table-branch solve took {elapsed * 1000:.0f}ms (median of 3 seeds)",
+    )
+
+
+# The n=3200 recipe at n=12800 (q=10276, lam=537 for seed 1), solved in a
+# fresh interpreter so its peak RSS is the solve's own.  A dense (q+1) x q
+# crossing matrix alone would take 845 MB here, three of them 2.5 GB.
+ENVELOPE_CHILD = """
+import json, resource, sys, time
+from fractions import Fraction
+from random import Random
+from lbcut.dp import dp_solve, extract_cut
+from lbcut.graph import Instance, bfs_distances
+from lbcut.intervals import IntervalModel
+
+n, seed = 12800, int(sys.argv[1])
+rng = Random(seed)
+model = IntervalModel.unit([Fraction(rng.randrange(640 * 1000), 1000) for _ in range(n)])
+g = model.induced_graph()
+ranked = sorted(range(n), key=lambda v: (model.starts[v], v))
+s, t = ranked[n // 10], ranked[9 * n // 10]
+inst = Instance(g, s, t, g.m, int(bfs_distances(g, s)[t]) + 1)
+started = time.perf_counter()
+cost, tables = dp_solve(inst, model)
+cut = extract_cut(inst, model, tables)
+print(json.dumps({
+    "seconds": time.perf_counter() - started,
+    "branch": tables.branch,
+    "q": len(tables.norm.order),
+    "cost": cost,
+    "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
+
+
+def test_table_branch_envelope_12800():
+    # bounds are about 3x the time (~5 s) and 2x the peak RSS (~240 MB)
+    # measured on a 2-vCPU host
+    src = str(Path(lbcut.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", ENVELOPE_CHILD, "1"], env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["branch"] == "table" and out["q"] > 10_000
+    assert out["seconds"] < 15, f"n=12800 solve took {out['seconds']:.1f}s"
+    assert out["maxrss_mb"] < 512, f"n=12800 solve peaked at {out['maxrss_mb']:.0f} MB"
+    report(
+        "9 (table branch, n=12800)",
+        f"q={out['q']} solved and cut in {out['seconds']:.1f}s at "
+        f"{out['maxrss_mb']:.0f} MB peak RSS",
     )

@@ -62,6 +62,37 @@ class TestCrossingCounts:
                     for i in range(j, q):
                         assert cc.count(h, j, i) == self.naive(norm, h, j, i)
 
+    def test_band_narrower_than_q(self):
+        # the dp-long recipe at n=80: distinct starts 1..4 eighths apart,
+        # terminals at start ranks 10% and 90%, lam = dist(s,t) + 1
+        rng = Random(8)
+        pos, starts = 0, []
+        for _ in range(80):
+            starts.append(Fraction(pos, 8))
+            pos += rng.randint(1, 4)
+        model = IntervalModel.unit(starts)
+        g = model.induced_graph()
+        ranked = sorted(range(80), key=starts.__getitem__)
+        s, t = ranked[8], ranked[71]
+        inst = Instance(g, s, t, g.m, int(bfs_distances(g, s)[t]) + 1)
+        assert dp_solve(inst, model)[1].branch == "table"
+        norm = normalize(inst, model)
+        cc = compute_crossing_counts(norm)
+        q, width = len(norm.order), cc.prefix.shape[1] - 1
+        assert q >= 60 and 1 <= width <= q // 3
+        pairs = np.array(
+            [sorted((norm.pos[u], norm.pos[v])) for u, v in norm.inst.graph.edges
+             if norm.pos[u] >= 0 and norm.pos[v] >= 0]
+        )
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        for i in range(q):
+            ends = hi >= i
+            for j in range(i + 1):
+                below_j = ends & (lo < j)
+                for h in range(j + 1):
+                    naive = np.count_nonzero(below_j & (lo >= h))
+                    assert cc.count(h, j, i) == naive, (h, j, i)
+
 
 class TestDpSolveSmall:
     def test_disconnected(self):
@@ -200,10 +231,16 @@ def test_banded_fill_matches_dense_reference():
             norm = normalize(Instance(g, s, t, 1, lam), model)
             crossing = compute_crossing_counts(norm)
             T, S = _fill_tables(norm, crossing, lam)
-            T_ref, S_ref = dense_fill(T, S, crossing.prefix, lam)
+            q = len(norm.order)
+            # the dense (q+1) x q matrix of P[x, i]; dense_fill reads x <= i only
+            dense = np.array(
+                [[crossing.count(0, x, i) if x <= i else 0 for i in range(q)]
+                 for x in range(q + 1)],
+                dtype=np.int64,
+            ).reshape(q + 1, q)
+            T_ref, S_ref = dense_fill(T, S, dense, lam)
             assert np.array_equal(T, T_ref), f"{label} lam={lam}: T differs"
             assert np.array_equal(S, S_ref), f"{label} lam={lam}: S differs"
-            q = len(norm.order)
             if label == "unit" and len(set(model.starts)) < model.n and q > 1:
                 seen.add("tied starts")
             if label == "no-interior-edge" and q and not crossing.prefix.any() and lam >= 3:

@@ -77,6 +77,15 @@ class TestGraphBasics:
         h, new_of_old = g.subgraph([0, 2, 4])
         assert h.n == 3 and h.edges == {(0, 1), (1, 2)}
         assert new_of_old == {0: 0, 2: 1, 4: 2}
+        assert h.adj == Graph(3, [(0, 1), (1, 2)]).adj == ((1,), (0, 2), (1,))
+        for seed in range(20):
+            g = random_graph(12, 0.5, seed=seed)
+            keep = Random(seed).sample(range(12), 1 + seed % 11)
+            h, new_of_old = g.subgraph(keep)
+            edges = [(new_of_old[u], new_of_old[v]) for u, v in g.edges
+                     if u in new_of_old and v in new_of_old]
+            ref = Graph(len(new_of_old), edges)
+            assert h == ref and h.adj == ref.adj
 
 
 class TestBfsDistances:
@@ -199,6 +208,35 @@ class TestMinStCut:
             g = random_graph(6, 0.5, seed=seed)
             size, _ = min_st_cut(g, 0, 5)
             assert size == max_packing(g, 0, 5, frozenset())
+
+    @pytest.mark.parametrize("s, t", [(0, 5), (-1, 2), (2, 3)])
+    def test_terminal_out_of_range(self, s, t):
+        with pytest.raises(InputError):
+            min_st_cut(Graph(3, [(0, 1), (1, 2)]), s, t)
+
+    def test_returns_the_inclusion_minimal_min_cut(self):
+        # brute force over every source side X (s in X, t not in X): the value
+        # is the least |delta(X)|, and the cut is delta of the intersection of
+        # all optimal X, whatever augmenting paths the flow took
+        checked = 0
+        for seed in range(60):
+            rng = Random(seed)
+            n = rng.randint(2, 9)
+            g = random_graph(n, rng.choice([0.3, 0.5, 0.8]), seed=seed)
+            s, t = rng.sample(range(n), 2)
+            rest = [v for v in range(n) if v not in (s, t)]
+            best, core = None, None
+            for bits in range(1 << len(rest)):
+                side = {s} | {v for i, v in enumerate(rest) if bits >> i & 1}
+                size = sum((u in side) != (v in side) for u, v in g.edges)
+                if best is None or size < best:
+                    best, core = size, side
+                elif size == best:
+                    core = core & side
+            delta = frozenset(e for e in g.edges if (e[0] in core) != (e[1] in core))
+            assert min_st_cut(g, s, t) == (best, delta), f"seed {seed}"
+            checked += best > 0
+        assert checked >= 30
 
     def test_monotone_under_edge_deletion(self):
         g = random_graph(8, 0.6, seed=3)
