@@ -200,6 +200,9 @@ def _solve_one(path, mode, subset_cap, branch_cap):
 
 
 def cmd_solve(args) -> int:
+    for option, cap in (("--subset-cap", args.subset_cap), ("--branch-cap", args.branch_cap)):
+        if cap <= 0:
+            raise InputError(f"{option} must be positive, got {cap}")
     inst, mode, cost, cut, verified = _solve_one(
         args.file, args.mode, args.subset_cap, args.branch_cap
     )

@@ -17,7 +17,9 @@ The recurrence charges crossing edges through
 which we evaluate in O(1) from prefix sums instead of the naive per-triple
 edge scan (same values, needed for the n=200 runtime target).  Per rank i
 only the at most W + 1 prefix sums the fill can read are stored (see
-CrossingCounts), so the counts take O(q * W) memory, not O(q^2).
+CrossingCounts), so the counts take O(q * W) memory, not O(q^2).  They are
+read off the runs of ranks that closed neighbourhoods form, with no edge
+list and no sort (see compute_crossing_counts).
 
 Column d of the tables takes, for each rank i, a minimum over the rows
 j <= i of column d-1.  The rows that no edge crosses into i or beyond
@@ -78,25 +80,27 @@ class CrossingCounts:
 
 def compute_crossing_counts(norm: NormalizedInstance) -> CrossingCounts:
     """Crossing-edge band for a normalized instance (edges at s, t excluded),
-    built in O(m log m + q * W * log m) time and O(m + q * W) memory."""
-    q = len(norm.order)
-    pos = np.asarray(norm.pos, dtype=np.int64)
-    ranks = pos[np.array(tuple(norm.inst.graph.edges), dtype=np.int64).reshape(-1, 2)]
-    ranks = np.sort(ranks[(ranks >= 0).all(axis=1)], axis=1)  # drop s, t; l < r
-    # edge {v_l, v_r}, l < r, as the key l * q + r, sorted by (l, r)
-    keys = np.sort(ranks[:, 0] * q + ranks[:, 1])
+    built in O(m + q * W) time and O(q * W) memory.
+
+    The band is read off the runs of the umbrella order: closed
+    neighbourhoods are runs of ranks, so the interior neighbours of rank l
+    above l are the ranks l+1 .. hi[l], and hi is non-decreasing.  No edge
+    list is built and nothing is sorted.
+    """
+    q, pos, adj = len(norm.order), norm.pos, norm.inst.graph.adj
     cols = np.arange(q)
-    # L(i): the row l of the first key whose running maximum of r reaches i,
-    # or q when no edge reaches i
-    first = np.searchsorted(np.maximum.accumulate(keys % q), cols)
-    z = np.minimum(cols, np.append(keys // q, q)[first])
+    # hi[l]: the highest interior rank meeting rank l, l itself included
+    hi = np.maximum(cols, [max(map(pos.__getitem__, adj[v]), default=-1) for v in norm.order])
+    # z(i) = min(i, L(i)): the first rank l with hi[l] >= i is L(i) if l < i,
+    # else i itself
+    z = np.searchsorted(hi, cols)
     W = max(1, int((cols - z).max()) if q else 0)  # an empty band still needs a column
-    # P[x + 1, i] - P[x, i] = #{r >= i : {v_x, v_r}, x < r}, read off the
-    # keys as (end of row x) - (first key >= x * q + i); both are m for x >= q
+    # P[x + 1, i] - P[x, i] = #{r >= i : x < r <= hi[x]}; rows x >= q read
+    # hi[q - 1] < x + 1, so they add 0
     rows = z[:, None] + np.arange(W)  # x = z(i) + k for column i
-    step = np.searchsorted(keys, (rows + 1) * q) - np.searchsorted(keys, rows * q + cols[:, None])
+    step = hi[np.minimum(rows, q - 1)] - np.maximum(cols[:, None], rows + 1) + 1
     prefix = np.zeros((q, W + 1), dtype=np.int64)
-    np.cumsum(step, axis=1, out=prefix[:, 1:])
+    np.cumsum(np.maximum(step, 0), axis=1, out=prefix[:, 1:])
     return CrossingCounts(z, prefix)
 
 
@@ -130,7 +134,7 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
     lam >= n-1 every cut must be a full s-t cut, so the max-flow answer is
     returned directly.
     """
-    validate_model(inst.graph, model)
+    order = validate_model(inst.graph, model)
     g, s, t, lam = inst.graph, inst.s, inst.t, inst.lam
     st_edge = g.has_edge(s, t)
 
@@ -155,7 +159,7 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
             mincut_size=mincut_size, mincut_edges=mincut_edges, st_edge=True,
         )
 
-    norm = _normalize_valid(inst, model)  # validated on entry
+    norm = _normalize_valid(inst, model, order)
     crossing = compute_crossing_counts(norm)
     T, S = _fill_tables(norm, crossing, lam)
     q = len(norm.order)

@@ -92,7 +92,11 @@ class ParsedInstance:
     model: IntervalModel | None
     roles: dict[int, str] = field(default_factory=dict)
     params: dict[str, str] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """The beta and lambda clamps, as `Instance` recorded them."""
+        return self.instance.notes
 
 
 def parse_instance(text: str) -> ParsedInstance:
@@ -104,7 +108,6 @@ def parse_instance(text: str) -> ParsedInstance:
     intervals: dict[int, tuple[Fraction, Fraction]] = {}
     roles: dict[int, str] = {}
     params: dict[str, str] = {}
-    warnings: list[str] = []
 
     def vid(token, ln):
         v = _parse_int(token, ln, "vertex id")
@@ -167,10 +170,6 @@ def parse_instance(text: str) -> ParsedInstance:
             raise InputError(f"missing {name!r} record")
     if m != len(edges):
         raise InputError(f"p-line promises {m} edges, file has {len(edges)}")
-    if lam > n:
-        warnings.append(f"lambda {lam} exceeds n={n}; clamped")
-    if beta > m:
-        warnings.append(f"beta {beta} exceeds m={m}; clamped")
     inst = Instance(Graph(n, edges), s, t, beta, lam)
     model = None
     if intervals:
@@ -181,7 +180,7 @@ def parse_instance(text: str) -> ParsedInstance:
             tuple(intervals[v][0] for v in range(n)),
             tuple(intervals[v][1] for v in range(n)),
         )
-    return ParsedInstance(inst, model, roles, params, warnings)
+    return ParsedInstance(inst, model, roles, params)
 
 
 def serialize_instance(

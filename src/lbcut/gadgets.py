@@ -107,6 +107,17 @@ class GadgetBuilder:
     def graph(self) -> Graph:
         return Graph(len(self.roles), self.edges)
 
+    def output(self, s: int, t: int, beta: int, lam: int, params, source) -> "ReductionOutput":
+        """The built graph as an instance, with its roles, paths and params."""
+        return ReductionOutput(
+            instance=Instance(self.graph(), s, t, beta, lam),
+            roles=tuple(self.roles),
+            paths=self.paths,
+            vertex_by_role=self.vertex_by_role,
+            params=params,
+            source=source,
+        )
+
 
 @dataclass(frozen=True)
 class ReductionOutput:

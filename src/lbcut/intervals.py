@@ -5,22 +5,22 @@ validate models rather than recognize interval graphs: the adjacency of the
 graph must coincide with interval intersection, and no interval may strictly
 contain another.  Identical intervals are allowed (they are true twins).
 
-Validation and `IntervalModel.induced_graph` share one sort-and-sweep over
-the starts (`IntervalModel.intersecting_pairs`), so both run in
-O(n log n + m).  A solve validates its model once, on entry to `dp_solve`;
-the public `normalize` validates its own input.
-
 Normalization needs the vertex order, not the coordinates.  A proper model
 sorted by (start, -id) is an umbrella ordering of its graph: every closed
 neighbourhood is a contiguous run of ranks (Roberts 1969; Looges & Olariu,
-"Optimal greedy algorithms for indifference graphs", 1993).  A solve reads
-the coordinates once more after validation, in one sort (`_rank`):
-  mirror - sort by (-end, -id) instead when start(s) > start(t), the
+"Optimal greedy algorithms for indifference graphs", 1993).  A solve sorts
+the coordinates once, in `validate_model`, and reuses that order:
+  check  - properness on consecutive vertices of the order, adjacency
+           against its sweep (`IntervalModel.intersecting_pairs`), in
+           O(n log n + m); `validate_model` returns the order it proved
+  mirror - when start(s) > start(t), re-sort it by (-end, -id), the
            (start, -id) order of the reflected model [-b, -a]
   twins  - tied starts are identical intervals; t goes last among its
            twins, so s is ranked before t
   trim   - keep v when (rank v >= rank s or v ~ s) and
            (rank v <= rank t or v ~ t)
+A solve validates its model once, on entry to `dp_solve`; the public
+`normalize` validates its own input, and `induced_graph` sorts for itself.
 This module is the only place that turns coordinates into an order: what
 comes after normalization (the solver, cut reconstruction and
 `monotonize_cut`) reads ranks alone.
@@ -63,13 +63,15 @@ class IntervalModel:
     def intersects(self, u: int, v: int) -> bool:
         return self.starts[u] <= self.ends[v] and self.starts[v] <= self.ends[u]
 
-    def intersecting_pairs(self) -> list[tuple[int, int]]:
+    def intersecting_pairs(self, order=None) -> list[tuple[int, int]]:
         """Every intersecting pair (u, v), u < v, in O(n log n + m).
 
-        After sorting by start, the intervals meeting u that start no
-        earlier than u are exactly the next ones whose start is <= end(u).
+        `order` lists the vertices by start (sorted here when omitted): the
+        intervals meeting u that start no earlier than u are exactly the
+        next ones in it whose start is <= end(u).
         """
-        order = sorted(range(self.n), key=self.starts.__getitem__)
+        if order is None:
+            order = sorted(range(self.n), key=self.starts.__getitem__)
         sorted_starts = [self.starts[v] for v in order]
         pairs = []
         for i, u in enumerate(order):
@@ -81,57 +83,38 @@ class IntervalModel:
         return Graph(self.n, self.intersecting_pairs())
 
 
-def validate_model(g: Graph, model: IntervalModel) -> None:
-    """Raise ModelError unless `model` is a proper interval model of `g`.
+def validate_model(g: Graph, model: IntervalModel) -> list[int]:
+    """Return the umbrella order of `model`; raise ModelError unless it is
+    a proper interval model of `g`.
 
-    Properness is checked on the (start, end) order: consecutive intervals
-    must be identical or grow strictly at both ends.  Adjacency is checked
-    against the sweep's intersecting pairs; a mismatch names the smallest
-    pair on which graph and model disagree.
+    Returns every vertex by (start, -id), from the one coordinate sort of a
+    solve.  Properness is checked on consecutive vertices of that order:
+    tied starts must have equal ends, otherwise both start and end must grow
+    strictly.  Adjacency is checked against the sweep of the same order; a
+    mismatch names the smallest pair on which graph and model disagree.
     """
     if model.n != g.n:
         raise ModelError(f"model has {model.n} intervals, graph has {g.n} vertices")
     s, e = model.starts, model.ends
-    by_interval = sorted(range(g.n), key=lambda v: (s[v], e[v]))
-    for u, v in zip(by_interval, by_interval[1:]):
-        if (s[u], e[u]) == (s[v], e[v]) or (s[u] < s[v] and e[u] < e[v]):
+    order = sorted(range(g.n - 1, -1, -1), key=s.__getitem__)  # stable: ties by -id
+    for u, v in zip(order, order[1:]):
+        if e[u] == e[v] if s[u] == s[v] else e[u] < e[v]:
             continue
-        # sorted, so either the starts tie and v reaches further, or v ends
-        # no later than u although it starts later
-        outer, inner = (v, u) if s[u] == s[v] else (u, v)
+        # s[u] <= s[v]: either the starts tie and one reaches further, or v
+        # ends no later than u although it starts later
+        outer, inner = (v, u) if s[u] == s[v] and e[v] > e[u] else (u, v)
         raise ModelError(
             f"interval of {outer} [{s[outer]},{e[outer]}] strictly contains "
             f"interval of {inner} [{s[inner]},{e[inner]}]"
         )
-    mismatch = set(model.intersecting_pairs()).symmetric_difference(g.edges)
+    mismatch = set(model.intersecting_pairs(order)).symmetric_difference(g.edges)
     if mismatch:
         u, v = min(mismatch)
         raise ModelError(
             f"adjacency mismatch at ({u}, {v}): intervals "
             f"[{s[u]},{e[u]}] vs [{s[v]},{e[v]}]"
         )
-
-
-def _rank(inst: Instance, model: IntervalModel) -> list[int]:
-    """Every vertex in umbrella order: the one read of coordinates in a solve
-    after its validation.
-
-    By (start, -id), or by (-end, -id) when start(s) > start(t).  Both sorts
-    are stable over descending ids.  Twins share their key, and t moves to
-    the back of its run of twins, so s is ranked before t.
-    """
-    n, s, t = model.n, inst.s, inst.t
-    if model.starts[s] <= model.starts[t]:
-        key = model.starts
-        ranked = sorted(range(n - 1, -1, -1), key=key.__getitem__)
-    else:
-        key = model.ends
-        ranked = sorted(range(n - 1, -1, -1), key=key.__getitem__, reverse=True)
-    i = ranked.index(t)
-    while i < n - 1 and key[ranked[i + 1]] == key[t]:
-        ranked[i + 1], ranked[i] = t, ranked[i + 1]
-        i += 1
-    return ranked
+    return order
 
 
 @dataclass(frozen=True)
@@ -163,19 +146,25 @@ class NormalizedInstance:
 
 def normalize(inst: Instance, model: IntervalModel) -> NormalizedInstance:
     """Validate, then rank, mirror and trim, and package the result."""
-    validate_model(inst.graph, model)
-    return _normalize_valid(inst, model)
+    return _normalize_valid(inst, model, validate_model(inst.graph, model))
 
 
-def _normalize_valid(inst: Instance, model: IntervalModel) -> NormalizedInstance:
-    """`normalize` for a model the caller has already validated."""
-    mirrored = model.starts[inst.s] > model.starts[inst.t]
-    ranked = _rank(inst, model)
+def _normalize_valid(inst: Instance, model: IntervalModel, order) -> NormalizedInstance:
+    """`normalize` for a validated model; `order` is what `validate_model`
+    returned, and the ranking unless mirrored (see the module docstring)."""
+    g, s, t = inst.graph, inst.s, inst.t
+    mirrored = model.starts[s] > model.starts[t]
+    key = model.ends if mirrored else model.starts
+    # stable, so twins keep their descending ids
+    ranked = sorted(order, key=key.__getitem__, reverse=True) if mirrored else list(order)
+    i = ranked.index(t)  # t goes to the back of its twins (same key)
+    while i < len(ranked) - 1 and key[ranked[i + 1]] == key[t]:
+        ranked[i + 1], ranked[i] = t, ranked[i + 1]
+        i += 1
     # the trim rule keeps the ranks from s to t and the neighbours of s and
     # t: in an umbrella order a neighbour of s ranked after t meets t too,
     # and a neighbour of t ranked before s meets s
-    g, s, t = inst.graph, inst.s, inst.t
-    keep = set(ranked[ranked.index(s) : ranked.index(t) + 1]).union(g.adj[s], g.adj[t])
+    keep = set(ranked[ranked.index(s) : i + 1]).union(g.adj[s], g.adj[t])
     kept = tuple(range(model.n))
     if len(keep) < model.n:
         g2, new_of_old = g.subgraph(keep)

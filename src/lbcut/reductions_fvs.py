@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .gadgets import GadgetBuilder, LexEdges, ReductionOutput, role
-from .graph import Graph, Instance, edge
+from .graph import Graph, edge
 
 
 @dataclass(frozen=True)
@@ -98,26 +98,20 @@ def gen_fvs(mc: MulticoloredCliqueInstance) -> ReductionOutput:
             b.path(u[i], ve, n + nu - mc.index(v), role("eu", p, i))
             b.path(ell[i], ve, n + mc.index(v), role("el", p, i))
 
-    graph = b.graph()
-    inst = Instance(graph, s, t, beta, lam)
-    params = {"family": "fvs", "k": k, "nu": nu, "n": n, "m": m}
-    return ReductionOutput(
-        instance=inst,
-        roles=tuple(b.roles),
-        paths=b.paths,
-        vertex_by_role=b.vertex_by_role,
-        params=params,
-        source=mc,
-    )
+    return b.output(s, t, beta, lam, {"family": "fvs", "k": k, "nu": nu, "n": n, "m": m}, mc)
+
+
+def _source(out: ReductionOutput) -> MulticoloredCliqueInstance:
+    """The multicolored input of a `gen_fvs` output, or InputError."""
+    mc = out.source
+    if out.params.get("family") != "fvs" or not isinstance(mc, MulticoloredCliqueInstance):
+        raise InputError("output was not generated by gen_fvs")
+    return mc
 
 
 def forward_cut_fvs(out: ReductionOutput, clique) -> frozenset:
     """The beta-sized cut encoding a multicolored clique."""
-    mc = out.source
-    if out.params.get("family") != "fvs" or not isinstance(
-        mc, MulticoloredCliqueInstance
-    ):
-        raise InputError("output was not generated by gen_fvs")
+    mc = _source(out)
     members = mc.check_clique(clique)
     if [mc.part(v) for v in members] != list(range(1, mc.k + 1)):
         raise InputError("clique must contain exactly one vertex per part")
@@ -155,11 +149,7 @@ def decode_fvs(out: ReductionOutput, f) -> tuple[int, ...] | None:
     path lengths below one threshold on all four families consistently;
     anything else decodes to None.
     """
-    mc = out.source
-    if out.params.get("family") != "fvs" or not isinstance(
-        mc, MulticoloredCliqueInstance
-    ):
-        raise InputError("output was not generated by gen_fvs")
+    mc = _source(out)
     f = frozenset(edge(u, v) for u, v in f)
     s = out.anchor("s")
     t = out.anchor("t")

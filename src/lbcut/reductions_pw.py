@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, InternalCheckError
 from .gadgets import GadgetBuilder, LexEdges, ReductionOutput, role
-from .graph import Graph, Instance, edge
+from .graph import Graph, edge
 
 
 @dataclass(frozen=True)
@@ -99,18 +99,9 @@ def gen_pw(cq: CliqueInstance) -> ReductionOutput:
                 b.path(s, u[i, n], lam - (4 * eta + n + 2), role("S", i, j, q))
                 b.path(s, ell[i, n], lam - (3 * eta + n + 2), role("Sb", i, j, q))
 
-    graph = b.graph()
-    _check_degree_bound(b, cq, graph, s, t)
-    inst = Instance(graph, s, t, beta, lam)
-    params = {"family": "pw", "k": k, "n": n, "m": m, "eta": eta}
-    return ReductionOutput(
-        instance=inst,
-        roles=tuple(b.roles),
-        paths=b.paths,
-        vertex_by_role=b.vertex_by_role,
-        params=params,
-        source=cq,
-    )
+    out = b.output(s, t, beta, lam, {"family": "pw", "k": k, "n": n, "m": m, "eta": eta}, cq)
+    _check_degree_bound(b, cq, out.instance.graph, s, t)
+    return out
 
 
 def _check_degree_bound(b, cq, graph, s, t):
@@ -174,11 +165,17 @@ def _incidence_gadget(b, cq, eta, s, t, u, ell, i, j):
         b.path(bb[x], d[q], 2 * eta, role("xbd", i, j, x))
 
 
-def forward_cut_pw(out: ReductionOutput, clique) -> frozenset:
-    """The beta-sized cut encoding a k-clique, as an edge set of H."""
+def _source(out: ReductionOutput) -> CliqueInstance:
+    """The clique-search input of a `gen_pw` output, or InputError."""
     cq = out.source
     if out.params.get("family") != "pw" or not isinstance(cq, CliqueInstance):
         raise InputError("output was not generated by gen_pw")
+    return cq
+
+
+def forward_cut_pw(out: ReductionOutput, clique) -> frozenset:
+    """The beta-sized cut encoding a k-clique, as an edge set of H."""
+    cq = _source(out)
     members = cq.check_clique(clique)
     k = cq.k
     cut = set()
@@ -203,9 +200,7 @@ def decode_pw(out: ReductionOutput, f) -> tuple[int, ...] | None:
     A well-formed cut deletes exactly one rail edge on the upper and one on
     the lower path of every ladder; the upper positions name the vertices.
     """
-    cq = out.source
-    if out.params.get("family") != "pw" or not isinstance(cq, CliqueInstance):
-        raise InputError("output was not generated by gen_pw")
+    cq = _source(out)
     f = frozenset(edge(u, v) for u, v in f)
     n, k = cq.graph.n, cq.k
     chosen = []

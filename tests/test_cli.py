@@ -116,8 +116,12 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, command, text, line):
         (["random-pig", "-n", "5", "--lambda-range", "4:2"],
          "--lambda-range: empty range"),
         (["random-pig", "-n", "1"], "need at least two vertices"),
+        (["solve", "--subset-cap", "0"], "--subset-cap must be positive, got 0"),
+        (["solve", "--branch-cap", "-5", "--mode", "dp"],
+         "--branch-cap must be positive, got -5"),
     ],
-    ids=["clique-x", "beta-range-x", "lambda-range-empty", "random-pig-n1"],
+    ids=["clique-x", "beta-range-x", "lambda-range-empty", "random-pig-n1",
+         "subset-cap-0", "branch-cap-negative"],
 )
 def test_malformed_option_is_usage_error(tmp_path, capsys, argv, message):
     if argv[0] == "forward-cut":
@@ -126,7 +130,11 @@ def test_malformed_option_is_usage_error(tmp_path, capsys, argv, message):
         assert main(["gen", "pw", "--source", str(src), "-k", "2", "-o", str(hard)]) == 0
         files = ["--instance", str(hard), "--source", str(src), "-k", "2"]
         argv = argv[:2] + files + argv[2:]
-    assert main(argv + ["-o", str(tmp_path / "out.txt")]) == 2
+    if argv[0] == "solve":  # an interval instance, so auto and dp mode reach the solver
+        argv = argv[:1] + [str(write_instance(tmp_path)[0])] + argv[1:]
+    else:
+        argv = argv + ["-o", str(tmp_path / "out.txt")]
+    assert main(argv) == 2
     assert message in capsys.readouterr().err
 
 
@@ -253,6 +261,12 @@ class TestRandomAndBench:
         assert [l.split("\t")[0] for l in lines[1:]] == files
         for line in lines[1:]:
             assert line.split("\t")[5] == "dp"
+        # the process pool merges its rows back into input order; only
+        # time_ms, the last column, may differ from the serial run
+        assert main(["bench", "--jobs", "2", *files]) == 0
+        pooled = capsys.readouterr().out.strip().splitlines()
+        assert pooled[0] == lines[0]
+        assert [l.rsplit("\t", 1)[0] for l in pooled] == [l.rsplit("\t", 1)[0] for l in lines]
 
     def test_bench_reports_undecodable_file_row(self, tmp_path, capsys):
         good, _, _ = write_instance(tmp_path, name="good.gr", seed=1)

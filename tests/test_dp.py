@@ -16,6 +16,7 @@ from lbcut.errors import ModelError
 from lbcut.graph import Graph, Instance, bfs_distances, verify_cut
 from lbcut.intervals import IntervalModel, normalize
 from lbcut.oracles import oracle_branch, oracle_subset, random_proper_interval_instance
+from test_intervals import proper_instances, twins
 
 
 def unit_instance(starts, s, t, beta=3, lam=3):
@@ -52,15 +53,26 @@ class TestCrossingCounts:
         assert cc.count(0, 1, 2) == 0
 
     def test_matches_naive_filter(self):
-        for seed in range(12):
-            inst, model = random_proper_interval_instance(9, density=0.6, seed=seed)
+        cases = [random_proper_interval_instance(9, density=0.6, seed=seed) for seed in range(12)]
+        cases += proper_instances(600)
+        seen = set()
+        for inst, model in cases:
             norm = normalize(inst, model)
+            if len(set(model.starts)) < model.n:
+                seen.add("tied starts")
+            if norm.mirrored:
+                seen.add("mirrored")
+            if len(norm.kept) < model.n:
+                seen.add("trimmed")
+            if twins(model, inst.s, inst.t):
+                seen.add("twin terminals")
             cc = compute_crossing_counts(norm)
             q = len(norm.order)
             for h in range(q):
                 for j in range(h, q):
                     for i in range(j, q):
                         assert cc.count(h, j, i) == self.naive(norm, h, j, i)
+        assert seen == {"tied starts", "mirrored", "trimmed", "twin terminals"}
 
     def test_band_narrower_than_q(self):
         # the dp-long recipe at n=80: distinct starts 1..4 eighths apart,

@@ -133,7 +133,14 @@ class TestSweepAgainstBruteForce:
 
             fault = brute_fault(g, model)
             if fault is None:
-                validate_model(g, model)
+                # the returned order is the umbrella order: by (start, -id),
+                # every closed neighbourhood a run in it
+                order = validate_model(g, model)
+                assert order == sorted(range(model.n), key=lambda v: (s[v], -v))
+                rank = {v: r for r, v in enumerate(order)}
+                for v in range(g.n):
+                    ranks = sorted(rank[w] for w in (v, *g.adj[v]))
+                    assert ranks == list(range(ranks[0], ranks[-1] + 1))
                 continue
             with pytest.raises(ModelError) as info:
                 validate_model(g, model)

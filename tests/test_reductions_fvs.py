@@ -11,6 +11,7 @@ from lbcut.reductions_fvs import (
     forward_cut_fvs,
     gen_fvs,
 )
+from lbcut.reductions_pw import CliqueInstance, decode_pw, forward_cut_pw, gen_pw
 
 
 def planted_mc_instance(k, nu, extra, seed):
@@ -148,3 +149,16 @@ class TestDecodeFvs:
             assert sorted(mc.part(v) for v in decoded) == list(range(1, mc.k + 1))
             for a, b in itertools.combinations(decoded, 2):
                 assert mc.graph.has_edge(a, b)
+
+
+def test_each_family_rejects_the_other_familys_output():
+    fvs_out = gen_fvs(CASES[0][0])
+    pw_out = gen_pw(CliqueInstance(Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3), (1, 3)]), 2))
+    for call, out, family in (
+        (forward_cut_pw, fvs_out, "pw"),
+        (decode_pw, fvs_out, "pw"),
+        (forward_cut_fvs, pw_out, "fvs"),
+        (decode_fvs, pw_out, "fvs"),
+    ):
+        with pytest.raises(InputError, match=f"^output was not generated by gen_{family}$"):
+            call(out, ())
