@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .graph import Instance, bfs_distances, edge, min_st_cut, verify_cut
+from .graph import Instance, _cut_edges, bfs_distances, edge, min_st_cut, verify_cut
 from .intervals import IntervalModel, NormalizedInstance, _normalize_valid, validate_model
 
 BIG = np.int64(1) << 40
@@ -340,9 +340,7 @@ def monotonize_cut(norm: NormalizedInstance, f, d: int) -> frozenset:
     sits within dist(t)+1 of s.
     """
     g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
-    f = frozenset(edge(u, v) for u, v in f)
-    if not f <= g.edges:
-        raise InputError("cut contains non-edges")
+    f = _cut_edges(g, f)
     if bfs_distances(g, s, f)[t] < d:
         raise InputError(f"given edge set is not a {d}-cut")
 

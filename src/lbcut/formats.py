@@ -15,12 +15,17 @@ Instance files (1-indexed vertex ids, whitespace separated):
 Cut files are `e <u> <v>` lines, FVS witnesses `v <id>` lines, and path
 decompositions one `B <id> <id> ...` line per bag.  Serialization is
 deterministic, and parse(serialize(x)) round-trips exactly.
+
+A malformed record raises InputError naming its line: a bad field, an id
+outside 1..n, a negative p-line count, a self-loop or repeated edge, or a
+repeated p, s, t, b, l, i, role or param record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .errors import InputError
 from .gadgets import ReductionOutput
@@ -67,16 +72,44 @@ def _parse_int(token: str, ln: int, what: str = "integer") -> int:
         raise InputError(f"line {ln}: bad {what} {token!r}") from None
 
 
-def _vertex_ids(tokens: list[str], ln: int) -> list[int]:
-    """0-based vertex ids from 1-based tokens."""
-    return [_parse_int(x, ln, "vertex id") - 1 for x in tokens]
+def _vertex_id(token: str, ln: int, n: int | None) -> int:
+    """The 0-based id of a 1-based vertex token, checked against 1..n."""
+    v = _parse_int(token, ln, "vertex id")
+    if n is None:
+        raise InputError(f"line {ln}: vertex id before the p-line")
+    if not 1 <= v <= n:
+        raise InputError(f"line {ln}: vertex id {v} out of range 1..{n}")
+    return v - 1
 
 
-def _single(rest: list[str], ln: int, usage: str) -> str:
-    """The one value of a record that takes exactly one."""
-    if len(rest) != 1:
-        raise InputError(f"line {ln}: expected `{usage}`")
-    return rest[0]
+def _p_line(kind: str, rest: list[str], ln: int, n: int | None) -> tuple[int, int]:
+    """(n, m) of a `p <kind> <n> <m>` record; `n` is the count read so far."""
+    if n is not None:
+        raise InputError(f"line {ln}: duplicate p-line")
+    if len(rest) != 3 or rest[0] != kind:
+        raise InputError(f"line {ln}: expected `p {kind} <n> <m>`")
+    n, m = _parse_int(rest[1], ln, "vertex count"), _parse_int(rest[2], ln, "edge count")
+    for count, what in ((n, "vertex"), (m, "edge")):
+        if count < 0:
+            raise InputError(f"line {ln}: negative {what} count {count}")
+    return n, m
+
+
+def _edge_record(rest: list[str], ln: int, n: int | None) -> tuple[int, int, int]:
+    """(line, u, v) of an `e <u> <v>` record, ids 0-based."""
+    if len(rest) != 2:
+        raise InputError(f"line {ln}: expected `e <u> <v>`")
+    return ln, _vertex_id(rest[0], ln, n), _vertex_id(rest[1], ln, n)
+
+
+def _by_line(build, records):
+    """build(pairs) over (line, u, v) records in file order; an InputError it
+    raises names the line of the pair it was reading."""
+    at = [0]  # the line of the pair last handed out
+    try:
+        return build((u, v) for at[0], u, v in records)
+    except InputError as err:
+        raise InputError(f"line {at[0]}: {err}") from None
 
 
 def _parse_rational(token: str, ln: int) -> Fraction:
@@ -99,23 +132,17 @@ class ParsedInstance:
         return self.instance.notes
 
 
+_SCALARS = {"s": "s <id>", "t": "t <id>", "b": "b <beta>", "l": "l <lambda>"}
+
+
 def parse_instance(text: str) -> ParsedInstance:
     """Parse an instance file; malformed lines raise InputError with location."""
     n = m = None
-    s = t = beta = lam = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    scalars: dict[str, int] = {}
+    edges: list[tuple[int, int, int]] = []
     intervals: dict[int, tuple[Fraction, Fraction]] = {}
     roles: dict[int, str] = {}
     params: dict[str, str] = {}
-
-    def vid(token, ln):
-        v = _parse_int(token, ln, "vertex id")
-        if n is None:
-            raise InputError(f"line {ln}: vertex id before the p-line")
-        if not (1 <= v <= n):
-            raise InputError(f"line {ln}: vertex id {v} out of range 1..{n}")
-        return v - 1
 
     for ln, kind, rest in _records(text):
         if kind == "c":
@@ -126,51 +153,39 @@ def parse_instance(text: str) -> ParsedInstance:
             elif len(rest) >= 3 and rest[0] == "role":
                 if len(rest) != 3:
                     raise InputError(f"line {ln}: expected `c role <id> <tag>`")
-                v = vid(rest[1], ln)
+                v = _vertex_id(rest[1], ln, n)
                 if v in roles:
                     raise InputError(f"line {ln}: role of vertex {v + 1} given twice")
                 roles[v] = rest[2]
-            continue
-        if kind == "p":
-            if n is not None:
-                raise InputError(f"line {ln}: duplicate p-line")
-            if len(rest) != 3 or rest[0] != "lbc":
-                raise InputError(f"line {ln}: expected `p lbc <n> <m>`")
-            n = _parse_int(rest[1], ln, "vertex count")
-            m = _parse_int(rest[2], ln, "edge count")
-        elif kind == "s":
-            s = vid(_single(rest, ln, "s <id>"), ln)
-        elif kind == "t":
-            t = vid(_single(rest, ln, "t <id>"), ln)
-        elif kind == "b":
-            beta = _parse_int(_single(rest, ln, "b <beta>"), ln)
-        elif kind == "l":
-            lam = _parse_int(_single(rest, ln, "l <lambda>"), ln)
         elif kind == "e":
-            if len(rest) != 2:
-                raise InputError(f"line {ln}: expected `e <u> <v>`")
-            e = edge(vid(rest[0], ln), vid(rest[1], ln))
-            if e in seen:
-                raise InputError(f"line {ln}: duplicate edge {e}")
-            seen.add(e)
-            edges.append(e)
+            edges.append(_edge_record(rest, ln, n))
+        elif kind == "p":
+            n, m = _p_line("lbc", rest, ln, n)
+        elif kind in _SCALARS:
+            if kind in scalars:
+                raise InputError(f"line {ln}: {kind!r} record given twice")
+            if len(rest) != 1:
+                raise InputError(f"line {ln}: expected `{_SCALARS[kind]}`")
+            scalars[kind] = _vertex_id(rest[0], ln, n) if kind in "st" else _parse_int(rest[0], ln)
         elif kind == "i":
             if len(rest) != 3:
                 raise InputError(f"line {ln}: expected `i <id> <start> <end>`")
-            v = vid(rest[0], ln)
-            intervals[v] = (
-                _parse_rational(rest[1], ln),
-                _parse_rational(rest[2], ln),
-            )
+            v = _vertex_id(rest[0], ln, n)
+            if v in intervals:
+                raise InputError(f"line {ln}: interval of vertex {v + 1} given twice")
+            intervals[v] = _parse_rational(rest[1], ln), _parse_rational(rest[2], ln)
         else:
             raise InputError(f"line {ln}: unknown record type {kind!r}")
 
-    for name, value in (("p", n), ("s", s), ("t", t), ("b", beta), ("l", lam)):
-        if value is None:
+    if n is None:
+        raise InputError("missing 'p' record")
+    for name in _SCALARS:
+        if name not in scalars:
             raise InputError(f"missing {name!r} record")
-    if m != len(edges):
+    graph = _by_line(partial(Graph, n), edges)
+    if m != graph.m:
         raise InputError(f"p-line promises {m} edges, file has {len(edges)}")
-    inst = Instance(Graph(n, edges), s, t, beta, lam)
+    inst = Instance(graph, scalars["s"], scalars["t"], scalars["b"], scalars["l"])
     model = None
     if intervals:
         missing = [v for v in range(n) if v not in intervals]
@@ -291,34 +306,23 @@ def load_reduction_output(text: str, source=None) -> ReductionOutput:
 
 def parse_source_graph(text: str) -> Graph:
     """`p graph <n> <m>` header plus `e <u> <v>` lines (1-indexed)."""
-    n = None
+    n = m = None
     edges = []
     for ln, kind, rest in _records(text):
         if kind == "c":
             continue
         if kind == "p":
-            if n is not None:
-                raise InputError(f"line {ln}: duplicate p-line")
-            if len(rest) != 3 or rest[0] != "graph":
-                raise InputError(f"line {ln}: expected `p graph <n> <m>`")
-            n = _parse_int(rest[1], ln, "vertex count")
-            m = _parse_int(rest[2], ln, "edge count")
+            n, m = _p_line("graph", rest, ln, n)
         elif kind == "e":
-            if n is None:
-                raise InputError(f"line {ln}: edge before the p-line")
-            if len(rest) != 2:
-                raise InputError(f"line {ln}: expected `e <u> <v>`")
-            u, v = _vertex_ids(rest, ln)
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"line {ln}: edge endpoint out of range")
-            edges.append((u, v))
+            edges.append(_edge_record(rest, ln, n))
         else:
             raise InputError(f"line {ln}: unknown record type {kind!r}")
     if n is None:
         raise InputError("missing `p graph` record")
-    if m != len(edges):
+    g = _by_line(partial(Graph, n), edges)
+    if m != g.m:
         raise InputError(f"p-line promises {m} edges, file has {len(edges)}")
-    return Graph(n, edges)
+    return g
 
 
 def serialize_source_graph(g: Graph) -> str:
@@ -328,17 +332,20 @@ def serialize_source_graph(g: Graph) -> str:
 
 
 def parse_cut(text: str, g: Graph) -> frozenset:
-    cut = set()
+    def cut_edge(pair):
+        e = edge(*pair)
+        if e not in g.edges:
+            raise InputError(f"{e} is not an edge of the instance")
+        return e
+
+    pairs = []
     for ln, kind, rest in _records(text):
         if kind == "c":
             continue
-        if kind != "e" or len(rest) != 2:
+        if kind != "e":
             raise InputError(f"line {ln}: expected `e <u> <v>`")
-        e = edge(*_vertex_ids(rest, ln))
-        if e not in g.edges:
-            raise InputError(f"line {ln}: {e} is not an edge of the instance")
-        cut.add(e)
-    return frozenset(cut)
+        pairs.append(_edge_record(rest, ln, g.n))
+    return _by_line(lambda cut: frozenset(map(cut_edge, cut)), pairs)
 
 
 def serialize_cut(cut) -> str:
@@ -352,10 +359,7 @@ def parse_fvs(text: str, g: Graph) -> frozenset:
             continue
         if kind != "v" or len(rest) != 1:
             raise InputError(f"line {ln}: expected `v <id>`")
-        (v,) = _vertex_ids(rest, ln)
-        if not (0 <= v < g.n):
-            raise InputError(f"line {ln}: vertex id out of range")
-        vertices.add(v)
+        vertices.add(_vertex_id(rest[0], ln, g.n))
     return frozenset(vertices)
 
 
@@ -370,11 +374,7 @@ def parse_path_decomposition(text: str, g: Graph) -> PathDecomposition:
             continue
         if kind != "B":
             raise InputError(f"line {ln}: expected `B <id> <id> ...`")
-        bag = frozenset(_vertex_ids(rest, ln))
-        for v in bag:
-            if not (0 <= v < g.n):
-                raise InputError(f"line {ln}: vertex id out of range")
-        bags.append(bag)
+        bags.append(frozenset(_vertex_id(x, ln, g.n) for x in rest))
     return PathDecomposition(tuple(bags))
 
 

@@ -71,9 +71,9 @@ class GadgetBuilder:
 
     def __init__(self):
         self.roles: list[str] = []
-        self.edges: set[tuple[int, int]] = set()
+        self.edges: list[tuple[int, int]] = []
         self.paths: dict[str, tuple[int, ...]] = {}
-        self.vertex_by_role: dict[str, int] = {}
+        self.vertex_by_role: dict[str, int] = {}  # anchors; `paths` holds the rest
 
     def vertex(self, tag: str) -> int:
         if tag in self.vertex_by_role:
@@ -84,10 +84,7 @@ class GadgetBuilder:
         return vid
 
     def edge(self, u: int, v: int) -> None:
-        e = edge(u, v)
-        if e in self.edges:
-            raise InternalCheckError(f"duplicate edge {e}")
-        self.edges.add(e)
+        self.edges.append((u, v))
 
     def path(self, u: int, v: int, length: int, tag: str) -> tuple[int, ...]:
         """A u-v path with `length` edges; interior vertices get tag@pos."""
@@ -95,17 +92,19 @@ class GadgetBuilder:
             raise InternalCheckError(f"path {tag!r} needs positive length")
         if tag in self.paths:
             raise InternalCheckError(f"duplicate path role {tag!r}")
-        seq = [u]
-        for pos in range(1, length):
-            seq.append(self.vertex(f"{tag}@{pos}"))
-        seq.append(v)
-        for a, b in zip(seq, seq[1:]):
-            self.edge(a, b)
-        self.paths[tag] = tuple(seq)
-        return self.paths[tag]
+        first = len(self.roles)
+        self.roles.extend(f"{tag}@{pos}" for pos in range(1, length))
+        seq = (u, *range(first, len(self.roles)), v)
+        self.edges.extend(zip(seq, seq[1:]))
+        self.paths[tag] = seq
+        return seq
 
     def graph(self) -> Graph:
-        return Graph(len(self.roles), self.edges)
+        """The built graph; a self-loop or repeated edge is a generator bug."""
+        try:
+            return Graph(len(self.roles), self.edges)
+        except InputError as err:
+            raise InternalCheckError(str(err)) from err
 
     def output(self, s: int, t: int, beta: int, lam: int, params, source) -> "ReductionOutput":
         """The built graph as an instance, with its roles, paths and params."""

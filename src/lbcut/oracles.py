@@ -119,7 +119,7 @@ def random_proper_interval_instance(
         s, t = t, s
     beta = rng.randint(*beta_range)
     lam = rng.randint(*lambda_range)
-    inst = Instance(g, s, t, min(beta, g.m), min(lam, n))
+    inst = Instance(g, s, t, beta, lam)
     return inst, model
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .gadgets import GadgetBuilder, LexEdges, ReductionOutput, role
-from .graph import Graph, edge
+from .graph import Graph, edge, edge_set
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def decode_fvs(out: ReductionOutput, f) -> tuple[int, ...] | None:
     anything else decodes to None.
     """
     mc = _source(out)
-    f = frozenset(edge(u, v) for u, v in f)
+    f = edge_set(f)
     s = out.anchor("s")
     t = out.anchor("t")
     m, nu = mc.graph.m, mc.nu

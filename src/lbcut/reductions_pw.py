@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, InternalCheckError
 from .gadgets import GadgetBuilder, LexEdges, ReductionOutput, role
-from .graph import Graph, edge
+from .graph import Graph, edge, edge_set
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ def decode_pw(out: ReductionOutput, f) -> tuple[int, ...] | None:
     the lower path of every ladder; the upper positions name the vertices.
     """
     cq = _source(out)
-    f = frozenset(edge(u, v) for u, v in f)
+    f = edge_set(f)
     n, k = cq.graph.n, cq.k
     chosen = []
     for gadget in range(1, k + 1):

@@ -83,9 +83,16 @@ PATH_3 = "p lbc 3 2\ns 1\nt 3\nb 1\nl 2\ne 1 2\ne 2 3\n"
         ("cut", "e 1 x\n", 1),
         ("fvs", "v 1\nv x\n", 2),
         ("solve", PATH_3.replace("b 1", "b \xff").encode("latin-1"), 4),
+        ("source", "p graph 2 2\ne 1 2\ne 2 1\n", 3),
+        ("source", "p graph 2 1\ne 1 1\n", 2),
+        ("solve", PATH_3.replace("e 2 3", "e 3 3"), 7),
+        ("cut", "e 1 2\ne 2 2\n", 2),
+        ("source", "p graph -3 0\n", 1),
+        ("solve", PATH_3.replace("p lbc 3 2", "p lbc -3 2"), 1),
     ],
     ids=["b-zz", "p-lbc-x", "bare-s", "source-id", "cut-non-edge", "cut-id", "fvs-id",
-         "not-utf-8"],
+         "not-utf-8", "source-repeated-edge", "source-self-loop", "solve-self-loop",
+         "cut-self-loop", "p-graph-negative", "p-lbc-negative"],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, text, line):
     bad = tmp_path / "bad.txt"

@@ -59,6 +59,7 @@ class TestParseInstance:
         "mutation, message",
         [
             ("e 1 2", "duplicate edge"),
+            ("e 2 2", "self-loop"),
             ("e 1 3", "out of range"),
             ("q 1", "unknown record"),
             ("i 1 x 1", "bad rational"),
@@ -128,8 +129,12 @@ class TestAuxiliaryFormats:
             ("p graph 2 x\ne 1 2\n", "line 1: bad edge count 'x'"),
             ("p graph 3 9\ne 1 2\n", "p-line promises 9 edges, file has 1"),
             ("p graph 2 0\np graph 3 1\ne 1 2\n", "line 2: duplicate p-line"),
+            ("p graph -3 0\n", "line 1: negative vertex count -3"),
+            ("p graph 2 -1\n", "line 1: negative edge count -1"),
+            ("p graph 2 2\ne 1 2\ne 2 1\n", "line 3: duplicate edge"),
         ],
-        ids=["m-not-integer", "m-mismatch", "two-p-lines"],
+        ids=["m-not-integer", "m-mismatch", "two-p-lines", "n-negative", "m-negative",
+             "repeated-edge"],
     )
     def test_source_graph_header_checked(self, text, message):
         with pytest.raises(InputError, match=message):
@@ -219,8 +224,14 @@ def test_reduction_output_annotations_checked(extra, message):
         ("c param k 3\nc param k 3\n", "line 9: param 'k' given twice"),
         ("c role 2 x y z\n", "line 8: expected `c role <id> <tag>`"),
         ("c role 2 x\nc role 2 y\n", "line 9: role of vertex 2 given twice"),
+        ("l 2\n", "line 8: 'l' record given twice"),
+        ("s 1\n", "line 8: 's' record given twice"),
+        ("t 1\n", "line 8: 't' record given twice"),
+        ("b 0\n", "line 8: 'b' record given twice"),
+        ("i 1 0 1\ni 2 0.5 1.5\ni 1 0 2\n", "line 10: interval of vertex 1 given twice"),
     ],
-    ids=["param-changed", "param-repeated", "role-extra-fields", "role-repeated"],
+    ids=["param-changed", "param-repeated", "role-extra-fields", "role-repeated",
+         "l-repeated", "s-repeated", "t-repeated", "b-repeated", "interval-repeated"],
 )
 def test_ambiguous_annotations_rejected(extra, message):
     with pytest.raises(InputError, match=re.escape(message)):
@@ -272,6 +283,18 @@ def paths_equal_up_to_reversal(a, b):
     if a.keys() != b.keys():
         return False
     return all(b[tag] in (seq, tuple(reversed(seq))) for tag, seq in a.items())
+
+
+@pytest.mark.parametrize(
+    "gen, case", [(gen_pw, PW_CASES[0]), (gen_fvs, FVS_CASES[1])], ids=["pw", "fvs"]
+)
+def test_reload_keeps_the_role_index(gen, case):
+    # vertex_by_role holds the anchors only, whether generated or reloaded
+    source, _ = case
+    out = gen(source)
+    reloaded = load_reduction_output(serialize_reduction_output(out), source=source)
+    assert reloaded.vertex_by_role == out.vertex_by_role
+    assert not any("@" in tag for tag in out.vertex_by_role)
 
 
 class TestReductionRoundTrip:

@@ -4,7 +4,8 @@ from random import Random
 
 import pytest
 
-from lbcut.errors import InputError
+from lbcut.errors import InputError, InternalCheckError
+from lbcut.gadgets import GadgetBuilder
 from lbcut.graph import Graph, bfs_distances, verify_cut
 from lbcut.reductions_pw import CliqueInstance, decode_pw, forward_cut_pw, gen_pw
 
@@ -80,6 +81,16 @@ class TestGenPw:
         out = gen_pw(k3_with_padding())
         assert len(out.roles) == out.instance.graph.n
         assert len(set(out.roles)) == out.instance.graph.n
+
+    @pytest.mark.parametrize("pairs", [[(0, 1), (1, 0)], [(1, 1)]], ids=["repeat", "loop"])
+    def test_builder_edge_faults_are_internal(self, pairs):
+        b = GadgetBuilder()
+        b.vertex("x")
+        b.vertex("y")
+        for u, v in pairs:
+            b.edge(u, v)
+        with pytest.raises(InternalCheckError):
+            b.graph()
 
     def test_empty_cut_admits_short_path(self):
         for cq, _ in CASES:
