@@ -23,11 +23,35 @@ list and no sort (see compute_crossing_counts).
 
 Column d of the tables takes, for each rank i, a minimum over the rows
 j <= i of column d-1.  The rows that no edge crosses into i or beyond
-charge nothing and reduce to a running minimum of T[:, d-1]; only a band
-of at most W rows per rank, W being at most the largest forward degree
-(edges from a rank to higher ranks), needs the crossing counts.  The fill
-therefore costs O(lam * q * W), not O(lam * q^2); ties still go to the
-smallest row, so T and S equal those of the full q x q reduction.
+charge nothing; a column of T does not grow with the rank, so they reduce
+to the last of them.  Only a band of at most W + 1 rows per rank, W being
+at most the largest forward degree (edges from a rank to higher ranks),
+needs the crossing counts.  Ties go to the smallest row, as in the full
+q x q reduction.
+
+Only a window of each row is filled.  A length-bounded cut is an integer
+labelling D with D(s) = 0 and D(t) >= lam + 1, the cut being the edges
+whose labels differ by 2 or more: dist(s, .) in G - F labels a cut F, and
+labels grow by at most 1 along each edge of G - F, so dist(s, t) >= D(t)
+there.  Let delta = dist(s, .) and c = lam + 1 - dist(s, t).  Replacing D
+by min(max(D, delta), delta + c) keeps D(s) = 0 and D(t) >= lam + 1, and
+it adds no cut edge: on an edge both D and delta change by at most 1, so
+their max and min do too.  Since delta is non-decreasing along the
+umbrella order (BFS layers are runs of ranks), a monotone D stays
+monotone.  So some optimum has delta <= D <= delta + c, and the clamp with
+d - delta(i) <= c in place of c does the same for the subproblem of any
+cell T[i, d] with d > delta(i).  A monotone labelling walks through the
+cells (first rank with D >= d, d), and on the clamped one each has
+d <= D <= delta + c.  With delta taken in the trimmed G - t (it is at
+least the delta of G), the table therefore needs, for each rank i,
+  - nothing for d <= delta(i): T[i, d] = 0, no deletion being needed
+    (the zero region);
+  - nothing for d > delta(i) + c: no optimal walk enters those cells;
+  - the c columns d in (delta(i), delta(i) + c] in between (the window).
+For each d the ranks whose window holds d form one run, so a step reduces
+that run against its band alone: the fill takes O(c * q * W) time over its
+lam - 2 steps and O(c * q) table memory, however large lam is (c = 2 when
+lam = dist(s, t) + 1).
 
 The tables read ranks, never interval coordinates.  The interior
 neighbours of s are the first deg(s) ranks and those of t the last deg(t)
@@ -47,6 +71,7 @@ returned.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +135,13 @@ class DpTables:
 
     The fields from norm on are filled by the table fill only; they stay
     None when dp_solve answers before it.
+
+    T and S are q x c arrays holding the window of each rank (see the module
+    docstring): the cell of rank i and distance d, delta[i] < d <=
+    delta[i] + c, sits in column d - delta[i] - 1, with delta = dist(s, .)
+    in the trimmed G - t, capped at lam.  The other cells are implicit:
+    cost 0 with frontier z(i) (see CrossingCounts) for d <= delta[i], and
+    BIG for d > delta[i] + c.  Window cells with d > lam hold BIG.
     """
 
     cost: int
@@ -121,6 +153,7 @@ class DpTables:
     norm: NormalizedInstance | None = None
     T: np.ndarray | None = None
     S: np.ndarray | None = None
+    delta: np.ndarray | None = None
     crossing: CrossingCounts | None = None
     best_rank: int | None = None
     table_cost: int | None = None
@@ -138,7 +171,8 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
     g, s, t, lam = inst.graph, inst.s, inst.t, inst.lam
     st_edge = g.has_edge(s, t)
 
-    if bfs_distances(g, s)[t] > lam:
+    dist = bfs_distances(g, s)[t]
+    if dist > lam:
         return 0, DpTables(
             cost=0, decision=0 <= inst.beta, branch="no-short-path",
             mincut_size=0, mincut_edges=frozenset(), st_edge=False,
@@ -161,13 +195,13 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
 
     norm = _normalize_valid(inst, model, order)
     crossing = compute_crossing_counts(norm)
-    T, S = _fill_tables(norm, crossing, lam)
+    T, S, delta, last = _fill_tables(norm, crossing, lam, lam + 1 - dist)
     q = len(norm.order)
     if q > 0:
         # t's interior neighbours are the last deg_t ranks; the ranks below
         # i may stay closer to s than lam, so their t-edges are cut too
         deg_t = norm.inst.graph.degree(norm.inst.t) - st_edge
-        totals = T[:, lam] + np.maximum(0, np.arange(q) - (q - deg_t))
+        totals = last + np.maximum(0, np.arange(q) - (q - deg_t))
         best_rank = int(np.argmin(totals))
         table_cost = base + int(totals[best_rank])
     else:
@@ -188,6 +222,7 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
         norm=norm,
         T=T,
         S=S,
+        delta=delta,
         crossing=crossing,
         best_rank=best_rank,
         table_cost=table_cost,
@@ -198,62 +233,77 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
     return cost, tables
 
 
-def _fill_tables(norm, crossing, lam):
+def _fill_tables(norm, crossing, lam, c):
+    """The window of T and S (see DpTables), delta, and column lam of T
+    over every rank, implicit cells included."""
     q = len(norm.order)
     z, prefix = crossing.z, crossing.prefix
-
-    T = np.full((q, lam + 1), BIG, dtype=np.int64)
-    S = np.zeros((q, lam + 1), dtype=np.int64)
-    if q == 0:
-        return T, S
-
     g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
     deg_s = g.degree(s) - g.has_edge(s, t)
-    # d = 2: cut the s-edges reaching rank i and beyond; s's interior
-    # neighbours are the first deg_s ranks
-    T[:, 2] = np.maximum(deg_s - np.arange(q), 0)
-    S[:, 2] = 0
+    # first[k]: the first rank with delta >= k.  The interior neighbours of s
+    # are the first deg_s ranks; past them a rank lies one BFS layer beyond
+    # its lowest neighbour z(i) < i (it has none: unreachable), and z is
+    # non-decreasing, so each layer ends where z reaches the layer's start
+    first, z_list = [0, 0, deg_s], z.tolist()
+    while len(first) <= lam and first[-1] > first[-2]:
+        first.append(bisect_left(z_list, first[-1]))
+    first += [first[-1]] * (lam + 1 - len(first))
+    cols = np.arange(q)
+    delta = np.array(first[1:]).searchsorted(cols, side="right")  # capped at lam
 
-    if lam >= 3:
-        T[0, 3:] = deg_s
-        S[0, 3:] = 0
+    T = np.full((q, c), BIG, dtype=np.int64)
+    S = np.zeros((q, c), dtype=np.int64)
+    # col_T, col_S: the current column d of T and S over every rank.  At
+    # d = 2 the first deg_s ranks (delta = 1) cut the s-edges reaching rank
+    # i and beyond; every later rank is in the zero region, where the
+    # frontier z(j) charges every edge into ranks >= j, none being cut
+    col_T = np.zeros(q, dtype=np.int64)
+    col_T[:deg_s] = T[:deg_s, 0] = deg_s - cols[:deg_s]
+    col_S = z.copy()
+    col_S[:deg_s] = 0
 
     # T[i, d] = min over j <= i of T[j, d-1] + C[S[j, d-1], j, i], first
     # minimizing j.  P[:, i] is non-decreasing from P[0, i] = 0 (see
     # CrossingCounts); every row j <= z(i), the last with P[j, i] = 0,
-    # charges nothing (S[j, d-1] <= j), so those rows reduce to a running
-    # minimum of T[:, d-1].  Only the band z(i) < j <= i, at most W =
-    # max(i - z(i)) <= the largest forward degree wide, is computed, so a
-    # step costs O(q * W) and the fill O(lam * q * W).  The band comes after
-    # the running-minimum rows, so ties go to the running minimum, as in a
-    # plain argmin over j.
-    cols = np.arange(q)
-    width = prefix.shape[1] - 1
-    band = z[:, None] + 1 + np.arange(width)  # band rows J[i, k], valid while <= i
+    # charges nothing (S[j, d-1] <= j).  A column of T does not grow with
+    # the rank (the rows j <= i all compete for T[i, d], and C[h, j, i] does
+    # not grow with i), so those rows reduce to T[z(i), d-1], attained
+    # first where its run of equal values starts.  Masking keeps this from
+    # the first unmasked rank on: the window agrees with the full table,
+    # and the zero region is 0.  The band z(i) <= j <= i, at most W + 1 =
+    # max(i - z(i)) + 1 rows, W at most the largest forward degree, is
+    # gathered from column k = 0 on, so ties go to the free rows.
+    width = prefix.shape[1]
+    band = z[:, None] + np.arange(width)  # band rows J[i, k], valid while <= i
     invalid = band > cols[:, None]
     band[invalid] = 0
-    # P[J, i] = prefix[i, k + 1], with BIG on the invalid cells so they never win
-    band_base = np.where(invalid, BIG, prefix[:, 1:])
+    # P[J, i] = prefix[i, k], with BIG on the invalid cells so they never win
+    band_base = np.where(invalid, BIG, prefix)
     # P[h, i] = flat_prefix[row_at[i] + max(h, z(i))] for h <= i
-    flat_prefix = prefix.ravel()
-    row_at = (cols * (width + 1) - z)[:, None]
+    flat_prefix, flat_band = prefix.ravel(), band.ravel()
+    row_at = (cols * width - z)[:, None]
+    band_at = cols * width
     zcol = z[:, None]
-    new_min = np.ones(q, dtype=bool)
+    cell_at = cols * c - delta - 1  # T.flat[cell_at[i] + d] is T[i, d]
+    flat_T, flat_S = T.ravel(), S.ravel()
     for d in range(3, lam + 1):
-        prev = T[:, d - 1]
-        run_min = np.minimum.accumulate(prev)
-        np.less(prev[1:], run_min[:-1], out=new_min[1:])
-        # run_arg[j]: the first row attaining run_min[j]
-        run_arg = np.maximum.accumulate(np.where(new_min, cols, 0))
-        # M[i, k] = T[J, d-1] + C[S[J, d-1], J, i] for J = band[i, k]
-        M = prev[band] + band_base - flat_prefix[np.maximum(S[band, d - 1], zcol) + row_at]
-        k = M.argmin(axis=1)
-        band_min = M[cols, k]
-        free_min = run_min[z]
-        use_band = band_min < free_min
-        T[1:, d] = np.where(use_band, band_min, free_min)[1:]
-        S[1:, d] = np.where(use_band, band[cols, k], run_arg[z])[1:]
-    return T, S
+        # ranks [lo, a) leave the window (delta = d-1-c), ranks [a, b) hold d;
+        # the ranks below lo are masked in column d - 1
+        lo, a, b = first[max(d - 1 - c, 0)], first[max(d - c, 0)], first[d]
+        if a < b:
+            J = band[a:b]
+            M = col_T[J] + band_base[a:b] - flat_prefix[
+                np.maximum(col_S[J], zcol[a:b]) + row_at[a:b]]
+            k = M.argmin(axis=1)
+            # the run of T[z(i), d-1] starts at the first rank holding a
+            # value no larger, searched on the reversed non-decreasing column
+            r1 = int(z[b - 1]) + 1
+            run_start = r1 - col_T[lo:r1][::-1].searchsorted(M[:, 0], side="right")
+            cells = cell_at[a:b] + d
+            col_T[a:b] = flat_T[cells] = M.min(axis=1)
+            col_S[a:b] = flat_S[cells] = np.where(k == 0, run_start, flat_band[band_at[a:b] + k])
+        col_T[lo:a] = BIG
+    return T, S, delta, col_T
 
 
 def extract_cut(inst: Instance, model: IntervalModel, tables: DpTables) -> frozenset:
@@ -292,17 +342,17 @@ def _reconstruct(inst, tables):
         if w != s and pos[w] < best:
             cut.add(edge(kept[t], kept[w]))
 
-    S = tables.S
-    i, d = best, tables.T.shape[1] - 1  # d begins at the original lambda
-    while True:
+    S, delta, z = tables.S, tables.delta.tolist(), tables.crossing.z
+    i, d = best, inst.lam
+    while d > delta[i]:  # the zero region cuts nothing
         if i == 0 or d == 2:
             # initialization cuts: s-edges to ranks >= i (all of them at rank 0)
             for w in g.adj[s]:
                 if w != t and (i == 0 or pos[w] >= i):
                     cut.add(edge(kept[s], kept[w]))
             break
-        j = int(S[i, d])
-        h = int(S[j, d - 1])
+        j = int(S[i, d - delta[i] - 1])
+        h = int(S[j, d - delta[j] - 2] if d - 1 > delta[j] else z[j])
         for l in range(h, j):
             vl = order[l]
             for w in g.adj[vl]:

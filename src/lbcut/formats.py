@@ -16,16 +16,17 @@ Cut files are `e <u> <v>` lines, FVS witnesses `v <id>` lines, and path
 decompositions one `B <id> <id> ...` line per bag.  Serialization is
 deterministic, and parse(serialize(x)) round-trips exactly.
 
-A malformed record raises InputError naming its line: a bad field, an id
-outside 1..n, a negative p-line count, a self-loop or repeated edge, or a
-repeated p, s, t, b, l, i, role or param record.
+A malformed record raises InputError naming its line, with ids 1-based as
+in the file: a bad field, an id outside 1..n, a negative p-line count, a
+self-loop or repeated edge, a cut edge the instance lacks, a vertex given
+twice in an FVS or in one bag, or a repeated p, s, t, b, l, i, role or
+param record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 from .errors import InputError
 from .gadgets import ReductionOutput
@@ -102,14 +103,20 @@ def _edge_record(rest: list[str], ln: int, n: int | None) -> tuple[int, int, int
     return ln, _vertex_id(rest[0], ln, n), _vertex_id(rest[1], ln, n)
 
 
-def _by_line(build, records):
-    """build(pairs) over (line, u, v) records in file order; an InputError it
-    raises names the line of the pair it was reading."""
+def _graph(n: int, records) -> Graph:
+    """Graph(n, pairs) over (line, u, v) records in file order.
+
+    The ids are already checked against 1..n, so Graph can only reject the
+    pair it was reading as a self-loop or a repeat; the error names that
+    pair's line and its 1-based ids.
+    """
     at = [0]  # the line of the pair last handed out
     try:
-        return build((u, v) for at[0], u, v in records)
-    except InputError as err:
-        raise InputError(f"line {at[0]}: {err}") from None
+        return Graph(n, ((u, v) for at[0], u, v in records))
+    except InputError:
+        u, v = next((u + 1, v + 1) for ln, u, v in records if ln == at[0])
+        what = f"self-loop at vertex {u}" if u == v else f"duplicate edge {edge(u, v)}"
+        raise InputError(f"line {at[0]}: {what}") from None
 
 
 def _parse_rational(token: str, ln: int) -> Fraction:
@@ -182,7 +189,7 @@ def parse_instance(text: str) -> ParsedInstance:
     for name in _SCALARS:
         if name not in scalars:
             raise InputError(f"missing {name!r} record")
-    graph = _by_line(partial(Graph, n), edges)
+    graph = _graph(n, edges)
     if m != graph.m:
         raise InputError(f"p-line promises {m} edges, file has {len(edges)}")
     inst = Instance(graph, scalars["s"], scalars["t"], scalars["b"], scalars["l"])
@@ -319,7 +326,7 @@ def parse_source_graph(text: str) -> Graph:
             raise InputError(f"line {ln}: unknown record type {kind!r}")
     if n is None:
         raise InputError("missing `p graph` record")
-    g = _by_line(partial(Graph, n), edges)
+    g = _graph(n, edges)
     if m != g.m:
         raise InputError(f"p-line promises {m} edges, file has {len(edges)}")
     return g
@@ -332,20 +339,22 @@ def serialize_source_graph(g: Graph) -> str:
 
 
 def parse_cut(text: str, g: Graph) -> frozenset:
-    def cut_edge(pair):
-        e = edge(*pair)
-        if e not in g.edges:
-            raise InputError(f"{e} is not an edge of the instance")
-        return e
-
-    pairs = []
+    cut = set()
     for ln, kind, rest in _records(text):
         if kind == "c":
             continue
         if kind != "e":
             raise InputError(f"line {ln}: expected `e <u> <v>`")
-        pairs.append(_edge_record(rest, ln, g.n))
-    return _by_line(lambda cut: frozenset(map(cut_edge, cut)), pairs)
+        _, u, v = _edge_record(rest, ln, g.n)
+        if u == v:
+            raise InputError(f"line {ln}: self-loop at vertex {u + 1}")
+        e = edge(u, v)
+        if e not in g.edges:
+            raise InputError(f"line {ln}: {edge(u + 1, v + 1)} is not an edge of the instance")
+        if e in cut:
+            raise InputError(f"line {ln}: duplicate edge {edge(u + 1, v + 1)}")
+        cut.add(e)
+    return frozenset(cut)
 
 
 def serialize_cut(cut) -> str:
@@ -359,7 +368,10 @@ def parse_fvs(text: str, g: Graph) -> frozenset:
             continue
         if kind != "v" or len(rest) != 1:
             raise InputError(f"line {ln}: expected `v <id>`")
-        vertices.add(_vertex_id(rest[0], ln, g.n))
+        v = _vertex_id(rest[0], ln, g.n)
+        if v in vertices:
+            raise InputError(f"line {ln}: vertex {v + 1} given twice")
+        vertices.add(v)
     return frozenset(vertices)
 
 
@@ -374,7 +386,13 @@ def parse_path_decomposition(text: str, g: Graph) -> PathDecomposition:
             continue
         if kind != "B":
             raise InputError(f"line {ln}: expected `B <id> <id> ...`")
-        bags.append(frozenset(_vertex_id(x, ln, g.n) for x in rest))
+        bag = set()
+        for x in rest:
+            v = _vertex_id(x, ln, g.n)
+            if v in bag:
+                raise InputError(f"line {ln}: vertex {v + 1} given twice in one bag")
+            bag.add(v)
+        bags.append(frozenset(bag))
     return PathDecomposition(tuple(bags))
 
 

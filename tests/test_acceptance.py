@@ -340,9 +340,10 @@ def test_table_branch_runtime_envelope_large():
     )
 
 
-# The n=3200 recipe at n=12800 (q=10276, lam=537 for seed 1), solved in a
-# fresh interpreter so its peak RSS is the solve's own.  A dense (q+1) x q
-# crossing matrix alone would take 845 MB here, three of them 2.5 GB.
+# The n=3200 recipe at n=12800 (q=10276, lam=537 for seed 1) and n=25600
+# (q=20520, lam=1076), solved in a fresh interpreter so its peak RSS is the
+# solve's own.  At n=12800 a dense (q+1) x q crossing matrix alone would
+# take 845 MB, and at n=25600 q x (lam+1) tables T and S 177 MB each.
 ENVELOPE_CHILD = """
 import json, resource, sys, time
 from fractions import Fraction
@@ -351,9 +352,9 @@ from lbcut.dp import dp_solve, extract_cut
 from lbcut.graph import Instance, bfs_distances
 from lbcut.intervals import IntervalModel
 
-n, seed = 12800, int(sys.argv[1])
+n, seed = int(sys.argv[1]), int(sys.argv[2])
 rng = Random(seed)
-model = IntervalModel.unit([Fraction(rng.randrange(640 * 1000), 1000) for _ in range(n)])
+model = IntervalModel.unit([Fraction(rng.randrange(n // 20 * 1000), 1000) for _ in range(n)])
 g = model.induced_graph()
 ranked = sorted(range(n), key=lambda v: (model.starts[v], v))
 s, t = ranked[n // 10], ranked[9 * n // 10]
@@ -371,23 +372,36 @@ print(json.dumps({
 """
 
 
-def test_table_branch_envelope_12800():
-    # bounds are about 3x the time (~5 s) and 2x the peak RSS (~240 MB)
-    # measured on a 2-vCPU host
+def table_branch_envelope(n):
+    """Solve and cut the n-vertex envelope recipe (~20 starts per unit,
+    terminals at rank 10%/90%, lam = dist + 1, seed 1) in a child process;
+    assert it takes the table branch in under 15 s and 512 MB."""
     src = str(Path(lbcut.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-c", ENVELOPE_CHILD, "1"], env=env, capture_output=True,
+        [sys.executable, "-c", ENVELOPE_CHILD, str(n), "1"], env=env, capture_output=True,
         text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out["branch"] == "table" and out["q"] > 10_000
-    assert out["seconds"] < 15, f"n=12800 solve took {out['seconds']:.1f}s"
-    assert out["maxrss_mb"] < 512, f"n=12800 solve peaked at {out['maxrss_mb']:.0f} MB"
+    assert out["branch"] == "table" and out["q"] > n * 25 // 32  # 10,000 at n=12800
+    assert out["seconds"] < 15, f"n={n} solve took {out['seconds']:.1f}s"
+    assert out["maxrss_mb"] < 512, f"n={n} solve peaked at {out['maxrss_mb']:.0f} MB"
     report(
-        "9 (table branch, n=12800)",
+        f"9 (table branch, n={n})",
         f"q={out['q']} solved and cut in {out['seconds']:.1f}s at "
         f"{out['maxrss_mb']:.0f} MB peak RSS",
     )
+
+
+def test_table_branch_envelope_12800():
+    # bounds are about 6x the time (~2.5 s) and 5x the peak RSS (~100 MB)
+    # measured on a 2-vCPU host
+    table_branch_envelope(12800)
+
+
+def test_table_branch_envelope_25600():
+    # bounds are about 2.5x the time (~6 s) and 3x the peak RSS (~175 MB)
+    # measured on a 2-vCPU host
+    table_branch_envelope(25600)

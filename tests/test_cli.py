@@ -89,10 +89,19 @@ PATH_3 = "p lbc 3 2\ns 1\nt 3\nb 1\nl 2\ne 1 2\ne 2 3\n"
         ("cut", "e 1 2\ne 2 2\n", 2),
         ("source", "p graph -3 0\n", 1),
         ("solve", PATH_3.replace("p lbc 3 2", "p lbc -3 2"), 1),
+        # the rest also check the message, whose ids are 1-based as in the file
+        ("source", "p graph 2 2\ne 1 2\ne 2 1\n", "3: duplicate edge (1, 2)"),
+        ("source", "p graph 2 1\ne 1 1\n", "2: self-loop at vertex 1"),
+        ("solve", PATH_3.replace("e 2 3", "e 3 3"), "7: self-loop at vertex 3"),
+        ("cut", "e 1 3\n", "1: (1, 3) is not an edge of the instance"),
+        ("cut", "e 1 2\ne 2 1\n", "2: duplicate edge (1, 2)"),
+        ("fvs", "v 2\nv 2\n", "2: vertex 2 given twice"),
     ],
     ids=["b-zz", "p-lbc-x", "bare-s", "source-id", "cut-non-edge", "cut-id", "fvs-id",
          "not-utf-8", "source-repeated-edge", "source-self-loop", "solve-self-loop",
-         "cut-self-loop", "p-graph-negative", "p-lbc-negative"],
+         "cut-self-loop", "p-graph-negative", "p-lbc-negative", "source-repeated-edge-ids",
+         "source-self-loop-ids", "solve-self-loop-ids", "cut-non-edge-ids",
+         "cut-repeated-edge", "fvs-repeated-vertex"],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, text, line):
     bad = tmp_path / "bad.txt"

@@ -12,10 +12,15 @@ from lbcut.dp import (
     extract_cut,
     solve,
 )
-from lbcut.errors import ModelError
+from lbcut.errors import BudgetExceeded, ModelError
 from lbcut.graph import Graph, Instance, bfs_distances, verify_cut
 from lbcut.intervals import IntervalModel, normalize
-from lbcut.oracles import oracle_branch, oracle_subset, random_proper_interval_instance
+from lbcut.oracles import (
+    OracleBudget,
+    oracle_branch,
+    oracle_subset,
+    random_proper_interval_instance,
+)
 from test_intervals import proper_instances, twins
 
 
@@ -193,9 +198,11 @@ class TestDpAgainstOracle:
         assert checked >= 20
 
 
-def dense_fill(T, S, prefix, lam):
-    """Reference for the d >= 3 columns of _fill_tables: the full q x q
-    reduction, given column 2 and row 0 of the tables."""
+def dense_fill(T, S, prefix, lam, delta=None, c=None):
+    """Reference for the d >= 3 columns of the table: the full q x q
+    reduction over q x (lam+1) tables, given column 2 and row 0.  With
+    delta and c given it is the masked full fill: after each column the
+    cells with d - delta(i) > c are set to BIG."""
     T, S = T.copy(), S.copy()
     q = T.shape[0]
     rows = np.arange(q)
@@ -206,7 +213,31 @@ def dense_fill(T, S, prefix, lam):
         M[mask_lower] = BIG
         T[1:, d] = M[:, 1:].min(axis=0)
         S[1:, d] = M[:, 1:].argmin(axis=0)
+        if delta is not None:
+            T[d - delta > c, d] = BIG
     return T, S
+
+
+def full_tables(norm, lam):
+    """q x (lam+1) tables holding column 2 and row 0, the fill's start."""
+    q = len(norm.order)
+    g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
+    deg_s = g.degree(s) - g.has_edge(s, t)
+    T = np.full((q, lam + 1), BIG, dtype=np.int64)
+    S = np.zeros((q, lam + 1), dtype=np.int64)
+    T[:, 2] = np.maximum(deg_s - np.arange(q), 0)
+    if q:
+        T[0, 3:] = deg_s
+    return T, S
+
+
+def table_cost(norm, column):
+    """table_cost as dp_solve reads it from T's column lam."""
+    g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
+    st_edge = g.has_edge(s, t)
+    q = len(column)
+    deg_t = g.degree(t) - st_edge
+    return st_edge + int((column + np.maximum(0, np.arange(q) - (q - deg_t))).min())
 
 
 def fill_cases():
@@ -233,32 +264,104 @@ def fill_cases():
 
 
 def test_banded_fill_matches_dense_reference():
+    """The window fill against the masked full fill, and the masked fill
+    against the full one, over lam = dist .. dist+6 (c = 1 .. 7)."""
     seen = set()
+    tight = 0
     for label, model, s, t in fill_cases():
         g = model.induced_graph()
         dist = bfs_distances(g, s)[t]
         if dist == float("inf"):
             continue
-        for lam in range(max(2, int(dist)), int(dist) + 7):
+        dist = int(dist)
+        for lam in range(max(2, dist), dist + 7):
             norm = normalize(Instance(g, s, t, 1, lam), model)
             crossing = compute_crossing_counts(norm)
-            T, S = _fill_tables(norm, crossing, lam)
+            c = lam + 1 - dist
+            T, S, delta, last = _fill_tables(norm, crossing, lam, c)
             q = len(norm.order)
+            assert T.shape == S.shape == (q, c)
+            # delta is dist(s, .) in the trimmed G - t, capped at lam
+            h, order = norm.inst.graph, norm.order
+            near = bfs_distances(h, norm.inst.s, frozenset(
+                tuple(sorted((norm.inst.t, w))) for w in h.adj[norm.inst.t]))
+            assert delta.tolist() == [min(near[v], lam) for v in order]
             # the dense (q+1) x q matrix of P[x, i]; dense_fill reads x <= i only
             dense = np.array(
                 [[crossing.count(0, x, i) if x <= i else 0 for i in range(q)]
                  for x in range(q + 1)],
                 dtype=np.int64,
             ).reshape(q + 1, q)
-            T_ref, S_ref = dense_fill(T, S, dense, lam)
-            assert np.array_equal(T, T_ref), f"{label} lam={lam}: T differs"
-            assert np.array_equal(S, S_ref), f"{label} lam={lam}: S differs"
+            T0, S0 = full_tables(norm, lam)
+            T_full, _ = dense_fill(T0, S0, dense, lam)
+            T_ref, S_ref = dense_fill(T0, S0, dense, lam, delta, c)
+            assert np.array_equal(last, T_ref[:, lam]), f"{label} lam={lam}: column lam"
+            for i in range(q):
+                di = int(delta[i])
+                # the zero region: no deletion keeps ranks >= i that far out
+                assert not T_full[i, 2:di + 1].any(), f"{label} lam={lam}: zero region"
+                assert T_full[i, di + 1:].all(), f"{label} lam={lam}: zero region"
+                for d in range(max(di + 1, 2), min(di + c, lam) + 1):
+                    cell = i, d - di - 1
+                    assert T[cell] == T_ref[i, d] == T_full[i, d], f"{label} lam={lam}: T[{i},{d}]"
+                    assert S[cell] == S_ref[i, d], f"{label} lam={lam}: S[{i},{d}]"
+                    j = S[cell]
+                    if d >= 3 and d - 1 <= delta[j]:
+                        seen.add("zero-region predecessor")
+            # from the first unmasked rank on, a column does not grow with
+            # the rank, which the fill's free rows rely on
+            for d in range(2, lam + 1):
+                col = T_ref[:, d][T_ref[:, d] < BIG]
+                assert (np.diff(col) <= 0).all(), f"{label} lam={lam}: column {d}"
+            if q and c >= 2:
+                narrow, _ = dense_fill(T0, S0, dense, lam, delta, c - 1)
+                tight += table_cost(norm, narrow[:, lam]) != table_cost(norm, T_ref[:, lam])
             if label == "unit" and len(set(model.starts)) < model.n and q > 1:
                 seen.add("tied starts")
             if label == "no-interior-edge" and q and not crossing.prefix.any() and lam >= 3:
                 seen.add("empty band")
+            if c > 2 and q:
+                seen.add("c > 2")
             seen.add(label)
-    assert seen == {"unit", "tied starts", "twins", "no-interior-edge", "empty band"}
+    assert seen == {"unit", "tied starts", "twins", "no-interior-edge", "empty band",
+                    "c > 2", "zero-region predecessor"}
+    assert tight > 0, "masking at c - 1 never changed table_cost"
+
+
+def test_window_solve_against_oracles():
+    """2,000 random proper models, lam = dist + 0..8: solve's cost equals
+    whichever oracle answers, and its cut verifies."""
+    answered, table, wide = 0, 0, 0
+    budget = OracleBudget(max_branch_nodes=5_000)
+    seed = 0
+    for _ in range(2000):
+        while True:
+            rng = Random(f"window:{seed}")
+            seed += 1
+            n = rng.randint(4, 12)
+            grid = rng.choice([1, 2, 4, 1000])
+            span = max(1, n // rng.randint(1, 4))
+            model = IntervalModel.unit(
+                [Fraction(rng.randrange(span * grid + 1), grid) for _ in range(n)]
+            )
+            g = model.induced_graph()
+            s, t = rng.sample(range(n), 2)
+            dist = bfs_distances(g, s)[t]
+            if dist != float("inf"):
+                break
+        inst = Instance(g, s, t, g.m, int(dist) + rng.randint(0, 8))
+        cost, cut, tables = solve(inst, model)
+        assert len(cut) == cost and verify_cut(inst, cut).ok
+        oracle = oracle_subset if g.m <= 16 else oracle_branch
+        try:
+            expected = oracle(inst, budget)
+        except BudgetExceeded:
+            continue
+        assert cost == expected, f"seed={seed - 1}: dp={cost} {oracle.__name__}={expected}"
+        answered += 1
+        table += tables.branch == "table"
+        wide += tables.norm is not None and inst.lam - dist >= 2  # a fill with c > 2
+    assert answered >= 1900 and table >= 150 and wide >= 500, (answered, table, wide)
 
 
 class TestTrimEquivalence:

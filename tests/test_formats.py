@@ -60,6 +60,8 @@ class TestParseInstance:
         [
             ("e 1 2", "duplicate edge"),
             ("e 2 2", "self-loop"),
+            ("e 2 1", "line 8: duplicate edge (1, 2)"),  # ids 1-based, as in the file
+            ("e 2 2", "line 8: self-loop at vertex 2"),
             ("e 1 3", "out of range"),
             ("q 1", "unknown record"),
             ("i 1 x 1", "bad rational"),
@@ -177,6 +179,34 @@ def test_parsers_raise_only_input_error(header, lines):
             parse(text)
         except InputError:
             pass
+
+
+PATH_GRAPH = Graph(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (lambda x: parse_cut(x, PATH_GRAPH), "e 1 2\nc ok\ne 2 1\n",
+         "line 3: duplicate edge (1, 2)"),
+        (lambda x: parse_cut(x, PATH_GRAPH), "e 3 1\n",
+         "line 1: (1, 3) is not an edge of the instance"),
+        (lambda x: parse_cut(x, PATH_GRAPH), "e 2 3\ne 3 3\n", "line 2: self-loop at vertex 3"),
+        (lambda x: parse_fvs(x, PATH_GRAPH), "v 1\nv 3\nv 1\n", "line 3: vertex 1 given twice"),
+        (lambda x: parse_path_decomposition(x, PATH_GRAPH), "B 1 2\nB 2 3 2\n",
+         "line 2: vertex 2 given twice in one bag"),
+    ],
+    ids=["cut-repeated-edge", "cut-non-edge", "cut-self-loop", "fvs-repeated-vertex",
+         "pd-repeated-vertex"],
+)
+def test_repeated_records_rejected(parse, text, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        parse(text)
+
+
+def test_repeated_bags_allowed():
+    pd = parse_path_decomposition("B 1 2\nB 1 2\nB 2 3\n", PATH_GRAPH)
+    assert pd.bags == (frozenset({0, 1}), frozenset({0, 1}), frozenset({1, 2}))
 
 
 @pytest.mark.parametrize(
