@@ -14,17 +14,16 @@ from lbcut import bfs_distances, monotonize_cut, normalize, random_proper_interv
 
 inst, model = random_proper_interval_instance(n=10, density=0.7, seed=16)
 norm = normalize(inst, model)
-inst = norm.inst
-g = inst.graph
+g, s, t = norm.graph, norm.s, norm.t
 
 rng = Random(16)
 messy = frozenset(e for e in g.edge_list() if rng.random() < 0.45)
-dist = bfs_distances(g.without_edges(messy), inst.s)[inst.t]
+dist = bfs_distances(g.without_edges(messy), s)[t]
 d = g.n + 2 if dist == math.inf else int(dist)
 
 
 def profile(cut):
-    dd = bfs_distances(g.without_edges(cut), inst.s)
+    dd = bfs_distances(g.without_edges(cut), s)
     return [dd[v] for v in norm.order]
 
 
@@ -37,4 +36,4 @@ after = profile(repaired)
 print(f"\nafter repair: {len(repaired)} edges (never more), profile: {after}")
 print(f"monotone: {all(a <= b for a, b in zip(after, after[1:]))}")
 print(f"distance bound kept: "
-      f"{bfs_distances(g.without_edges(repaired), inst.s)[inst.t]} >= {d}")
+      f"{bfs_distances(g.without_edges(repaired), s)[t]} >= {d}")

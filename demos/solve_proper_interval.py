@@ -1,7 +1,7 @@
 """Solve a random proper interval instance end to end.
 
 Generates a unit-interval instance, walks through the normalization
-pipeline (mirror, rank, trim), solves it exactly, reconstructs a
+pipeline (rank, trim), solves it exactly, reconstructs a
 certified cut, and cross-checks against the exhaustive oracle.
 """
 
@@ -25,8 +25,9 @@ print(f"interval of s: [{model.starts[inst.s]}, {model.ends[inst.s]}]")
 print(f"plain distance s->t: {bfs_distances(g, inst.s)[inst.t]}")
 
 norm = normalize(inst, model)
-print(f"\nnormalized: mirrored={norm.mirrored}, "
-      f"{g.n - norm.inst.graph.n} vertices trimmed away, "
+first = "s" if norm.kept[norm.s] == inst.s else "t"
+print(f"\nnormalized: {first} is ranked first, "
+      f"{g.n - norm.graph.n} vertices trimmed away, "
       f"{len(norm.order)} interior vertices ranked by start value")
 
 cost, tables = dp_solve(inst, model)

@@ -165,8 +165,11 @@ def _read(path):
 
 
 def _write(path, content):
-    with open(path, "w") as fh:
-        fh.write(content)
+    try:
+        with open(path, "w") as fh:
+            fh.write(content)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def _solve_one(path, mode, subset_cap, branch_cap):
@@ -359,6 +362,8 @@ def _bench_row(task):
 
 
 def cmd_bench(args) -> int:
+    if args.jobs <= 0:
+        raise InputError(f"--jobs must be positive, got {args.jobs}")
     tasks = [(i, path, args.mode) for i, path in enumerate(args.files)]
     print("file\tn\tm\tbeta\tlambda\tmethod\tcost\tdecision\ttime_ms")
     if args.jobs > 1:

@@ -1,14 +1,14 @@
 """Exact length-bounded cut solver for proper interval graphs.
 
 The solver normalizes the instance on ranks alone: one sort of the
-validated model gives an umbrella ordering, mirrored so s comes before t,
-and the vertices outside the s..t span are trimmed away (see intervals; no
-tie split, no coordinate model).  It then fills a table T[r, d] = minimum
-number of edge deletions in G - {t} making every interior vertex of rank
->= r lie at distance >= d from s, under the constraint that distances from
-s are non-decreasing along the ranking.  A companion table S[r, d]
-records the cut frontier: the smallest rank j such that every edge from
-ranks < j to ranks >= r is already deleted.
+validated model gives an umbrella ordering, the terminal ranked first is
+called s, and the vertices outside the s..t span are trimmed away (see
+intervals; no tie split, no mirror, no coordinate model).  It then fills a
+table T[r, d] = minimum number of edge deletions in G - {t} making every
+interior vertex of rank >= r lie at distance >= d from s, under the
+constraint that distances from s are non-decreasing along the ranking.  A
+companion table S[r, d] records the cut frontier: the smallest rank j such
+that every edge from ranks < j to ranks >= r is already deleted.
 
 The recurrence charges crossing edges through
 
@@ -112,7 +112,7 @@ def compute_crossing_counts(norm: NormalizedInstance) -> CrossingCounts:
     above l are the ranks l+1 .. hi[l], and hi is non-decreasing.  No edge
     list is built and nothing is sorted.
     """
-    q, pos, adj = len(norm.order), norm.pos, norm.inst.graph.adj
+    q, pos, adj = len(norm.order), norm.pos, norm.graph.adj
     cols = np.arange(q)
     # hi[l]: the highest interior rank meeting rank l, l itself included
     hi = np.maximum(cols, [max(map(pos.__getitem__, adj[v]), default=-1) for v in norm.order])
@@ -193,14 +193,14 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
             mincut_size=mincut_size, mincut_edges=mincut_edges, st_edge=True,
         )
 
-    norm = _normalize_valid(inst, model, order)
+    norm = _normalize_valid(inst, order)
     crossing = compute_crossing_counts(norm)
     T, S, delta, last = _fill_tables(norm, crossing, lam, lam + 1 - dist)
     q = len(norm.order)
     if q > 0:
         # t's interior neighbours are the last deg_t ranks; the ranks below
         # i may stay closer to s than lam, so their t-edges are cut too
-        deg_t = norm.inst.graph.degree(norm.inst.t) - st_edge
+        deg_t = norm.graph.degree(norm.t) - st_edge
         totals = last + np.maximum(0, np.arange(q) - (q - deg_t))
         best_rank = int(np.argmin(totals))
         table_cost = base + int(totals[best_rank])
@@ -238,7 +238,7 @@ def _fill_tables(norm, crossing, lam, c):
     over every rank, implicit cells included."""
     q = len(norm.order)
     z, prefix = crossing.z, crossing.prefix
-    g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
+    g, s, t = norm.graph, norm.s, norm.t
     deg_s = g.degree(s) - g.has_edge(s, t)
     # first[k]: the first rank with delta >= k.  The interior neighbours of s
     # are the first deg_s ranks; past them a rank lies one BFS layer beyond
@@ -330,7 +330,7 @@ def _reconstruct(inst, tables):
     if tables.norm is None:  # lam <= 1 with an {s,t} edge
         return frozenset([edge(inst.s, inst.t)])
     norm = tables.norm
-    g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
+    g, s, t = norm.graph, norm.s, norm.t
     pos, order, kept = norm.pos, norm.order, norm.kept
     cut: set[tuple[int, int]] = set()
     if tables.st_edge:
@@ -372,8 +372,8 @@ def solve(inst: Instance, model: IntervalModel):
 def monotonize_cut(norm: NormalizedInstance, f, d: int) -> frozenset:
     """Repair a d-cut so distances from s are monotone in the rank order.
 
-    Requires a `normalize` output and a cut `f` of its trimmed instance
-    with dist(s,t) >= d in G-F.  Returns F' with |F'| <= |F|, dist >= d,
+    Requires a `normalize` output and a cut `f` of its trimmed graph with
+    dist(norm.s, norm.t) >= d in G-F.  Returns F' with |F'| <= |F|, dist >= d,
     and dist(s, v_i) <= dist(s, v_j) for interior ranks i < j
     (norm.order).
 
@@ -389,7 +389,7 @@ def monotonize_cut(norm: NormalizedInstance, f, d: int) -> frozenset:
     any vertex beyond the first kept t-neighbor keeps its own t-edge and
     sits within dist(t)+1 of s.
     """
-    g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
+    g, s, t = norm.graph, norm.s, norm.t
     f = _cut_edges(g, f)
     if bfs_distances(g, s, f)[t] < d:
         raise InputError(f"given edge set is not a {d}-cut")

@@ -13,10 +13,9 @@ the coordinates once, in `validate_model`, and reuses that order:
   check  - properness on consecutive vertices of the order, adjacency
            against its sweep (`IntervalModel.intersecting_pairs`), in
            O(n log n + m); `validate_model` returns the order it proved
-  mirror - when start(s) > start(t), re-sort it by (-end, -id), the
-           (start, -id) order of the reflected model [-b, -a]
-  twins  - tied starts are identical intervals; t goes last among its
-           twins, so s is ranked before t
+  rank   - the order is the ranking; when t is ranked before s the two
+           terminal names swap (Length-Bounded Cut is symmetric in s and
+           t), so s is the terminal ranked first
   trim   - keep v when (rank v >= rank s or v ~ s) and
            (rank v <= rank t or v ~ t)
 A solve validates its model once, on entry to `dp_solve`; the public
@@ -119,9 +118,11 @@ def validate_model(g: Graph, model: IntervalModel) -> list[int]:
 
 @dataclass(frozen=True)
 class NormalizedInstance:
-    """Mirrored, ranked, trimmed instance plus rank bookkeeping.
+    """Trimmed graph and terminals, ranked, plus rank bookkeeping.
 
-    ranked lists every vertex of inst, terminals included, in umbrella
+    s and t are the caller's terminals in trimmed ids, swapped when the
+    model ranks t first; beta and lam stay with the caller's instance.
+    ranked lists every vertex of graph, terminals included, in umbrella
     order; order is ranked without s and t, so order[r] is the vertex (in
     trimmed ids) of interior rank r, counting from 0.  pos[v] is the rank
     of vertex v, or -1 for the terminals.  kept maps trimmed ids back to
@@ -130,50 +131,43 @@ class NormalizedInstance:
     The interior neighbours of s are a prefix of order, and those of t a
     suffix: s is ranked before t, every kept vertex ranked before s meets
     s and every one ranked after t meets t, and closed neighbourhoods are
-    contiguous runs of ranks.
-
-    Every consumer (`dp_solve`, `extract_cut`, `monotonize_cut`) reads
-    these ranks and never the interval coordinates.
+    contiguous runs of ranks.  Every consumer (`dp_solve`, `extract_cut`,
+    `monotonize_cut`) reads these ranks, never the interval coordinates.
     """
 
-    inst: Instance
+    graph: Graph
+    s: int
+    t: int
     order: tuple[int, ...]
     pos: tuple[int, ...]
     kept: tuple[int, ...]
-    mirrored: bool
     ranked: tuple[int, ...]
 
 
 def normalize(inst: Instance, model: IntervalModel) -> NormalizedInstance:
-    """Validate, then rank, mirror and trim, and package the result."""
-    return _normalize_valid(inst, model, validate_model(inst.graph, model))
+    """Validate, then rank and trim, and package the result."""
+    return _normalize_valid(inst, validate_model(inst.graph, model))
 
 
-def _normalize_valid(inst: Instance, model: IntervalModel, order) -> NormalizedInstance:
+def _normalize_valid(inst: Instance, order) -> NormalizedInstance:
     """`normalize` for a validated model; `order` is what `validate_model`
-    returned, and the ranking unless mirrored (see the module docstring)."""
+    returned, and the ranking (see the module docstring)."""
     g, s, t = inst.graph, inst.s, inst.t
-    mirrored = model.starts[s] > model.starts[t]
-    key = model.ends if mirrored else model.starts
-    # stable, so twins keep their descending ids
-    ranked = sorted(order, key=key.__getitem__, reverse=True) if mirrored else list(order)
-    i = ranked.index(t)  # t goes to the back of its twins (same key)
-    while i < len(ranked) - 1 and key[ranked[i + 1]] == key[t]:
-        ranked[i + 1], ranked[i] = t, ranked[i + 1]
-        i += 1
+    rs, rt = order.index(s), order.index(t)
+    if rs > rt:
+        s, t, rs, rt = t, s, rt, rs
     # the trim rule keeps the ranks from s to t and the neighbours of s and
     # t: in an umbrella order a neighbour of s ranked after t meets t too,
     # and a neighbour of t ranked before s meets s
-    keep = set(ranked[ranked.index(s) : i + 1]).union(g.adj[s], g.adj[t])
-    kept = tuple(range(model.n))
-    if len(keep) < model.n:
-        g2, new_of_old = g.subgraph(keep)
+    keep = set(order[rs : rt + 1]).union(g.adj[s], g.adj[t])
+    kept, ranked = tuple(range(g.n)), order
+    if len(keep) < g.n:
+        g, new_of_old = g.subgraph(keep)
         s, t = new_of_old[s], new_of_old[t]
-        inst = Instance(g2, s, t, inst.beta, inst.lam, inst.notes)
         kept = tuple(new_of_old)
         ranked = [new_of_old[v] for v in ranked if v in new_of_old]
     order = tuple(v for v in ranked if v != s and v != t)
     pos = [-1] * len(ranked)
     for r, v in enumerate(order):
         pos[v] = r
-    return NormalizedInstance(inst, order, tuple(pos), kept, mirrored, tuple(ranked))
+    return NormalizedInstance(g, s, t, order, tuple(pos), kept, tuple(ranked))

@@ -150,9 +150,10 @@ def test_criterion_3_trim_equivalence():
         if not outside:
             continue
         norm = normalize(inst, model)
-        if norm.inst.graph.m > 14:
+        if norm.graph.m > 14:
             continue
-        assert oracle_subset(norm.inst) == oracle_subset(inst), f"seed {seed}"
+        trimmed = Instance(norm.graph, norm.s, norm.t, inst.beta, inst.lam)
+        assert oracle_subset(trimmed) == oracle_subset(inst), f"seed {seed}"
         checked += 1
     report(3, f"trimming preserved the optimum on {checked} instances with outliers")
 
@@ -166,16 +167,15 @@ def test_criterion_4_monotonization():
             5 + seed % 6, density=(0.4, 0.7, 0.95)[seed % 3], seed=seed * 17
         )
         norm = normalize(inst, model)
-        inst2 = norm.inst
-        g = inst2.graph
+        g, s, t = norm.graph, norm.s, norm.t
         rng = Random(seed)
         f = frozenset(e for e in g.edge_list() if rng.random() < 0.4)
-        dist = bfs_distances(g.without_edges(f), inst2.s)[inst2.t]
+        dist = bfs_distances(g.without_edges(f), s)[t]
         d = g.n + 2 if dist == math.inf else int(dist)
         out = monotonize_cut(norm, f, d)
         assert len(out) <= len(f)
-        after = bfs_distances(g.without_edges(out), inst2.s)
-        assert after[inst2.t] >= d
+        after = bfs_distances(g.without_edges(out), s)
+        assert after[t] >= d
         vals = [after[v] for v in norm.order]
         assert all(a <= b for a, b in zip(vals, vals[1:])), f"seed {seed}"
         checked += 1

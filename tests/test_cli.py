@@ -135,9 +135,11 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, command, text, line):
         (["solve", "--subset-cap", "0"], "--subset-cap must be positive, got 0"),
         (["solve", "--branch-cap", "-5", "--mode", "dp"],
          "--branch-cap must be positive, got -5"),
+        (["bench", "--jobs", "0"], "--jobs must be positive, got 0"),
+        (["bench", "--jobs", "-3"], "--jobs must be positive, got -3"),
     ],
     ids=["clique-x", "beta-range-x", "lambda-range-empty", "random-pig-n1",
-         "subset-cap-0", "branch-cap-negative"],
+         "subset-cap-0", "branch-cap-negative", "bench-jobs-0", "bench-jobs-negative"],
 )
 def test_malformed_option_is_usage_error(tmp_path, capsys, argv, message):
     if argv[0] == "forward-cut":
@@ -146,7 +148,7 @@ def test_malformed_option_is_usage_error(tmp_path, capsys, argv, message):
         assert main(["gen", "pw", "--source", str(src), "-k", "2", "-o", str(hard)]) == 0
         files = ["--instance", str(hard), "--source", str(src), "-k", "2"]
         argv = argv[:2] + files + argv[2:]
-    if argv[0] == "solve":  # an interval instance, so auto and dp mode reach the solver
+    if argv[0] in ("solve", "bench"):  # an interval instance, so the solver is reachable
         argv = argv[:1] + [str(write_instance(tmp_path)[0])] + argv[1:]
     else:
         argv = argv + ["-o", str(tmp_path / "out.txt")]
@@ -177,6 +179,17 @@ def test_clique_errors_name_1_based_ids(tmp_path, capsys, family, clique, messag
             "--clique", clique, "-o", str(tmp_path / "cut.txt")]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen-pw", "random-pig"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.gr"
+    argv = {
+        "gen-pw": ["gen", "pw", "--source", str(triangle_source(tmp_path)), "-k", "2"],
+        "random-pig": ["random-pig", "-n", "5"],
+    }[command]
+    assert main(argv + ["-o", str(out)]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
 
 
 class TestGenerateAndDecode:

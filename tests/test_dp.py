@@ -33,7 +33,7 @@ class TestCrossingCounts:
     def naive(self, norm, h, j, i):
         count = 0
         pos = norm.pos
-        for u, v in norm.inst.graph.edges:
+        for u, v in norm.graph.edges:
             ru, rv = pos[u], pos[v]
             if ru < 0 or rv < 0:
                 continue
@@ -65,8 +65,8 @@ class TestCrossingCounts:
             norm = normalize(inst, model)
             if len(set(model.starts)) < model.n:
                 seen.add("tied starts")
-            if norm.mirrored:
-                seen.add("mirrored")
+            if norm.kept[norm.s] != inst.s:
+                seen.add("swapped terminals")
             if len(norm.kept) < model.n:
                 seen.add("trimmed")
             if twins(model, inst.s, inst.t):
@@ -77,7 +77,7 @@ class TestCrossingCounts:
                 for j in range(h, q):
                     for i in range(j, q):
                         assert cc.count(h, j, i) == self.naive(norm, h, j, i)
-        assert seen == {"tied starts", "mirrored", "trimmed", "twin terminals"}
+        assert seen == {"tied starts", "swapped terminals", "trimmed", "twin terminals"}
 
     def test_band_narrower_than_q(self):
         # the dp-long recipe at n=80: distinct starts 1..4 eighths apart,
@@ -98,7 +98,7 @@ class TestCrossingCounts:
         q, width = len(norm.order), cc.prefix.shape[1] - 1
         assert q >= 60 and 1 <= width <= q // 3
         pairs = np.array(
-            [sorted((norm.pos[u], norm.pos[v])) for u, v in norm.inst.graph.edges
+            [sorted((norm.pos[u], norm.pos[v])) for u, v in norm.graph.edges
              if norm.pos[u] >= 0 and norm.pos[v] >= 0]
         )
         lo, hi = pairs[:, 0], pairs[:, 1]
@@ -221,7 +221,7 @@ def dense_fill(T, S, prefix, lam, delta=None, c=None):
 def full_tables(norm, lam):
     """q x (lam+1) tables holding column 2 and row 0, the fill's start."""
     q = len(norm.order)
-    g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
+    g, s, t = norm.graph, norm.s, norm.t
     deg_s = g.degree(s) - g.has_edge(s, t)
     T = np.full((q, lam + 1), BIG, dtype=np.int64)
     S = np.zeros((q, lam + 1), dtype=np.int64)
@@ -233,7 +233,7 @@ def full_tables(norm, lam):
 
 def table_cost(norm, column):
     """table_cost as dp_solve reads it from T's column lam."""
-    g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
+    g, s, t = norm.graph, norm.s, norm.t
     st_edge = g.has_edge(s, t)
     q = len(column)
     deg_t = g.degree(t) - st_edge
@@ -282,9 +282,9 @@ def test_banded_fill_matches_dense_reference():
             q = len(norm.order)
             assert T.shape == S.shape == (q, c)
             # delta is dist(s, .) in the trimmed G - t, capped at lam
-            h, order = norm.inst.graph, norm.order
-            near = bfs_distances(h, norm.inst.s, frozenset(
-                tuple(sorted((norm.inst.t, w))) for w in h.adj[norm.inst.t]))
+            h, order = norm.graph, norm.order
+            near = bfs_distances(h, norm.s, frozenset(
+                tuple(sorted((norm.t, w))) for w in h.adj[norm.t]))
             assert delta.tolist() == [min(near[v], lam) for v in order]
             # the dense (q+1) x q matrix of P[x, i]; dense_fill reads x <= i only
             dense = np.array(
@@ -383,7 +383,7 @@ class TestTrimEquivalence:
                 continue
             full = oracle_subset(inst)
             norm = normalize(inst, model)
-            trimmed_inst = norm.inst
+            trimmed_inst = Instance(norm.graph, norm.s, norm.t, inst.beta, inst.lam)
             if trimmed_inst.graph.m <= 14:
                 assert oracle_subset(trimmed_inst) == full, f"seed={seed}"
                 found += 1

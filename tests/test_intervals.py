@@ -170,8 +170,8 @@ def kept_model(model, kept):
 
 
 def is_umbrella(norm):
-    """Every closed neighbourhood of norm.inst is a run of consecutive ranks."""
-    g, rank = norm.inst.graph, {v: r for r, v in enumerate(norm.ranked)}
+    """Every closed neighbourhood of norm.graph is a run of consecutive ranks."""
+    g, rank = norm.graph, {v: r for r, v in enumerate(norm.ranked)}
     for v in range(g.n):
         ranks = sorted(rank[w] for w in (v, *g.adj[v]))
         if ranks != list(range(ranks[0], ranks[-1] + 1)):
@@ -180,25 +180,29 @@ def is_umbrella(norm):
 
 
 class TestMirror:
+    """Length-Bounded Cut is symmetric in s and t: when the model ranks t
+    before s, normalize swaps the two names instead of reflecting the model,
+    and the ranking stays validate_model's (start, -id) order."""
+
     def test_identity_when_ordered(self):
         inst, model = unit_instance([0, 1, 2], s=0, t=2)
         norm = normalize(inst, model)
-        assert not norm.mirrored and norm.ranked == (0, 1, 2)
+        assert (norm.s, norm.t) == (0, 2) and norm.ranked == (0, 1, 2)
 
     def test_definition(self):
-        # start(s) > start(t): ranked by descending end, as the reflection
-        # [-b, -a] of every interval would be by ascending start
+        # start(s) > start(t): the same ranking, with the terminal names swapped
         inst, model = unit_instance([5, 0, 2.5], s=0, t=1)
         norm = normalize(inst, model)
-        assert norm.mirrored and norm.ranked == (0, 2, 1) and norm.order == (2,)
+        assert (norm.s, norm.t) == (1, 0) and norm.ranked == (1, 2, 0)
+        assert norm.order == (2,)
 
     def test_edge_set_preserved(self):
         for seed in range(20):
             inst, model = random_proper_interval_instance(9, seed=seed)
             flipped = Instance(inst.graph, inst.t, inst.s, inst.beta, inst.lam)
             norm, out = normalize(inst, model), normalize(flipped, model)
-            assert out.mirrored and out.inst.graph == norm.inst.graph
-            assert out.ranked == norm.ranked[::-1]
+            assert out.graph == norm.graph and out.ranked == norm.ranked
+            assert {out.kept[out.s], out.kept[out.t]} == {inst.s, inst.t}
 
 
 class TestCanonicalize:
@@ -211,14 +215,14 @@ class TestCanonicalize:
     def test_identical_intervals_keep_neighborhoods(self):
         inst, model = unit_instance([0, 0, Fraction(1, 2)], s=0, t=2)
         norm = normalize(inst, model)
-        assert norm.ranked == (1, 0, 2) and norm.inst.graph == inst.graph
+        assert norm.ranked == (1, 0, 2) and norm.graph == inst.graph
         assert is_umbrella(norm)
 
     def test_touching_pairs_survive_tie_split(self):
         # two twins at 0, touched from below at -1 and above at +1
         inst, model = unit_instance([-1, 0, 0, 1], s=0, t=3)
         norm = normalize(inst, model)
-        assert norm.ranked == (0, 2, 1, 3) and norm.inst.graph == inst.graph
+        assert norm.ranked == (0, 2, 1, 3) and norm.graph == inst.graph
         assert is_umbrella(norm)
 
     def test_random_models_sorted_strictly(self):
@@ -233,19 +237,19 @@ class TestTrim:
     def test_identity_without_outliers(self):
         inst, model = unit_instance([0, Fraction(1, 2), 1], s=0, t=2)
         norm = normalize(inst, model)
-        assert norm.inst.graph == inst.graph and norm.kept == (0, 1, 2)
+        assert norm.graph == inst.graph and norm.kept == (0, 1, 2)
 
     def test_left_outlier_removed(self):
         inst, model = unit_instance([-3, 0, Fraction(1, 2)], s=1, t=2)
         norm = normalize(inst, model)
-        assert norm.kept == (1, 2) and norm.inst.graph.n == 2
+        assert norm.kept == (1, 2) and norm.graph.n == 2
 
     def test_terminals_never_trimmed(self):
         for seed in range(30):
             inst, model = random_proper_interval_instance(8, seed=seed)
             norm = normalize(inst, model)
             assert inst.s in norm.kept and inst.t in norm.kept
-            validate_model(norm.inst.graph, kept_model(model, norm.kept))
+            validate_model(norm.graph, kept_model(model, norm.kept))
 
 
 class TestNormalize:
@@ -255,21 +259,22 @@ class TestNormalize:
             norm = normalize(inst, model)
             for r, v in enumerate(norm.order):
                 assert norm.pos[v] == r
-            assert norm.pos[norm.inst.s] == -1 and norm.pos[norm.inst.t] == -1
+            assert norm.pos[norm.s] == -1 and norm.pos[norm.t] == -1
             se = kept_model(model, norm.kept)
             starts = [se.starts[v] for v in norm.order]
             assert starts == sorted(starts)
             # nothing outside the s..t span remains
             for v in range(se.n):
-                assert se.ends[v] >= se.starts[norm.inst.s]
-                assert se.starts[v] <= se.ends[norm.inst.t]
+                assert se.ends[v] >= se.starts[norm.s]
+                assert se.starts[v] <= se.ends[norm.t]
 
 
 class TestTieSplitContract:
     def test_random_proper_models(self):
         """normalize on seeded proper models: the kept intervals induce the
-        trimmed graph, the ranking is an umbrella order, and twins are
-        ranked by (start, -id) of the mirrored model."""
+        trimmed graph, the ranking is validate_model's order restricted to
+        the kept vertices, twins are ranked by (start, -id), and s is the
+        terminal ranked first."""
         seen = set()
         for seed in range(1500):
             rng = Random(seed)
@@ -279,8 +284,6 @@ class TestTieSplitContract:
                 continue
             s, t = rng.sample(range(model.n), 2)
             starts, ends = model.starts, model.ends
-            if starts[s] > starts[t]:  # the reflection [-b, -a]
-                starts, ends = tuple(-b for b in ends), tuple(-a for a in starts)
             pairs = list(itertools.permutations(range(model.n), 2))
             if len(set(starts)) < model.n:
                 seen.add("tied starts")
@@ -291,8 +294,13 @@ class TestTieSplitContract:
 
             norm = normalize(Instance(g, s, t, 1, 2), model)
             kept = norm.kept
-            validate_model(norm.inst.graph, kept_model(model, kept))
+            validate_model(norm.graph, kept_model(model, kept))
             assert is_umbrella(norm)
+            umbrella = validate_model(g, model)
+            ranked = tuple(kept[v] for v in norm.ranked)
+            assert ranked == tuple(v for v in umbrella if v in kept)
+            assert {kept[norm.s], kept[norm.t]} == {s, t}
+            assert ranked.index(kept[norm.s]) < ranked.index(kept[norm.t])
             interior = [v for v in kept if v not in (s, t)]
             order = tuple(kept[v] for v in norm.order)
             assert order == tuple(sorted(interior, key=lambda v: (starts[v], -v)))
@@ -300,20 +308,17 @@ class TestTieSplitContract:
 
 
 def coordinate_normalize(inst, model):
-    """Reference for the rank rule: the coordinate pipeline `normalize` ran
-    before it.  Reflect when start(s) > start(t); split tied starts by
+    """Reference for the rank rule, on coordinates: split tied starts by
     widening every end by slack/2 (slack the smallest gap between endpoint
     values) and staggering each group of twins down by 0, eps, 2 eps, ... in
-    id order (eps = slack/(2K), K the largest group); drop the vertices
-    ending before s starts or starting after t ends.
+    id order (eps = slack/(2K), K the largest group); swap the terminal
+    names when start(s) > start(t); drop the vertices ending before s starts
+    or starting after t ends.
 
-    Returns (inst, order, pos, kept, mirrored) like `NormalizedInstance`.
+    Returns (graph, s, t, order, pos, kept) like `NormalizedInstance`.
     """
     s, t = inst.s, inst.t
     starts, ends = model.starts, model.ends
-    mirrored = starts[s] > starts[t]
-    if mirrored:
-        starts, ends = tuple(-b for b in ends), tuple(-a for a in starts)
     if len(set(starts)) < model.n:
         boundary = sorted(set(starts) | set(ends))
         slack = min((b - a for a, b in zip(boundary, boundary[1:])), default=Fraction(1))
@@ -324,16 +329,17 @@ def coordinate_normalize(inst, model):
         shift = {v: level * eps for tied in groups.values() for level, v in enumerate(tied)}
         starts = tuple(a - shift[v] for v, a in enumerate(starts))
         ends = tuple(b + slack / 2 - shift[v] for v, b in enumerate(ends))
+    if starts[s] > starts[t]:
+        s, t = t, s
     keep = [v for v in range(model.n) if not (ends[v] < starts[s] or starts[v] > ends[t])]
     g2, new_of_old = inst.graph.subgraph(keep)
-    inst2 = Instance(g2, new_of_old[s], new_of_old[t], inst.beta, inst.lam, inst.notes)
     order = tuple(
         new_of_old[v] for v in sorted(keep, key=starts.__getitem__) if v not in (s, t)
     )
     pos = [-1] * len(keep)
     for r, v in enumerate(order):
         pos[v] = r
-    return inst2, order, tuple(pos), tuple(keep), mirrored
+    return g2, new_of_old[s], new_of_old[t], order, tuple(pos), tuple(keep)
 
 
 def proper_instances(count):
@@ -357,25 +363,40 @@ def test_rank_normalize_matches_coordinate_reference():
     seen = set()
     for inst, model in proper_instances(3000):
         norm = normalize(inst, model)
-        inst2, order, pos, kept, mirrored = coordinate_normalize(inst, model)
-        assert (norm.inst, norm.order, norm.pos, norm.kept, norm.mirrored) == (
-            inst2, order, pos, kept, mirrored
-        )
+        ref = coordinate_normalize(inst, model)
+        assert (norm.graph, norm.s, norm.t, norm.order, norm.pos, norm.kept) == ref
         if len(set(model.starts)) < model.n:
             seen.add("tied starts")
         if twins(model, inst.s, inst.t):
             seen.add("twin terminals")
-        if len(kept) < model.n:
+        if len(norm.kept) < model.n:
             seen.add("trimmed")
-        if mirrored:
-            seen.add("mirrored")
-    assert seen == {"tied starts", "twin terminals", "trimmed", "mirrored"}
+        if norm.kept[norm.s] != inst.s:
+            seen.add("swapped terminals")
+    assert seen == {"tied starts", "twin terminals", "trimmed", "swapped terminals"}
+
+
+def test_normalize_is_symmetric_in_the_terminals():
+    """Swapping s and t in the instance changes no field: the ranking is
+    validate_model's order either way, and s is the terminal ranked first."""
+    seen = set()
+    for inst, model in proper_instances(3000):
+        flipped = Instance(inst.graph, inst.t, inst.s, inst.beta, inst.lam)
+        norm = normalize(inst, model)
+        assert normalize(flipped, model) == norm
+        if twins(model, inst.s, inst.t):
+            seen.add("twin terminals")
+        if len(norm.kept) < model.n:
+            seen.add("trimmed")
+        if norm.kept[norm.s] != inst.s:
+            seen.add("swapped terminals")
+    assert seen == {"twin terminals", "trimmed", "swapped terminals"}
 
 
 class TestOrderingModel:
     def test_twin_terminals_stay_mirrored(self):
-        """s and t identical with id(s) < id(t): the ranking still puts s
-        first, so `monotonize_cut` takes `normalize`'s output."""
+        """s and t identical: the one with the larger id is ranked first
+        and named s, so `monotonize_cut` takes `normalize`'s output."""
         cases = [unit_instance([0, 0, 1], s=0, t=1, lam=2)]
         cases += [
             (inst, model)
@@ -385,7 +406,7 @@ class TestOrderingModel:
         assert len(cases) > 50
         for inst, model in cases:
             norm = normalize(inst, model)
-            g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
+            g, s, t = norm.graph, norm.s, norm.t
             assert norm.ranked.index(s) < norm.ranked.index(t)
             star = frozenset(edge(s, w) for w in g.adj[s])
             out = monotonize_cut(norm, star, g.n)
@@ -398,7 +419,7 @@ class TestOrderingModel:
         after t meets t)."""
         for inst, model in proper_instances(600):
             norm = normalize(inst, model)
-            g, s, t = norm.inst.graph, norm.inst.s, norm.inst.t
+            g, s, t = norm.graph, norm.s, norm.t
             assert is_umbrella(norm)
             assert sorted(norm.ranked) == list(range(g.n))
             assert norm.order == tuple(v for v in norm.ranked if v not in (s, t))
@@ -409,11 +430,13 @@ class TestOrderingModel:
 
 
 def test_trim_reads_an_unmirrored_model_as_its_mirror():
-    # s = [5,6] lies right of t = [0,1]: [2.5,3.5] is between them, [7,8] beyond s
+    # s = [5,6] lies right of t = [0,1]: [2.5,3.5] is between them, [7,8]
+    # beyond s.  t is ranked first, so the names swap, and [7,8] lies
+    # beyond the new t
     inst, model = unit_instance([5, 0, Fraction(5, 2), 7], s=0, t=1)
     norm = normalize(inst, model)
-    kept, inst2 = norm.kept, norm.inst
-    assert kept == (0, 1, 2) and (inst2.s, inst2.t) == (0, 1)
-    model2 = kept_model(model, kept)
+    assert norm.kept == (0, 1, 2) and (norm.s, norm.t) == (1, 0)
+    assert norm.ranked == (1, 2, 0)
+    model2 = kept_model(model, norm.kept)
     assert model2 == IntervalModel.unit([5, 0, Fraction(5, 2)])
-    validate_model(inst2.graph, model2)
+    validate_model(norm.graph, model2)

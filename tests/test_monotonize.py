@@ -17,21 +17,20 @@ def normalized(seed, n=9, density=0.6):
 
 
 def distance_monotone(norm, cut):
-    d = bfs_distances(norm.inst.graph.without_edges(cut), norm.inst.s)
+    d = bfs_distances(norm.graph.without_edges(cut), norm.s)
     vals = [d[v] for v in norm.order]
     return all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 def random_cut_repaired(norm, rng):
     """Repair a random cut at its own distance and check the postconditions."""
-    inst = norm.inst
-    g = inst.graph
+    g, s, t = norm.graph, norm.s, norm.t
     f = frozenset(e for e in g.edge_list() if rng.random() < 0.35)
-    dist = bfs_distances(g.without_edges(f), inst.s)[inst.t]
+    dist = bfs_distances(g.without_edges(f), s)[t]
     d = g.n + 2 if dist == math.inf else int(dist)
     out = monotonize_cut(norm, f, d)
     assert len(out) <= len(f)
-    new_dist = bfs_distances(g.without_edges(out), inst.s)[inst.t]
+    new_dist = bfs_distances(g.without_edges(out), s)[t]
     assert new_dist >= d
     assert distance_monotone(norm, out)
 
@@ -39,8 +38,7 @@ def random_cut_repaired(norm, rng):
 class TestMonotonize:
     def test_empty_cut_stays_empty(self):
         norm = normalized(2)
-        inst = norm.inst
-        d = bfs_distances(inst.graph, inst.s)[inst.t]
+        d = bfs_distances(norm.graph, norm.s)[norm.t]
         d = 3 if d == math.inf else int(d)
         assert monotonize_cut(norm, frozenset(), d) == frozenset()
 
@@ -52,7 +50,7 @@ class TestMonotonize:
     def test_not_a_cut_rejected(self):
         for seed in range(30):
             norm = normalized(seed)
-            dist = bfs_distances(norm.inst.graph, norm.inst.s)[norm.inst.t]
+            dist = bfs_distances(norm.graph, norm.s)[norm.t]
             if dist != math.inf:
                 break
         else:
@@ -66,26 +64,26 @@ class TestMonotonize:
             random_cut_repaired(normalized(seed, n=9, density=0.7), Random(seed))
             repaired += 1
         assert repaired == 300
-        # tied starts, mirrored models, trimmed vertices and twin terminals
+        # tied starts, swapped terminals, trimmed vertices and twin terminals
         seen = set()
         for i, (inst, model) in enumerate(proper_instances(1500)):
             norm = normalize(inst, model)
             random_cut_repaired(norm, Random(i))
             if len(set(model.starts)) < model.n:
                 seen.add("tied starts")
-            if norm.mirrored:
-                seen.add("mirrored")
+            if norm.kept[norm.s] != inst.s:
+                seen.add("swapped terminals")
             if len(norm.kept) < model.n:
                 seen.add("trimmed")
             if twins(model, inst.s, inst.t):
                 seen.add("twin terminals")
-        assert seen == {"tied starts", "mirrored", "trimmed", "twin terminals"}
+        assert seen == {"tied starts", "swapped terminals", "trimmed", "twin terminals"}
 
     def test_monotone_distance_definition(self):
         # D(v) only uses strictly increasing interior ranks; first step free
         norm = normalized(8)
-        inst = norm.inst
-        dvec = _monotone_distances(inst.graph, inst.s, inst.t, frozenset(), norm.order)
-        real = bfs_distances(inst.graph, inst.s)
+        g, s, t = norm.graph, norm.s, norm.t
+        dvec = _monotone_distances(g, s, t, frozenset(), norm.order)
+        real = bfs_distances(g, s)
         for v in norm.order:
             assert dvec[v] >= real[v]
