@@ -1,8 +1,11 @@
 """Cross-validate the interval solver against two independent oracles.
 
 The subset oracle enumerates all edge subsets by size; the branching
-oracle grows a bounded search tree over shortest offending paths.  Both
-are exact whenever they answer, so any disagreement with the dynamic
+oracle grows a bounded search tree over shortest offending paths and
+prunes a node once a greedy packing of edge-disjoint short paths exceeds
+its budget.  Its node budget counts search-tree nodes, each running up to
+depth + 1 bounded BFS passes, so the same budget answers more instances.
+Both are exact whenever they answer, so any disagreement with the dynamic
 program would expose a bug.  This script fuzzes a few hundred instances
 and tabulates which solver code path handled each.
 """

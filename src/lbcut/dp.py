@@ -142,6 +142,11 @@ class DpTables:
     in the trimmed G - t, capped at lam.  The other cells are implicit:
     cost 0 with frontier z(i) (see CrossingCounts) for d <= delta[i], and
     BIG for d > delta[i] + c.  Window cells with d > lam hold BIG.
+
+    best_rank is the first rank minimizing the window fill's totals.  On
+    ties it can differ from the full q x (lam + 1) table's first minimizing
+    rank, whose optimum may lie below the window; cost, table_cost and the
+    cut size are the same either way.
     """
 
     cost: int

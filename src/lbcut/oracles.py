@@ -2,9 +2,11 @@
 
 oracle_subset enumerates edge subsets by increasing size and is the ground
 truth on tiny instances.  oracle_branch is a bounded search tree: pick a
-shortest offending path and branch on deleting each of its edges.  Both
-refuse, with an explicit BudgetExceeded, to return anything they could not
-prove.
+shortest offending path and branch on deleting each of its edges.  It prunes
+a node when a greedy packing of edge-disjoint short paths already exceeds
+the node's budget (weak duality between path packings and cuts), which
+only makes refutations cheaper.  Both refuse, with an explicit
+BudgetExceeded, to return anything they could not prove.
 """
 
 from __future__ import annotations
@@ -52,8 +54,14 @@ def oracle_branch(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET) -> int:
 
     If no s-t path of length <= lam survives, the cost is 0; otherwise some
     shortest such path is picked and we branch on deleting each of its
-    edges.  Exact whenever it returns at all; raises BudgetExceeded when
-    the node budget runs out.
+    edges.  Before branching, a node with budget `depth` greedily packs
+    edge-disjoint paths of length <= lam (block the last path's edges, take
+    a shortest surviving path, repeat); depth + 1 of them refute the node,
+    since a cut needs one edge per path.  The packing is only a lower
+    bound, so the search is exact whenever it returns at all; it raises
+    BudgetExceeded when the node budget runs out.
+    `max_branch_nodes` counts search-tree nodes, each of which runs up to
+    depth + 1 bounded BFS passes.
     """
     g, s, t, lam = inst.graph, inst.s, inst.t, inst.lam
     nodes = [0]
@@ -72,7 +80,14 @@ def oracle_branch(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET) -> int:
         if path is None:
             memo[key] = True
             return True
-        if depth == 0:
+        packed, blocked, p = 1, set(removed), path
+        while packed <= depth:
+            blocked.update(edge(u, v) for u, v in zip(p, p[1:]))
+            p = shortest_bounded_path(g, s, t, lam, blocked)
+            if p is None:
+                break
+            packed += 1
+        if packed > depth:
             memo[key] = False
             return False
         ok = any(

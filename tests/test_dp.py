@@ -197,6 +197,22 @@ class TestDpAgainstOracle:
             checked += 1
         assert checked >= 20
 
+    def test_branch_oracle_beyond_n40(self):
+        # the benchmark's xval recipe at n=60: about 4 starts per unit
+        # length, terminals at the 25%/75% ranks, lam = dist(s, t) + 1
+        for seed in range(20):
+            rng, pos, starts = Random(seed), 0, []
+            for _ in range(60):
+                starts.append(Fraction(pos, 16))
+                pos += rng.randint(3, 5)
+            model = IntervalModel.unit(starts)
+            g = model.induced_graph()
+            dist = bfs_distances(g, 15)[44]
+            inst = Instance(g, 15, 44, g.m, int(dist) + 1)
+            cost, cut, _ = solve(inst, model)
+            assert len(cut) == cost and verify_cut(inst, cut).ok
+            assert oracle_branch(inst) == cost, f"seed={seed}"
+
 
 def dense_fill(T, S, prefix, lam, delta=None, c=None):
     """Reference for the d >= 3 columns of the table: the full q x q

@@ -46,6 +46,15 @@ class TestBranchOracle:
         inst = Instance(g, 0, 3, 2, 2)
         assert oracle_branch(inst) == 2 == oracle_subset(inst)
 
+    def test_greedy_packing_underestimates(self):
+        # s-u-a-b-t and s-c-d-v-t plus the chord u-v: the shortest path
+        # s-u-v-t blocks both 4-paths, so the greedy packing finds one path
+        # while the cost is 2, and the search must still branch
+        s, u, a, b, t, c, d, v = range(8)
+        g = Graph(8, [(s, u), (u, a), (a, b), (b, t), (s, c), (c, d), (d, v), (v, t), (u, v)])
+        inst = Instance(g, s, t, 2, 4)
+        assert oracle_branch(inst) == oracle_subset(inst) == 2
+
     def test_budget_signal(self):
         g = Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
         inst = Instance(g, 0, 7, 6, 4)
