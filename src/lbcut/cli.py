@@ -178,18 +178,24 @@ def _solve_one(path, mode, subset_cap, branch_cap):
         print(f"warning: {path}: {w}", file=sys.stderr)
     inst, model = parsed.instance, parsed.model
     budget = OracleBudget(max_subset_edges=subset_cap, max_branch_nodes=branch_cap)
+    # solve rejects a bad model first; its message names the vertices with
+    # the file's 1-based ids
     if mode == "auto":
         mode = "branch"
         if model is not None:
             try:
-                cost, cut, _ = solve(inst, model)  # rejects a bad model first
+                cost, cut, _ = solve(inst, model)
                 mode = "dp"
-            except ModelError:
-                pass
+            except ModelError as exc:
+                print(f"warning: {path}: interval model rejected: {exc.one_based()}",
+                      file=sys.stderr)
     elif mode == "dp":
         if model is None:
             raise InputError("dp mode needs interval lines in the instance file")
-        cost, cut, _ = solve(inst, model)
+        try:
+            cost, cut, _ = solve(inst, model)
+        except ModelError as exc:
+            raise InputError(exc.one_based()) from None
     if mode == "subset":
         cost, cut = oracle_subset(inst, budget), None
     elif mode == "branch":

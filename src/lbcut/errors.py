@@ -10,7 +10,19 @@ class InputError(LbcutError):
 
 
 class ModelError(InputError):
-    """An interval model is inconsistent with its graph or not proper."""
+    """An interval model is inconsistent with its graph or not proper.
+
+    `template` names the vertices it is about as {0}, {1}, ... and `ids`
+    holds them: str() counts ids from 0 as the library does, `one_based()`
+    from 1 as files do.
+    """
+
+    def __init__(self, template: str, *ids: int):
+        super().__init__(template.format(*ids))
+        self.template, self.ids = template, ids
+
+    def one_based(self) -> str:
+        return self.template.format(*(v + 1 for v in self.ids))
 
 
 class BudgetExceeded(LbcutError):

@@ -25,13 +25,14 @@ param record.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
 from .gadgets import ReductionOutput
 from .graph import Graph, Instance, edge
-from .intervals import IntervalModel
+from .intervals import IntervalModel, _show
 from .witnesses import PathDecomposition
 
 
@@ -119,7 +120,19 @@ def _graph(n: int, records) -> Graph:
         raise InputError(f"line {at[0]}: {what}") from None
 
 
+_PLAIN_RATIONAL = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+
+
 def _parse_rational(token: str, ln: int) -> Fraction:
+    """Fraction(token); InputError naming line `ln` where Fraction refuses.
+
+    Plain decimals and integers (ASCII digits, an optional minus sign) are
+    built from their digits, without Fraction's string parser."""
+    if _PLAIN_RATIONAL.fullmatch(token):
+        whole, _, digits = token.partition(".")
+        if not digits:
+            return Fraction(int(whole))
+        return Fraction(int(whole + digits), 10 ** len(digits))
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -152,7 +165,18 @@ def parse_instance(text: str) -> ParsedInstance:
     params: dict[str, str] = {}
 
     for ln, kind, rest in _records(text):
-        if kind == "c":
+        if kind == "e":
+            # two ids in 1..n, inline; anything else goes to _edge_record,
+            # which names the fault
+            try:
+                u, v = map(int, rest)
+            except ValueError:
+                u = v = 0
+            if n is not None and 0 < u <= n and 0 < v <= n:
+                edges.append((ln, u - 1, v - 1))
+            else:
+                edges.append(_edge_record(rest, ln, n))
+        elif kind == "c":
             if len(rest) >= 3 and rest[0] == "param":
                 if rest[1] in params:
                     raise InputError(f"line {ln}: param {rest[1]!r} given twice")
@@ -164,8 +188,6 @@ def parse_instance(text: str) -> ParsedInstance:
                 if v in roles:
                     raise InputError(f"line {ln}: role of vertex {v + 1} given twice")
                 roles[v] = rest[2]
-        elif kind == "e":
-            edges.append(_edge_record(rest, ln, n))
         elif kind == "p":
             n, m = _p_line("lbc", rest, ln, n)
         elif kind in _SCALARS:
@@ -180,7 +202,12 @@ def parse_instance(text: str) -> ParsedInstance:
             v = _vertex_id(rest[0], ln, n)
             if v in intervals:
                 raise InputError(f"line {ln}: interval of vertex {v + 1} given twice")
-            intervals[v] = _parse_rational(rest[1], ln), _parse_rational(rest[2], ln)
+            a, b = _parse_rational(rest[1], ln), _parse_rational(rest[2], ln)
+            if a > b:
+                raise InputError(
+                    f"line {ln}: vertex {v + 1}: empty interval [{_show(a)}, {_show(b)}]"
+                )
+            intervals[v] = a, b
         else:
             raise InputError(f"line {ln}: unknown record type {kind!r}")
 

@@ -8,11 +8,18 @@ contain another.  Identical intervals are allowed (they are true twins).
 Normalization needs the vertex order, not the coordinates.  A proper model
 sorted by (start, -id) is an umbrella ordering of its graph: every closed
 neighbourhood is a contiguous run of ranks (Roberts 1969; Looges & Olariu,
-"Optimal greedy algorithms for indifference graphs", 1993).  A solve sorts
-the coordinates once, in `validate_model`, and reuses that order:
-  check  - properness on consecutive vertices of the order, adjacency
-           against its sweep (`IntervalModel.intersecting_pairs`), in
-           O(n log n + m); `validate_model` returns the order it proved
+"Optimal greedy algorithms for indifference graphs", 1993).
+
+A model compares its endpoints through integer keys, made once when it is
+built: each endpoint times the least common denominator of all of them.
+Past a denominator of 2**64 the keys are the Fractions themselves, since a
+coordinate like 1e-99999 would make every key 100,000 digits long; the code
+that reads keys is the same either way.  A solve sorts the keys once, in
+`validate_model`, and reuses that order:
+  check  - properness on consecutive vertices of the order; adjacency one
+           rank run at a time, each closed neighbourhood against the run of
+           ranks its interval meets, in O(n log n + m); `validate_model`
+           returns the order it proved
   rank   - the order is the ranking; when t is ranked before s the two
            terminal names swap (Length-Bounded Cut is symmetric in s and
            t), so s is the terminal ranked first
@@ -27,27 +34,71 @@ comes after normalization (the solver, cut reconstruction and
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import gt, le, lt
 
 from .errors import ModelError
 from .graph import Graph, Instance
 
+# Past this common denominator (a 1e-99999 coordinate, or many pairwise
+# coprime denominators) every integer key would be as long as it, so the
+# Fractions serve as keys instead.
+KEY_DENOMINATOR_LIMIT = 2**64
+
+
+def _endpoint_keys(values: tuple) -> tuple:
+    """Exact keys for `values`, in order: each value times one common
+    denominator, an int, while that denominator stays within
+    KEY_DENOMINATOR_LIMIT; otherwise the values themselves.  Keys compare
+    as their values do."""
+    ratios = [x.as_integer_ratio() for x in values]
+    den = 1
+    for _, d in ratios:
+        if den % d:
+            den = lcm(den, d)
+            if den > KEY_DENOMINATOR_LIMIT:
+                return values
+    return tuple([p * (den // d) for p, d in ratios])
+
+
+def _show(x) -> str:
+    """An endpoint for a message: str(x), or about 2^k when its numerator or
+    denominator is longer than 1000 bits (some 300 digits)."""
+    p, q = x.as_integer_ratio()
+    if max(abs(p), q).bit_length() <= 1000:
+        return str(x)
+    return f"~{'-' if p < 0 else ''}2^{abs(p).bit_length() - q.bit_length()}"
+
 
 @dataclass(frozen=True)
 class IntervalModel:
-    """Per-vertex closed intervals [start, end] with rational endpoints."""
+    """Per-vertex closed intervals [start, end] with rational endpoints.
+
+    start_keys and end_keys are exact stand-ins for the endpoints, computed
+    once here (see `_endpoint_keys`).  The sweep and `validate_model`
+    compare keys; messages print the endpoints themselves.
+    """
 
     starts: tuple[Fraction, ...]
     ends: tuple[Fraction, ...]
+    start_keys: tuple = field(init=False, repr=False, compare=False)
+    end_keys: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.starts) != len(self.ends):
+        n = len(self.starts)
+        if len(self.ends) != n:
             raise ModelError("starts and ends differ in length")
-        for v, (a, b) in enumerate(zip(self.starts, self.ends)):
-            if a > b:
-                raise ModelError(f"vertex {v}: empty interval [{a}, {b}]")
+        keys = _endpoint_keys((*self.starts, *self.ends))
+        a, b = keys[:n], keys[n:]
+        object.__setattr__(self, "start_keys", a)
+        object.__setattr__(self, "end_keys", b)
+        if any(map(gt, a, b)):
+            v = next(v for v in range(n) if a[v] > b[v])
+            start, end = _show(self.starts[v]), _show(self.ends[v])
+            raise ModelError(f"vertex {{0}}: empty interval [{start}, {end}]", v)
 
     @property
     def n(self) -> int:
@@ -69,12 +120,13 @@ class IntervalModel:
         intervals meeting u that start no earlier than u are exactly the
         next ones in it whose start is <= end(u).
         """
+        s, e = self.start_keys, self.end_keys
         if order is None:
-            order = sorted(range(self.n), key=self.starts.__getitem__)
-        sorted_starts = [self.starts[v] for v in order]
+            order = sorted(range(self.n), key=s.__getitem__)
+        sorted_starts = [s[v] for v in order]
         pairs = []
         for i, u in enumerate(order):
-            for v in order[i + 1 : bisect_right(sorted_starts, self.ends[u])]:
+            for v in order[i + 1 : bisect_right(sorted_starts, e[u])]:
                 pairs.append((u, v) if u < v else (v, u))
         return pairs
 
@@ -86,34 +138,63 @@ def validate_model(g: Graph, model: IntervalModel) -> list[int]:
     """Return the umbrella order of `model`; raise ModelError unless it is
     a proper interval model of `g`.
 
-    Returns every vertex by (start, -id), from the one coordinate sort of a
-    solve.  Properness is checked on consecutive vertices of that order:
-    tied starts must have equal ends, otherwise both start and end must grow
-    strictly.  Adjacency is checked against the sweep of the same order; a
-    mismatch names the smallest pair on which graph and model disagree.
+    Returns every vertex by (start, -id), from the one key sort of a solve.
+    Properness is checked on consecutive vertices of that order: tied starts
+    must have equal ends, otherwise both start and end must grow strictly.
+    Adjacency is then checked one rank run at a time.  The intervals meeting
+    the vertex at rank r are the ranks lo..hi around it: lo the first rank
+    ending at or after its start, hi the last starting at or before its end.
+    So it needs hi - lo neighbours, none ranked above hi.  No neighbour can
+    then rank below lo either: that neighbour would have this vertex ranked
+    above its own hi.  A mismatch names the smallest pair on which graph and
+    model disagree.
     """
     if model.n != g.n:
         raise ModelError(f"model has {model.n} intervals, graph has {g.n} vertices")
-    s, e = model.starts, model.ends
+    s, e = model.start_keys, model.end_keys
     order = sorted(range(g.n - 1, -1, -1), key=s.__getitem__)  # stable: ties by -id
+    ss, es = [s[v] for v in order], [e[v] for v in order]
+    # along the order, ends never fall and grow exactly where starts do
+    if not (all(map(le, es, es[1:])) and list(map(lt, ss, ss[1:])) == list(map(lt, es, es[1:]))):
+        raise _containment_error(model, order)
+    pos = [0] * g.n
+    for r, v in enumerate(order):
+        pos[v] = r
+    rank, adj = pos.__getitem__, g.adj
+    for r, u in enumerate(order):
+        a = adj[u]
+        hi = bisect_right(ss, e[u], r) - 1
+        if len(a) != hi - bisect_left(es, s[u], 0, r) or max(map(rank, a), default=-1) > hi:
+            raise _mismatch_error(g, model, order)
+    return order
+
+
+def _containment_error(model: IntervalModel, order) -> ModelError:
+    """The error for the first consecutive pair of `order` that is not proper."""
+    s, e = model.start_keys, model.end_keys
     for u, v in zip(order, order[1:]):
         if e[u] == e[v] if s[u] == s[v] else e[u] < e[v]:
             continue
         # s[u] <= s[v]: either the starts tie and one reaches further, or v
         # ends no later than u although it starts later
         outer, inner = (v, u) if s[u] == s[v] and e[v] > e[u] else (u, v)
-        raise ModelError(
-            f"interval of {outer} [{s[outer]},{e[outer]}] strictly contains "
-            f"interval of {inner} [{s[inner]},{e[inner]}]"
+        a, b = model.starts, model.ends
+        return ModelError(
+            f"interval of {{0}} [{_show(a[outer])},{_show(b[outer])}] strictly contains "
+            f"interval of {{1}} [{_show(a[inner])},{_show(b[inner])}]",
+            outer, inner,
         )
-    mismatch = set(model.intersecting_pairs(order)).symmetric_difference(g.edges)
-    if mismatch:
-        u, v = min(mismatch)
-        raise ModelError(
-            f"adjacency mismatch at ({u}, {v}): intervals "
-            f"[{s[u]},{e[u]}] vs [{s[v]},{e[v]}]"
-        )
-    return order
+
+
+def _mismatch_error(g: Graph, model: IntervalModel, order) -> ModelError:
+    """The error for the smallest pair on which `g` and `model` disagree."""
+    u, v = min(set(model.intersecting_pairs(order)).symmetric_difference(g.edges))
+    a, b = model.starts, model.ends
+    return ModelError(
+        f"adjacency mismatch at ({{0}}, {{1}}): intervals "
+        f"[{_show(a[u])},{_show(b[u])}] vs [{_show(a[v])},{_show(b[v])}]",
+        u, v,
+    )
 
 
 @dataclass(frozen=True)

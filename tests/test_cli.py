@@ -123,6 +123,40 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, command, text, line):
 
 
 
+# PATH_3 with an interval model; the i lines are lines 8-10
+@pytest.mark.parametrize(
+    "intervals, message",
+    [
+        ("i 1 0 1\ni 2 1 2\ni 3 3 4\n",
+         "error: adjacency mismatch at (2, 3): intervals [1,2] vs [3,4]"),
+        ("i 1 0 1\ni 2 1 4\ni 3 2 3\n",
+         "error: interval of 2 [1,4] strictly contains interval of 3 [2,3]"),
+        ("i 1 0 1\ni 2 2 1\ni 3 2 3\n", "error: line 9: vertex 2: empty interval [2, 1]"),
+        # an endpoint with more digits than str() converts is shown as a power of 2
+        ("i 1 0 1\ni 2 1 2\ni 3 1e-99999 3\n",
+         "error: interval of 3 [~2^-332189,3] strictly contains interval of 2 [1,2]"),
+    ],
+    ids=["adjacency-mismatch", "strict-containment", "empty-interval", "overlong-endpoint"],
+)
+def test_model_errors_name_1_based_ids(tmp_path, capsys, intervals, message):
+    path = tmp_path / "inst.gr"
+    path.write_text(PATH_3 + intervals)
+    assert main(["solve", str(path), "--mode", "dp"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_auto_mode_says_why_it_falls_back(tmp_path, capsys):
+    path = tmp_path / "inst.gr"
+    path.write_text(PATH_3 + "i 1 0 1\ni 2 1 2\ni 3 3 4\n")
+    assert main(["solve", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("method branch\ncost 1\n")
+    assert captured.err == (
+        f"warning: {path}: interval model rejected: "
+        "adjacency mismatch at (2, 3): intervals [1,2] vs [3,4]\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -2,10 +2,11 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lbcut.errors import InputError
 from lbcut.formats import (
+    _parse_rational,
     load_reduction_output,
     parse_cut,
     parse_fvs,
@@ -65,12 +66,22 @@ class TestParseInstance:
             ("e 1 3", "out of range"),
             ("q 1", "unknown record"),
             ("i 1 x 1", "bad rational"),
+            ("i 1 2 1", "line 8: vertex 1: empty interval [2, 1]"),
+            ("e 1 x", "line 8: bad vertex id 'x'"),
+            ("e 1", "line 8: expected `e <u> <v>`"),
+            ("e 1 2 2", "line 8: expected `e <u> <v>`"),
+            ("e 0 1", "line 8: vertex id 0 out of range 1..2"),
+            ("e 1 x\ne 1 1", "line 8: bad vertex id 'x'"),  # the first malformed line
         ],
     )
     def test_diagnostics_carry_line_numbers(self, mutation, message):
         with pytest.raises(InputError) as err:
             parse_instance(MINIMAL + mutation + "\n")
         assert message in str(err.value) and "line" in str(err.value)
+
+    def test_edge_before_p_line(self):
+        with pytest.raises(InputError, match="line 1: vertex id before the p-line"):
+            parse_instance("e 1 2\n" + MINIMAL)
 
     def test_missing_header_field(self):
         broken = "\n".join(
@@ -99,10 +110,42 @@ class TestParseInstance:
     )
     @settings(max_examples=150, deadline=None)
     def test_rational_round_trip(self, num, den):
-        from lbcut.formats import _fmt_rational, _parse_rational
+        from lbcut.formats import _fmt_rational
 
         x = Fraction(num, den)
         assert _parse_rational(_fmt_rational(x), 1) == x
+
+
+RATIONAL_TOKENS = st.one_of(
+    st.from_regex(r"-?[0-9]{1,25}\.[0-9]{1,25}", fullmatch=True),  # the plain decimals
+    st.from_regex(r"-?[0-9]{1,25}", fullmatch=True),  # and integers read from digits
+    st.from_regex(r"[-+]?[0-9]{1,12}/[0-9]{1,12}", fullmatch=True),
+    st.from_regex(r"-?\d{1,4}(\.\d{1,4})?", fullmatch=True),  # any Unicode digits
+    st.text(alphabet="0123456789-+./_eE", max_size=8),
+)
+
+
+@given(token=RATIONAL_TOKENS)
+@example(token="-0.5")
+@example(token=".5")
+@example(token="5.")
+@example(token="+1.5")
+@example(token="1_0.5")
+@example(token="\u0661.\u0665")  # Arabic-Indic digits: 1.5
+@example(token="1e3")
+@example(token="0/0")
+@example(token="-0")
+@settings(max_examples=400, deadline=None)
+def test_parse_rational_agrees_with_fraction(token):
+    try:
+        expected = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputError) as err:
+            _parse_rational(token, 7)
+        assert str(err.value) == f"line 7: bad rational {token!r}"
+    else:
+        value = _parse_rational(token, 7)
+        assert type(value) is Fraction and value == expected
 
 
 class TestAuxiliaryFormats:

@@ -1,5 +1,6 @@
 import itertools
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from random import Random
 
@@ -8,7 +9,13 @@ import pytest
 from lbcut.dp import monotonize_cut
 from lbcut.errors import ModelError
 from lbcut.graph import Graph, Instance, edge
-from lbcut.intervals import IntervalModel, normalize, validate_model
+from lbcut.intervals import (
+    KEY_DENOMINATOR_LIMIT,
+    IntervalModel,
+    _show,
+    normalize,
+    validate_model,
+)
 from lbcut.oracles import random_proper_interval_instance
 
 
@@ -160,6 +167,150 @@ class TestSweepAgainstBruteForce:
             "strict containment",
             "same start, different end",
         }
+
+
+def fraction_validate_model(g, model):
+    """Reference for validate_model: the version before integer keys.
+
+    It sorts and sweeps the Fraction endpoints themselves and compares the
+    m intersecting pairs of the sweep with g.edges.  Messages print the
+    endpoints as validate_model does.
+    """
+    if model.n != g.n:
+        raise ModelError(f"model has {model.n} intervals, graph has {g.n} vertices")
+    s, e = model.starts, model.ends
+    order = sorted(range(g.n - 1, -1, -1), key=s.__getitem__)  # stable: ties by -id
+    for u, v in zip(order, order[1:]):
+        if e[u] == e[v] if s[u] == s[v] else e[u] < e[v]:
+            continue
+        outer, inner = (v, u) if s[u] == s[v] and e[v] > e[u] else (u, v)
+        raise ModelError(
+            f"interval of {outer} [{_show(s[outer])},{_show(e[outer])}] strictly contains "
+            f"interval of {inner} [{_show(s[inner])},{_show(e[inner])}]"
+        )
+    sorted_starts = [s[v] for v in order]
+    pairs = set()
+    for i, u in enumerate(order):
+        for v in order[i + 1 : bisect_right(sorted_starts, e[u])]:
+            pairs.add((u, v) if u < v else (v, u))
+    mismatch = pairs.symmetric_difference(g.edges)
+    if mismatch:
+        u, v = min(mismatch)
+        raise ModelError(
+            f"adjacency mismatch at ({u}, {v}): intervals "
+            f"[{_show(s[u])},{_show(e[u])}] vs [{_show(s[v])},{_show(e[v])}]"
+        )
+    return order
+
+
+def same_as_reference(g, model) -> str:
+    """Assert validate_model returns the reference's order, or raises its
+    message (naming the same vertices); return which happened."""
+    try:
+        expected = fraction_validate_model(g, model)
+    except ModelError as exc:
+        with pytest.raises(ModelError) as info:
+            validate_model(g, model)
+        assert str(info.value) == str(exc)
+        return "contains" if str(exc).startswith("interval of") else "mismatch"
+    assert validate_model(g, model) == expected
+    return "order"
+
+
+def random_proper_model(rng):
+    """Proper intervals of mixed lengths, with twins, in shuffled ids: starts
+    and ends both strictly increasing over distinct intervals."""
+    k = rng.randint(1, 12)
+    den = rng.choice([1, 2, 3, 7, 8, 10, 1000])
+    starts = sorted(rng.sample(range(20 * den + k), k))
+    lengths = sorted(rng.sample(range(5 * den + k), k))
+    intervals = [(Fraction(a, den), Fraction(a + b, den)) for a, b in zip(starts, lengths)]
+    intervals += rng.choices(intervals, k=rng.randint(0, 3))  # twins
+    rng.shuffle(intervals)
+    return IntervalModel(tuple(a for a, _ in intervals), tuple(b for _, b in intervals))
+
+
+def swapped(pairs, a, b):
+    """`pairs` with edges a = (u, v) and b = (x, y) replaced by (u, y) and
+    (x, v): every degree stays, so only the neighbours can give it away.
+    None when the swap would make a self-loop or repeat an edge."""
+    (u, v), (x, y) = a, b
+    new = {tuple(sorted(e)) for e in ((u, y), (x, v))}
+    if u == y or x == v or len(new) < 2 or new & pairs:
+        return None
+    return (pairs - {a, b}) | new
+
+
+def broken(rng, model):
+    """The model's graph with one edge flipped or two edges swapped, or a
+    model in which one interval is moved, so that it may contain or miss
+    its neighbours."""
+    pairs = brute_pairs(model)
+    change = rng.random()
+    if change < 0.25 and len(pairs) >= 2:
+        edges = swapped(pairs, *rng.sample(sorted(pairs), 2))
+        if edges is not None:
+            return Graph(model.n, edges), model
+    if change < 0.5:
+        flip = tuple(sorted(rng.sample(range(model.n), 2)))
+        return Graph(model.n, pairs ^ {flip}), model
+    v = rng.randrange(model.n)
+    starts, ends = list(model.starts), list(model.ends)
+    starts[v] -= Fraction(rng.randint(0, 4), 2)
+    ends[v] += Fraction(rng.randint(0, 4), 2)
+    return Graph(model.n, pairs), IntervalModel(tuple(starts), tuple(ends))
+
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+
+
+class TestAgainstFractionReference:
+    def test_random_proper_models(self):
+        for seed in range(300):
+            model = random_proper_model(Random(seed))
+            assert same_as_reference(Graph(model.n, brute_pairs(model)), model) == "order"
+
+    def test_random_invalid_models(self):
+        seen = []
+        for seed in range(600):
+            rng = Random(seed)
+            model = random_proper_model(rng)
+            if model.n >= 2:
+                seen.append(same_as_reference(*broken(rng, model)))
+        assert {"order", "contains", "mismatch"} <= set(seen)
+
+    def test_degree_preserving_swap_is_a_mismatch(self):
+        # two unit-interval paths 0-1-2 and 3-4-5; swapping (0, 1) and
+        # (3, 4) for (0, 4) and (1, 3) keeps every degree
+        model = IntervalModel.unit([0, 1, 2, 5, 6, 7])
+        edges = swapped(brute_pairs(model), (0, 1), (3, 4))
+        assert same_as_reference(Graph(6, edges), model) == "mismatch"
+
+    @pytest.mark.parametrize("coordinate", ["1e-99999", "pairwise coprime"])
+    def test_keys_past_the_limit_are_the_fractions(self, coordinate):
+        if coordinate == "1e-99999":
+            eps = Fraction("1e-99999")
+            starts = (Fraction(0), eps, Fraction(1), Fraction(2))
+        else:  # k + 1/p for the first 20 primes p: their product is past 2**64
+            starts = tuple(Fraction(k * p + 1, p) for k, p in enumerate(PRIMES))
+        model = IntervalModel.unit(starts)
+        assert model.start_keys == model.starts and model.end_keys == model.ends
+        assert all(type(x) is Fraction for x in model.start_keys + model.end_keys)
+        g = Graph(model.n, brute_pairs(model))
+        assert same_as_reference(g, model) == "order"
+        u, v = min(g.edges)
+        assert same_as_reference(Graph(g.n, g.edges - {(u, v)}), model) == "mismatch"
+        ends = list(model.ends)
+        ends[1] = model.ends[0]  # [start 1, end 0] lies inside interval 0
+        assert same_as_reference(g, IntervalModel(model.starts, tuple(ends))) == "contains"
+
+    def test_keys_scale_to_a_common_denominator(self):
+        model = IntervalModel.unit([0, Fraction(1, 2), Fraction(-1, 3)])
+        assert model.start_keys == (0, 3, -2) and model.end_keys == (6, 9, 4)
+        at = IntervalModel.unit([Fraction(1, 2), Fraction(1, KEY_DENOMINATOR_LIMIT)])
+        assert at.start_keys == (KEY_DENOMINATOR_LIMIT // 2, 1)
+        past = IntervalModel.unit([Fraction(1, 3), Fraction(1, KEY_DENOMINATOR_LIMIT)])
+        assert past.start_keys == past.starts
 
 
 def kept_model(model, kept):
