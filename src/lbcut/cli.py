@@ -73,8 +73,8 @@ def build_parser():
         help="auto uses the interval solver when interval lines are present",
     )
     sp.add_argument("--print-cut", action="store_true")
-    sp.add_argument("--subset-cap", type=int, default=16)
-    sp.add_argument("--branch-cap", type=int, default=200_000)
+    sp.add_argument("--subset-cap", type=int, default=OracleBudget.max_subset_edges)
+    sp.add_argument("--branch-cap", type=int, default=OracleBudget.max_branch_nodes)
     sp.set_defaults(func=cmd_solve)
 
     gp = sub.add_parser("gen", help="generate a hard instance family member")
@@ -172,12 +172,11 @@ def _write(path, content):
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
-def _solve_one(path, mode, subset_cap, branch_cap):
+def _solve_one(path, mode, budget):
     parsed = formats.parse_instance(_read(path))
     for w in parsed.warnings:
         print(f"warning: {path}: {w}", file=sys.stderr)
     inst, model = parsed.instance, parsed.model
-    budget = OracleBudget(max_subset_edges=subset_cap, max_branch_nodes=branch_cap)
     # solve rejects a bad model first; its message names the vertices with
     # the file's 1-based ids
     if mode == "auto":
@@ -212,9 +211,8 @@ def cmd_solve(args) -> int:
     for option, cap in (("--subset-cap", args.subset_cap), ("--branch-cap", args.branch_cap)):
         if cap <= 0:
             raise InputError(f"{option} must be positive, got {cap}")
-    inst, mode, cost, cut, verified = _solve_one(
-        args.file, args.mode, args.subset_cap, args.branch_cap
-    )
+    budget = OracleBudget(max_subset_edges=args.subset_cap, max_branch_nodes=args.branch_cap)
+    inst, mode, cost, cut, verified = _solve_one(args.file, args.mode, budget)
     decision = cost <= inst.beta
     print(f"method {mode}")
     print(f"cost {cost}")
@@ -355,7 +353,7 @@ def _bench_row(task):
     index, path, mode = task
     started = time.perf_counter()
     try:
-        inst, used, cost, cut, _ = _solve_one(path, mode, 16, 50_000)
+        inst, used, cost, cut, _ = _solve_one(path, mode, OracleBudget())
         elapsed = (time.perf_counter() - started) * 1000
         row = (
             f"{path}\t{inst.graph.n}\t{inst.graph.m}\t{inst.beta}\t{inst.lam}"

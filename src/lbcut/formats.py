@@ -127,13 +127,13 @@ def _parse_rational(token: str, ln: int) -> Fraction:
     """Fraction(token); InputError naming line `ln` where Fraction refuses.
 
     Plain decimals and integers (ASCII digits, an optional minus sign) are
-    built from their digits, without Fraction's string parser."""
-    if _PLAIN_RATIONAL.fullmatch(token):
-        whole, _, digits = token.partition(".")
-        if not digits:
-            return Fraction(int(whole))
-        return Fraction(int(whole + digits), 10 ** len(digits))
+    built from their digits; past Python's int-string limit both refuse."""
     try:
+        if _PLAIN_RATIONAL.fullmatch(token):
+            whole, _, digits = token.partition(".")
+            if not digits:
+                return Fraction(int(whole))
+            return Fraction(int(whole + digits), 10 ** len(digits))
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"line {ln}: bad rational {token!r}") from None
@@ -376,7 +376,7 @@ def parse_cut(text: str, g: Graph) -> frozenset:
         if u == v:
             raise InputError(f"line {ln}: self-loop at vertex {u + 1}")
         e = edge(u, v)
-        if e not in g.edges:
+        if not g.has_edge(*e):
             raise InputError(f"line {ln}: {edge(u + 1, v + 1)} is not an edge of the instance")
         if e in cut:
             raise InputError(f"line {ln}: duplicate edge {edge(u + 1, v + 1)}")

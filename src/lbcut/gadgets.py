@@ -10,6 +10,7 @@ the source graph's edges for both clique-search inputs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -33,19 +34,15 @@ class LexEdges:
     @cached_property
     def edges_lex(self) -> tuple[Edge, ...]:
         """e_1..e_m as 0-based sorted pairs, lexicographic order."""
-        return tuple(sorted(self.graph.edges))
-
-    @cached_property
-    def _edge_positions(self) -> dict[Edge, int]:
-        return {e: p for p, e in enumerate(self.edges_lex, start=1)}
+        return tuple(self.graph.edge_list())
 
     def edge_position(self, u: int, v: int) -> int:
         """1-based lexicographic position of an edge."""
         e = edge(u, v)
-        p = self._edge_positions.get(e)
-        if p is None:
+        i = bisect_left(self.edges_lex, e)
+        if i == len(self.edges_lex) or self.edges_lex[i] != e:
             raise InputError(f"{e} is not an edge of the source graph")
-        return p
+        return i + 1
 
     def check_clique(self, clique) -> list[int]:
         """The sorted members of `clique`, a k-clique of `graph`, or InputError.

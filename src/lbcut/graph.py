@@ -1,6 +1,7 @@
 """Undirected simple graphs, hop distances, cuts, and the max-flow precheck.
 
-Vertex ids are dense integers 0..n-1.  Edges are stored as sorted pairs.
+Vertex ids are dense integers 0..n-1.  Edges live only in the sorted `adj`
+tuples; `edge_list()` and `edges` are views built from them on each call.
 All types here are immutable after construction and safe to share.
 
 Hop distances come from one bounded BFS, exposed as `bfs_distances` and
@@ -14,6 +15,7 @@ saturated out-neighbours per vertex.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import InputError, InternalCheckError
@@ -36,9 +38,9 @@ def edge_set(pairs) -> frozenset[Edge]:
 
 
 class Graph:
-    """Immutable undirected simple graph."""
+    """Immutable undirected simple graph; sorted `adj` is its only edge store."""
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -55,25 +57,31 @@ class Graph:
             adj[e[0]].append(e[1])
             adj[e[1]].append(e[0])
         self.n = n
-        self.edges: frozenset[Edge] = frozenset(seen)
+        self.m = len(seen)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[Edge]:
+        """The edge set, built from `adj` in O(m) on every access."""
+        return frozenset(self.edge_list())
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self.edges
+        """Whether u-v is an edge; False for ids outside 0..n-1."""
+        u, v = edge(u, v)
+        a = self.adj[u] if 0 <= u and v < self.n else ()
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def edge_list(self) -> list[Edge]:
-        """Edges in sorted order, for deterministic iteration."""
-        return sorted(self.edges)
+        """The pairs (u, w) with u < w, in sorted order."""
+        return [(u, w) for u, a in enumerate(self.adj) for w in a if u < w]
 
     def without_edges(self, cut) -> "Graph":
-        return Graph(self.n, self.edges - _cut_edges(self, cut))
+        removed = _cut_edges(self, cut)
+        return Graph(self.n, [e for e in self.edge_list() if e not in removed])
 
     def subgraph(self, keep) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph on `keep` with dense relabeling.
@@ -89,17 +97,14 @@ class Graph:
             tuple(x for x in map(new.__getitem__, self.adj[v]) if x >= 0) for v in keep
         )
         g = Graph.__new__(Graph)
-        g.n, g.adj = len(keep), adj
-        g.edges = frozenset((u, w) for u, a in enumerate(adj) for w in a if u < w)
+        g.n, g.m, g.adj = len(keep), sum(map(len, adj)) // 2, adj
         return g, {v: i for i, v in enumerate(keep)}
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -139,9 +144,9 @@ class Instance:
 
 
 def _cut_edges(g: Graph, cut) -> frozenset[Edge]:
-    """Normalize `cut` to an edge set of `g` in O(|cut|); non-edges raise."""
+    """Normalize `cut` to an edge set of `g` in O(|cut| log n); non-edges raise."""
     removed = edge_set(cut)
-    extra = removed - g.edges
+    extra = [e for e in removed if not g.has_edge(*e)]
     if extra:
         raise InputError(f"cut contains non-edges: {sorted(extra)[:3]}")
     return removed
@@ -291,7 +296,7 @@ def min_st_cut(g: Graph, s: int, t: int) -> tuple[int, frozenset]:
             if not reach[w] and w not in su:
                 reach[w] = True
                 stack.append(w)
-    cut = frozenset(e for e in g.edges if reach[e[0]] != reach[e[1]])
+    cut = frozenset(edge(u, w) for u in range(g.n) if reach[u] for w in adj[u] if not reach[w])
     if len(cut) != value:
         raise InternalCheckError(
             f"flow value {value} disagrees with residual cut size {len(cut)}"

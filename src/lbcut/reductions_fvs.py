@@ -41,7 +41,7 @@ class MulticoloredCliqueInstance(LexEdges):
             raise InputError(
                 f"graph has {self.graph.n} vertices, expected k*nu = {self.k * self.nu}"
             )
-        for u, v in self.graph.edges:
+        for u, v in self.graph.edge_list():
             if u // self.nu == v // self.nu:
                 raise InputError(f"edge {edge(u, v)} stays inside one part")
 

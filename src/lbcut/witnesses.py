@@ -35,7 +35,7 @@ def verify_fvs(g: Graph, vertices) -> bool:
             x = parent[x]
         return x
 
-    for u, v in g.edges:
+    for u, v in g.edge_list():
         if u in removed or v in removed:
             continue
         ru, rv = find(u), find(v)
@@ -77,11 +77,10 @@ class Suppression:
     def expand(self, n: int) -> Graph:
         """Rebuild the original n-vertex graph from the chains."""
         edges = []
-        for u, v in self.graph.edges:
+        for u, v in self.graph.edge_list():
             ou, ov = self.old_of_new[u], self.old_of_new[v]
             seq = (ou, *self.chains.get(edge(ou, ov), ()), ov)
-            for a, b in zip(seq, seq[1:]):
-                edges.append((a, b))
+            edges.extend(zip(seq, seq[1:]))
         return Graph(n, edges)
 
 
@@ -175,7 +174,7 @@ def verify_path_decomposition(g: Graph, pd: PathDecomposition) -> PdVerdict:
         if len(seen_in[v]) != hi - lo + 1:
             return PdVerdict(False, kind="contiguity", witness=v)
         span[v] = (lo, hi)
-    for e in g.edges:
+    for e in g.edge_list():
         # with contiguity verified, occurrence runs overlap iff some bag
         # holds both endpoints
         (alo, ahi), (blo, bhi) = span[e[0]], span[e[1]]

@@ -89,6 +89,8 @@ PATH_3 = "p lbc 3 2\ns 1\nt 3\nb 1\nl 2\ne 1 2\ne 2 3\n"
         ("cut", "e 1 2\ne 2 2\n", 2),
         ("source", "p graph -3 0\n", 1),
         ("solve", PATH_3.replace("p lbc 3 2", "p lbc -3 2"), 1),
+        # past Python's 4300-digit int-string limit
+        ("solve", PATH_3 + "i 1 0 " + "1" * 5000 + "\n", 8),
         # the rest also check the message, whose ids are 1-based as in the file
         ("source", "p graph 2 2\ne 1 2\ne 2 1\n", "3: duplicate edge (1, 2)"),
         ("source", "p graph 2 1\ne 1 1\n", "2: self-loop at vertex 1"),
@@ -99,7 +101,8 @@ PATH_3 = "p lbc 3 2\ns 1\nt 3\nb 1\nl 2\ne 1 2\ne 2 3\n"
     ],
     ids=["b-zz", "p-lbc-x", "bare-s", "source-id", "cut-non-edge", "cut-id", "fvs-id",
          "not-utf-8", "source-repeated-edge", "source-self-loop", "solve-self-loop",
-         "cut-self-loop", "p-graph-negative", "p-lbc-negative", "source-repeated-edge-ids",
+         "cut-self-loop", "p-graph-negative", "p-lbc-negative", "long-coordinate",
+         "source-repeated-edge-ids",
          "source-self-loop-ids", "solve-self-loop-ids", "cut-non-edge-ids",
          "cut-repeated-edge", "fvs-repeated-vertex"],
 )
@@ -330,6 +333,20 @@ class TestRandomAndBench:
         pooled = capsys.readouterr().out.strip().splitlines()
         assert pooled[0] == lines[0]
         assert [l.rsplit("\t", 1)[0] for l in pooled] == [l.rsplit("\t", 1)[0] for l in lines]
+
+    def test_bench_and_solve_pass_the_same_oracle_budget(self, tmp_path, capsys, monkeypatch):
+        import lbcut.cli as cli
+        budgets = []
+
+        def spy(inst, budget):
+            budgets.append(budget)
+            return 0
+
+        monkeypatch.setattr(cli, "oracle_branch", spy)
+        path, _, _ = write_instance(tmp_path, n=8, seed=5)
+        main(["solve", str(path), "--mode", "branch"])
+        main(["bench", "--mode", "branch", str(path)])
+        assert len(budgets) == 2 and budgets[0] == budgets[1] == cli.OracleBudget()
 
     def test_bench_reports_undecodable_file_row(self, tmp_path, capsys):
         good, _, _ = write_instance(tmp_path, name="good.gr", seed=1)

@@ -87,6 +87,40 @@ class TestGraphBasics:
             ref = Graph(len(new_of_old), edges)
             assert h == ref and h.adj == ref.adj
 
+    def test_has_edge_is_false_outside_the_vertex_range(self):
+        g = Graph(3, [(0, 2)])
+        assert g.has_edge(0, 2) and g.has_edge(2, 0) and not g.has_edge(0, 1)
+        for u, v in ((-1, 0), (0, 3), (3, 4), (-1, 2), (2, -1)):
+            assert not g.has_edge(u, v) and not g.has_edge(v, u)
+        with pytest.raises(InputError, match="self-loop"):
+            g.has_edge(1, 1)
+
+    def test_shuffled_edge_lists_give_equal_graphs(self):
+        for seed in range(20):
+            g = random_graph(10, 0.4, seed=seed)
+            pairs = [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(g.edge_list())]
+            Random(seed).shuffle(pairs)
+            h = Graph(g.n, pairs)
+            assert h == g and hash(h) == hash(g)
+        assert Graph(3, [(0, 1)]) != Graph(3, [(0, 2)])
+        assert Graph(3, [(0, 1)]) != Graph(4, [(0, 1)])
+
+    def test_edge_views_match_brute_force(self):
+        for seed in range(40):
+            rng = Random(seed)
+            n = rng.randint(0, 14)
+            brute = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35}
+            g = Graph(n, [(v, u) for u, v in brute])
+            assert g.edges == brute and g.m == len(brute)
+            assert g.edge_list() == sorted(brute)
+            for u, v in itertools.permutations(range(-1, n + 1), 2):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in brute)
+            keep = set(rng.sample(range(n), rng.randint(0, n)))
+            h, new_of_old = g.subgraph(keep)
+            induced = {(new_of_old[u], new_of_old[v]) for u, v in brute
+                       if u in keep and v in keep}
+            assert h.m == len(induced) and h.edge_list() == sorted(induced)
+
 
 class TestBfsDistances:
     def test_single_vertex(self):
@@ -149,6 +183,13 @@ class TestApplyCut:
             g.without_edges([(1, 2)])
         with pytest.raises(InputError):
             verify_cut(Instance(g, 0, 1, 1, 1), [(1, 2)])
+        for pair in ((0, 3), (-1, 0)):
+            with pytest.raises(InputError, match="cut contains non-edges"):
+                verify_cut(Instance(g, 0, 1, 1, 1), [pair])
+            with pytest.raises(InputError, match="cut contains non-edges"):
+                g.without_edges([(0, 1), pair])
+        with pytest.raises(InputError, match=r"non-edges: \[\(-1, 0\), \(0, 2\), \(1, 2\)\]$"):
+            g.without_edges([(2, 1), (0, 1), (0, 2), (2, 3), (0, -1)])
 
 
 class TestVerifyCut:

@@ -60,6 +60,14 @@ class TestCliqueInstance:
             for p in range(lo + 1, hi + 1):
                 assert cq.edges_lex[p - 1][0] + 1 == x
 
+    def test_edge_positions_follow_lex_order(self):
+        cq = k3_with_padding()
+        for p, (u, v) in enumerate(cq.edges_lex, start=1):
+            assert cq.edge_position(u, v) == cq.edge_position(v, u) == p
+        for u, v in ((0, 3), (3, 4), (-1, 0), (2, 9)):
+            with pytest.raises(InputError, match="is not an edge of the source graph"):
+                cq.edge_position(u, v)
+
     def test_link_targets_monotone_even_with_sink_vertices(self):
         # vertex 4 has only lower-indexed neighbors
         g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 5), (2, 5), (3, 4), (0, 4)])
