@@ -12,9 +12,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import formats
-from .dp import dp_solve, extract_cut, solve
+from .dp import solve
 from .errors import BudgetExceeded, InputError, InternalCheckError, LbcutError, ModelError
-from .graph import bfs_distances, verify_cut
+from .graph import verify_cut
 from .oracles import OracleBudget, oracle_branch, oracle_subset, random_proper_interval_instance
 from .reductions_fvs import (
     MulticoloredCliqueInstance,
@@ -34,9 +34,7 @@ YES, NO, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(_normalize_solve_argv(argv))
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, BudgetExceeded) as exc:
@@ -45,19 +43,6 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return INTERNAL
-
-
-def _normalize_solve_argv(argv):
-    """Accept `solve dp FILE` and `solve oracle --subset|--branch FILE`
-    as spellings of `solve FILE --mode ...`."""
-    if len(argv) >= 2 and argv[0] == "solve":
-        if argv[1] == "dp":
-            return ["solve", *argv[2:], "--mode", "dp"]
-        if argv[1] == "oracle":
-            rest = [a for a in argv[2:] if a not in ("--subset", "--branch")]
-            mode = "branch" if "--branch" in argv else "subset"
-            return ["solve", *rest, "--mode", mode]
-    return argv
 
 
 def build_parser():
@@ -279,7 +264,7 @@ def cmd_decode(args) -> int:
     cut = formats.parse_cut(_read(args.cut), out.instance.graph)
     decoded = (decode_pw if args.family == "pw" else decode_fvs)(out, cut)
     if decoded is None:
-        print("no selection pattern found")
+        print("no clique found")
         return NO
     print("clique " + ",".join(str(v + 1) for v in decoded))
     return YES

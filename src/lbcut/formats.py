@@ -8,7 +8,8 @@ Instance files (1-indexed vertex ids, whitespace separated):
     b <beta>
     l <lambda>
     e <u> <v>
-    i <id> <start> <end>     interval line; rationals as decimals or p/q
+    i <id> <start> <end>     interval line; rationals as decimals or p/q,
+                             <m>e-<k> past Python's int-string limit
     c <free text>            comment; `c param k 3` and `c role 5 u:1:0`
                              carry generator annotations
 
@@ -26,6 +27,7 @@ param record.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,24 +38,45 @@ from .intervals import IntervalModel, _show
 from .witnesses import PathDecomposition
 
 
-def _fmt_rational(x: Fraction) -> str:
-    """Exact decimal when the denominator is 2^a 5^b, else p/q."""
-    d = x.denominator
-    for p in (2, 5):
-        while d % p == 0:
-            d //= p
-    if d != 1:
-        return f"{x.numerator}/{x.denominator}"
-    value, digits = x, 0
-    while value.denominator != 1:
-        value *= 10
-        digits += 1
-    s = str(value.numerator)
+def _valuation(d: int, p: int) -> tuple[int, int]:
+    """(e, d // p**e) for the largest e with p**e dividing d."""
+    e = 0
+    while d % p == 0:
+        power, step = p, 1
+        while d % power == 0:
+            d //= power
+            e += step
+            power, step = power * power, step * 2
+    return e, d
+
+
+def _fmt_rational(x: Fraction, v: int) -> str:
+    """Exact decimal when the denominator is 2^a 5^b, else p/q.
+
+    A decimal whose digit string would pass Python's int-string limit is
+    written `<mantissa>e-<digits>` instead; where the limit leaves no
+    readable form, InputError names vertex v (0-based).
+    """
+    twos, rest = _valuation(x.denominator, 2)
+    fives, rest = _valuation(rest, 5)
+    try:
+        if rest != 1:
+            return f"{x.numerator}/{x.denominator}"
+        digits = max(twos, fives)
+        mantissa = str(x.numerator * 2 ** (digits - twos) * 5 ** (digits - fives))
+    except ValueError:
+        raise InputError(
+            f"vertex {v + 1}: coordinate exceeds Python's int-string limit"
+        ) from None
     if digits == 0:
-        return s
-    sign = "-" if s.startswith("-") else ""
-    s = s.lstrip("-").rjust(digits + 1, "0")
-    return f"{sign}{s[:-digits]}.{s[-digits:]}"
+        return mantissa
+    sign = "-" if mantissa.startswith("-") else ""
+    body = mantissa.lstrip("-")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and max(len(body), digits + 1) > limit:
+        return f"{mantissa}e-{digits}"
+    body = body.rjust(digits + 1, "0")
+    return f"{sign}{body[:-digits]}.{body[-digits:]}"
 
 
 def _records(text: str):
@@ -249,8 +272,8 @@ def serialize_instance(
     if model is not None:
         for v in range(g.n):
             lines.append(
-                f"i {v + 1} {_fmt_rational(model.starts[v])} "
-                f"{_fmt_rational(model.ends[v])}"
+                f"i {v + 1} {_fmt_rational(model.starts[v], v)} "
+                f"{_fmt_rational(model.ends[v], v)}"
             )
     if params:
         for key in sorted(params):

@@ -62,6 +62,14 @@ class LexEdges:
                 raise InputError(f"vertices {u + 1} and {v + 1} are not adjacent")
         return members
 
+    def clique_or_none(self, chosen) -> tuple[int, ...] | None:
+        """`chosen` as a tuple if check_clique accepts it, else None."""
+        try:
+            self.check_clique(chosen)
+        except InputError:
+            return None
+        return tuple(chosen)
+
 
 class GadgetBuilder:
     """Accumulates vertices, edges, and subdivided paths, then emits a Graph."""
@@ -130,6 +138,12 @@ class ReductionOutput:
     vertex_by_role: dict[str, int] = field(compare=False)
     params: dict[str, int | str] = field(compare=False)
     source: object = field(compare=False, default=None)
+
+    def source_of(self, family: str, kind: type):
+        """The source input of a gen_<family> output, or InputError."""
+        if self.params.get("family") != family or not isinstance(self.source, kind):
+            raise InputError(f"output was not generated by gen_{family}")
+        return self.source
 
     def anchor(self, *parts) -> int:
         tag = role(*parts)

@@ -4,10 +4,13 @@ From a multicolored clique instance (k parts of nu vertices each) we emit
 a length-bounded cut instance built around 2k hub vertices u_i, l_i.  Each
 part contributes m parallel s-u_i, s-l_i, u_i-t, and l_i-t paths of every
 length n+1 .. n+nu, tied together by shortcut edges pairing lengths j and
-nu-j; every source edge contributes one gadget vertex adjacent to t.  The
-budget forces a cheap cut to pick one length threshold per part (selecting
-a vertex) and to pay one edge for every source edge not inside the
-selected clique.
+nu-j; every source edge contributes one gadget vertex ve adjacent to t,
+joined to u_i by an eu path of length n+nu-idx(v) and to l_i by an el path
+of length n+idx(v)-1 for each endpoint v in part i.  The budget forces a
+cheap cut to pick one length threshold x per part (selecting the vertex of
+index x).  An s-ve-t path through that part is then short unless
+idx(v) = x, so the cut pays one ve-t edge for every source edge not inside
+the selected clique.
 
 beta = 2k(nu-1)m + m - C(k,2), lambda = nu + 2n, and {s, t, u_i, l_i} is a
 feedback vertex set of size 2k + 2.
@@ -16,6 +19,7 @@ feedback vertex set of size 2k + 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InputError
 from .gadgets import GadgetBuilder, LexEdges, ReductionOutput, role
@@ -96,98 +100,63 @@ def gen_fvs(mc: MulticoloredCliqueInstance) -> ReductionOutput:
         for v in (x, y):
             i = mc.part(v)
             b.path(u[i], ve, n + nu - mc.index(v), role("eu", p, i))
-            b.path(ell[i], ve, n + mc.index(v), role("el", p, i))
+            b.path(ell[i], ve, n + mc.index(v) - 1, role("el", p, i))
 
     return b.output(s, t, beta, lam, {"family": "fvs", "k": k, "nu": nu, "n": n, "m": m}, mc)
 
 
-def _source(out: ReductionOutput) -> MulticoloredCliqueInstance:
-    """The multicolored input of a `gen_fvs` output, or InputError."""
-    mc = out.source
-    if out.params.get("family") != "fvs" or not isinstance(mc, MulticoloredCliqueInstance):
-        raise InputError("output was not generated by gen_fvs")
-    return mc
+def _selection(out: ReductionOutput, mc: MulticoloredCliqueInstance, i: int, x: int) -> set:
+    """The threshold edges part i cuts when it selects index x.
+
+    For every copy p: the first edges of the S and Tb paths of length n+j
+    for j < x, and the last edges of the Sb and T paths of length n+j for
+    j <= nu-x.  x = nu+1 and x = 0 give all first and all last edges, whose
+    union is every threshold edge of part i.
+    """
+    s, t, li = out.anchor("s"), out.anchor("t"), out.anchor("l", i)
+    cut = set()
+    for p in range(1, mc.graph.m + 1):
+        for j in range(1, x):
+            cut.add(edge(s, out.path_seq("S", i, j, p)[1]))
+            cut.add(edge(li, out.path_seq("Tb", i, j, p)[1]))
+        for j in range(1, mc.nu - x + 1):
+            cut.add(edge(out.path_seq("Sb", i, j, p)[-2], li))
+            cut.add(edge(out.path_seq("T", i, j, p)[-2], t))
+    return cut
 
 
 def forward_cut_fvs(out: ReductionOutput, clique) -> frozenset:
     """The beta-sized cut encoding a multicolored clique."""
-    mc = _source(out)
+    mc = out.source_of("fvs", MulticoloredCliqueInstance)
     members = mc.check_clique(clique)
     if [mc.part(v) for v in members] != list(range(1, mc.k + 1)):
         raise InputError("clique must contain exactly one vertex per part")
-    s = out.anchor("s")
-    t = out.anchor("t")
-    m, nu = mc.graph.m, mc.nu
     cut = set()
-    for i, v in enumerate(members, start=1):
-        x = mc.index(v)
-        li = out.anchor("l", i)
-        for p in range(1, m + 1):
-            for j in range(1, x):  # first edges of short s-u_i paths
-                cut.add(edge(s, out.path_seq("S", i, j, p)[1]))
-            for j in range(1, nu - x + 1):  # last edges of short s-l_i paths
-                cut.add(edge(out.path_seq("Sb", i, j, p)[-2], li))
-            for j in range(1, nu - x + 1):  # last edges of short u_i-t paths
-                cut.add(edge(out.path_seq("T", i, j, p)[-2], t))
-            for j in range(1, x):  # first edges of short l_i-t paths
-                cut.add(edge(li, out.path_seq("Tb", i, j, p)[1]))
-    clique_edges = {
-        edge(members[x], members[y])
-        for x in range(len(members))
-        for y in range(x + 1, len(members))
-    }
+    for v in members:
+        cut |= _selection(out, mc, mc.part(v), mc.index(v))
+    t = out.anchor("t")
+    inside = set(combinations(members, 2))
     for p, e in enumerate(mc.edges_lex, start=1):
-        if e not in clique_edges:
+        if e not in inside:
             cut.add(edge(out.anchor("ve", p), t))
     return frozenset(cut)
 
 
 def decode_fvs(out: ReductionOutput, f) -> tuple[int, ...] | None:
-    """Recover the selected vertices from the per-part cut thresholds.
+    """The multicolored clique a cut selects, or None.
 
-    Each part must cut, for every p, the first/last edges of exactly the
-    path lengths below one threshold on all four families consistently;
-    anything else decodes to None.
+    Part i selects index x when f's threshold edges of part i are exactly
+    `_selection(out, mc, i, x)`.  A part that matches no index, or a
+    selection that is not a clique of the source, decodes to None.
     """
-    mc = _source(out)
+    mc = out.source_of("fvs", MulticoloredCliqueInstance)
     f = edge_set(f)
-    s = out.anchor("s")
-    t = out.anchor("t")
-    m, nu = mc.graph.m, mc.nu
     chosen = []
     for i in range(1, mc.k + 1):
-        li = out.anchor("l", i)
-        fam_su = _full_prefix(
-            f, nu, m, lambda j, p: edge(s, out.path_seq("S", i, j, p)[1])
-        )
-        fam_sl = _full_prefix(
-            f, nu, m, lambda j, p: edge(out.path_seq("Sb", i, j, p)[-2], li)
-        )
-        fam_ut = _full_prefix(
-            f, nu, m, lambda j, p: edge(out.path_seq("T", i, j, p)[-2], t)
-        )
-        fam_lt = _full_prefix(
-            f, nu, m, lambda j, p: edge(li, out.path_seq("Tb", i, j, p)[1])
-        )
-        if None in (fam_su, fam_sl, fam_ut, fam_lt):
-            return None
-        x = fam_su + 1
-        if fam_lt != x - 1 or fam_sl != nu - x or fam_ut != nu - x:
+        firsts = _selection(out, mc, i, mc.nu + 1)
+        seen = f & (firsts | _selection(out, mc, i, 0))
+        x = len(seen & firsts) // (2 * mc.graph.m) + 1  # index x has 2m(x-1) first edges
+        if x > mc.nu or _selection(out, mc, i, x) != seen:
             return None
         chosen.append(mc.vertex(i, x))
-    return tuple(chosen)
-
-
-def _full_prefix(f, nu, m, make_edge):
-    """Largest a such that edges for all j <= a, p <= m are cut; None if ragged."""
-    cut_js = []
-    for j in range(1, nu + 1):
-        hits = sum(1 for p in range(1, m + 1) if make_edge(j, p) in f)
-        if hits == m:
-            cut_js.append(j)
-        elif hits != 0:
-            return None
-    a = len(cut_js)
-    if cut_js != list(range(1, a + 1)):
-        return None
-    return a
+    return mc.clique_or_none(chosen)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InputError, InternalCheckError
 from .gadgets import GadgetBuilder, LexEdges, ReductionOutput, role
@@ -165,57 +166,43 @@ def _incidence_gadget(b, cq, eta, s, t, u, ell, i, j):
         b.path(bb[x], d[q], 2 * eta, role("xbd", i, j, x))
 
 
-def _source(out: ReductionOutput) -> CliqueInstance:
-    """The clique-search input of a `gen_pw` output, or InputError."""
-    cq = out.source
-    if out.params.get("family") != "pw" or not isinstance(cq, CliqueInstance):
-        raise InputError("output was not generated by gen_pw")
-    return cq
+def _step(out: ReductionOutput, row: str, *key) -> tuple[int, int]:
+    """The edge of rail (row, *key[:-1]) from position key[-1] - 1 to key[-1]."""
+    *rail, x = key
+    return edge(out.anchor(row, *rail, x - 1), out.anchor(row, *rail, x))
 
 
 def forward_cut_pw(out: ReductionOutput, clique) -> frozenset:
     """The beta-sized cut encoding a k-clique, as an edge set of H."""
-    cq = _source(out)
+    cq = out.source_of("pw", CliqueInstance)
     members = cq.check_clique(clique)
-    k = cq.k
     cut = set()
     for gadget, v in enumerate(members, start=1):
-        x = v + 1
-        cut.add(edge(out.anchor("u", gadget, x - 1), out.anchor("u", gadget, x)))
-        cut.add(edge(out.anchor("l", gadget, x - 1), out.anchor("l", gadget, x)))
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            xi = members[i - 1] + 1
-            p = cq.edge_position(members[i - 1], members[j - 1])
-            cut.add(edge(out.anchor("a", i, j, xi - 1), out.anchor("a", i, j, xi)))
-            cut.add(edge(out.anchor("b", i, j, xi - 1), out.anchor("b", i, j, xi)))
-            cut.add(edge(out.anchor("c", i, j, p - 1), out.anchor("c", i, j, p)))
-            cut.add(edge(out.anchor("d", i, j, p - 1), out.anchor("d", i, j, p)))
+        for row in "ul":
+            cut.add(_step(out, row, gadget, v + 1))
+    for i, j in combinations(range(1, cq.k + 1), 2):
+        xi = members[i - 1] + 1
+        p = cq.edge_position(members[i - 1], members[j - 1])
+        for row, x in (("a", xi), ("b", xi), ("c", p), ("d", p)):
+            cut.add(_step(out, row, i, j, x))
     return frozenset(cut)
 
 
 def decode_pw(out: ReductionOutput, f) -> tuple[int, ...] | None:
-    """Read the selected clique back out of a cut, or None if unstructured.
+    """Read the selected k-clique back out of a cut, or None.
 
     A well-formed cut deletes exactly one rail edge on the upper and one on
-    the lower path of every ladder; the upper positions name the vertices.
+    the lower path of every ladder; the upper positions name the vertices,
+    which must form a k-clique of the source.
     """
-    cq = _source(out)
+    cq = out.source_of("pw", CliqueInstance)
     f = edge_set(f)
-    n, k = cq.graph.n, cq.k
+    n = cq.graph.n
     chosen = []
-    for gadget in range(1, k + 1):
-        uppers = [
-            x
-            for x in range(1, n + 1)
-            if edge(out.anchor("u", gadget, x - 1), out.anchor("u", gadget, x)) in f
-        ]
-        lowers = [
-            x
-            for x in range(1, n + 1)
-            if edge(out.anchor("l", gadget, x - 1), out.anchor("l", gadget, x)) in f
-        ]
+    for gadget in range(1, cq.k + 1):
+        uppers = [x for x in range(1, n + 1) if _step(out, "u", gadget, x) in f]
+        lowers = [x for x in range(1, n + 1) if _step(out, "l", gadget, x) in f]
         if len(uppers) != 1 or len(lowers) != 1:
             return None
         chosen.append(uppers[0] - 1)
-    return tuple(chosen)
+    return cq.clique_or_none(chosen)

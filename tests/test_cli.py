@@ -6,11 +6,14 @@ from lbcut.cli import main
 from lbcut.formats import (
     parse_cut,
     parse_instance,
+    serialize_cut,
     serialize_instance,
     serialize_source_graph,
 )
 from lbcut.graph import Graph
 from lbcut.oracles import random_proper_interval_instance
+from lbcut.reductions_fvs import gen_fvs
+from test_reductions_fvs import threshold_edges, triangle_free_source
 
 
 def write_instance(tmp_path, name="inst.gr", n=9, seed=3):
@@ -51,14 +54,11 @@ class TestSolve:
             results[mode] = [l for l in out.splitlines() if l.startswith("cost")][0]
         assert len(set(results.values())) == 1
 
-    def test_subcommand_spellings(self, tmp_path, capsys):
-        path, _, _ = write_instance(tmp_path, n=8, seed=5)
-        assert main(["solve", "dp", str(path)]) in (0, 1)
+    def test_file_named_dp(self, tmp_path, monkeypatch, capsys):
+        write_instance(tmp_path, name="dp", n=8, seed=5)
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "dp"]) in (0, 1)
         assert "method dp" in capsys.readouterr().out
-        assert main(["solve", "oracle", "--branch", str(path)]) in (0, 1)
-        assert "method branch" in capsys.readouterr().out
-        assert main(["solve", "oracle", "--subset", str(path)]) in (0, 1)
-        assert "method subset" in capsys.readouterr().out
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["solve", "/nonexistent.gr"]) == 2
@@ -292,6 +292,24 @@ class TestGenerateAndDecode:
             == 0
         )
         assert "clique 1,3" in capsys.readouterr().out
+
+    def test_fvs_decode_refuses_non_clique(self, tmp_path, capsys):
+        # every part at index 2 of a triangle-free source selects 2,4,6, which
+        # is no clique: the 24-edge cut neither verifies nor decodes
+        mc = triangle_free_source()
+        src = tmp_path / "mc.gr"
+        src.write_text(serialize_source_graph(mc.graph))
+        inst_file = tmp_path / "hard.gr"
+        cut_file = tmp_path / "cut.txt"
+        common = ["--source", str(src), "-k", "3", "--nu", "2"]
+        assert main(["gen", "fvs", *common, "-o", str(inst_file)]) == 0
+        out = gen_fvs(mc)
+        cut = set().union(*(threshold_edges(out, mc, i, 2) for i in (1, 2, 3)))
+        cut_file.write_text(serialize_cut(cut))
+        assert main(["verify", "cut", str(inst_file), "-f", str(cut_file)]) == 1
+        assert main(["decode", "fvs", "--instance", str(inst_file), *common,
+                     "-f", str(cut_file)]) == 1
+        assert "no clique found" in capsys.readouterr().out
 
     def test_verify_cut_reports_witness_path(self, tmp_path, capsys):
         path, inst, model = write_instance(tmp_path, seed=2)

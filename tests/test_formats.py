@@ -21,6 +21,7 @@ from lbcut.formats import (
     serialize_source_graph,
 )
 from lbcut.graph import Graph, Instance
+from lbcut.intervals import IntervalModel
 from lbcut.oracles import random_proper_interval_instance
 from lbcut.reductions_fvs import decode_fvs, forward_cut_fvs, gen_fvs
 from lbcut.reductions_pw import decode_pw, forward_cut_pw, gen_pw
@@ -113,7 +114,18 @@ class TestParseInstance:
         from lbcut.formats import _fmt_rational
 
         x = Fraction(num, den)
-        assert _parse_rational(_fmt_rational(x), 1) == x
+        assert _parse_rational(_fmt_rational(x, 0), 1) == x
+
+    def test_coordinate_past_int_string_limit(self):
+        # two touching intervals, the second starting at a 5000-digit decimal
+        inst = Instance(Graph(2, [(0, 1)]), 0, 1, 1, 1)
+        model = IntervalModel((Fraction(0), Fraction("1e-5000")), (Fraction(1), Fraction(2)))
+        text = serialize_instance(inst, model)
+        assert "i 2 1e-5000 2" in text
+        assert parse_instance(text).model == model
+        tiny = IntervalModel((Fraction(0), Fraction(7, 2**20000)), (Fraction(1), Fraction(2)))
+        with pytest.raises(InputError, match="^vertex 2: "):
+            serialize_instance(inst, tiny)
 
 
 RATIONAL_TOKENS = st.one_of(

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from lbcut.errors import InputError
-from lbcut.graph import Graph, bfs_distances, verify_cut
+from lbcut.graph import Graph, bfs_distances, edge, verify_cut
 from lbcut.reductions_fvs import (
     MulticoloredCliqueInstance,
     decode_fvs,
@@ -28,6 +28,40 @@ def planted_mc_instance(k, nu, extra, seed):
     rng.shuffle(candidates)
     edges.update(candidates[:extra])
     return MulticoloredCliqueInstance(Graph(k * nu, edges), k, nu), tuple(sorted(clique))
+
+
+def threshold_edges(out, mc, i, x):
+    """Part i's threshold pattern for index x, spelled out from the path roles."""
+    s, t, li = out.anchor("s"), out.anchor("t"), out.anchor("l", i)
+    edges = set()
+    for j in range(1, mc.nu + 1):
+        for p in range(1, mc.graph.m + 1):
+            if j < x:
+                edges.add(edge(s, out.path_seq("S", i, j, p)[1]))
+                edges.add(edge(li, out.path_seq("Tb", i, j, p)[1]))
+            if j <= mc.nu - x:
+                edges.add(edge(out.path_seq("Sb", i, j, p)[-2], li))
+                edges.add(edge(out.path_seq("T", i, j, p)[-2], t))
+    return edges
+
+
+def selection_cut(out, mc, xs):
+    """Every part's threshold pattern for the indices xs, plus the ve-t edge
+    of every source edge not inside the selected vertices."""
+    chosen = {mc.vertex(i, x) for i, x in enumerate(xs, start=1)}
+    cut = set()
+    for i, x in enumerate(xs, start=1):
+        cut |= threshold_edges(out, mc, i, x)
+    t = out.anchor("t")
+    for p, (a, b) in enumerate(mc.edges_lex, start=1):
+        if not {a, b} <= chosen:
+            cut.add(edge(out.anchor("ve", p), t))
+    return cut
+
+
+def triangle_free_source():
+    """k=3, nu=2 with edges 1-3, 3-5, 2-4, 4-6 (1-based): no triangle."""
+    return MulticoloredCliqueInstance(Graph(6, [(0, 2), (2, 4), (1, 3), (3, 5)]), 3, 2)
 
 
 CASES = [
@@ -68,7 +102,7 @@ class TestGenFvs:
             out = gen_fvs(mc)
             k, nu, n, m = mc.k, mc.nu, mc.graph.n, mc.graph.m
             path_inner = 4 * k * m * (nu * (n - 1) + nu * (nu + 1) // 2)
-            gadget_inner = m * (4 * n + 2 * nu - 4)
+            gadget_inner = m * (4 * n + 2 * nu - 6)
             expected = 2 + 2 * k + m + path_inner + gadget_inner
             assert out.instance.graph.n == expected
 
@@ -149,6 +183,69 @@ class TestDecodeFvs:
             assert sorted(mc.part(v) for v in decoded) == list(range(1, mc.k + 1))
             for a, b in itertools.combinations(decoded, 2):
                 assert mc.graph.has_edge(a, b)
+
+
+class TestSoundness:
+    def test_uniform_threshold_cut_of_triangle_free_source_fails(self):
+        # Every part at index 2 with no ve-t edge: 24 edges against beta = 25.
+        # With an el path of length n + idx(v) this cut was feasible and
+        # decoded to the non-clique 2,4,6.
+        mc = triangle_free_source()
+        out = gen_fvs(mc)
+        assert out.instance.graph.n == 724
+        assert out.instance.beta == 25
+        cut = set().union(*(threshold_edges(out, mc, i, 2) for i in (1, 2, 3)))
+        assert len(cut) == 24
+        assert not verify_cut(out.instance, cut).ok
+        assert decode_fvs(out, cut) is None
+
+    def test_every_selection_cut_is_feasible_and_over_budget(self):
+        # the threshold pattern plus one ve-t edge per source edge outside the
+        # selection is always feasible; with no triangle it costs beta + 1 or more
+        mc = triangle_free_source()
+        out = gen_fvs(mc)
+        for xs in itertools.product((1, 2), repeat=3):
+            cut = selection_cut(out, mc, xs)
+            assert verify_cut(out.instance, cut).ok
+            assert len(cut) > out.instance.beta
+            assert decode_fvs(out, cut) is None
+
+
+class TestDecodeRandomSelections:
+    def test_decodes_selection_iff_clique(self):
+        rng = Random(16)
+        for mc, _ in CASES:
+            out = gen_fvs(mc)
+            for _ in range(12):
+                xs = [rng.randint(1, mc.nu) for _ in range(mc.k)]
+                chosen = tuple(mc.vertex(i, x) for i, x in enumerate(xs, start=1))
+                is_clique = all(
+                    mc.graph.has_edge(a, b) for a, b in itertools.combinations(chosen, 2)
+                )
+                expected = chosen if is_clique else None
+                assert decode_fvs(out, selection_cut(out, mc, xs)) == expected
+
+    def test_perturbed_threshold_pattern_gives_none(self):
+        rng = Random(17)
+        for mc, clique in CASES:
+            out = gen_fvs(mc)
+            xs = [mc.index(v) for v in clique]
+            cut = selection_cut(out, mc, xs)
+            assert decode_fvs(out, cut) == clique
+            for i, x in enumerate(xs, start=1):
+                for e in threshold_edges(out, mc, i, x):
+                    assert decode_fvs(out, cut - {e}) is None
+                li, p = out.anchor("l", i), rng.randint(1, mc.graph.m)
+                longest = {
+                    fam: out.path_seq(fam, i, mc.nu, p) for fam in ("S", "Sb", "T", "Tb")
+                }
+                for extra in (
+                    edge(out.anchor("s"), longest["S"][1]),
+                    edge(li, longest["Tb"][1]),
+                    edge(longest["Sb"][-2], li),
+                    edge(longest["T"][-2], out.anchor("t")),
+                ):
+                    assert decode_fvs(out, cut | {extra}) is None
 
 
 def test_each_family_rejects_the_other_familys_output():

@@ -6,7 +6,7 @@ import pytest
 
 from lbcut.errors import InputError, InternalCheckError
 from lbcut.gadgets import GadgetBuilder
-from lbcut.graph import Graph, bfs_distances, verify_cut
+from lbcut.graph import Graph, bfs_distances, edge, verify_cut
 from lbcut.reductions_pw import CliqueInstance, decode_pw, forward_cut_pw, gen_pw
 
 
@@ -190,6 +190,16 @@ class TestDecodePw:
         x = clique[0] + 1
         rail = (out.anchor("u", 1, x - 1), out.anchor("u", 1, x))
         assert decode_pw(out, cut - {rail}) is None
+
+    def test_rail_pattern_of_non_clique_gives_none(self):
+        cq = k3_with_padding()  # vertices 0 and 3 are not adjacent
+        out = gen_pw(cq)
+        for picks in ((0, 3), (1, 1)):
+            cut = set()
+            for gadget, v in enumerate(picks, start=1):
+                for row in "ul":
+                    cut.add(edge(out.anchor(row, gadget, v), out.anchor(row, gadget, v + 1)))
+            assert decode_pw(out, cut) is None
 
     def test_decoded_set_is_a_clique(self):
         for cq, clique in CASES:
