@@ -17,6 +17,14 @@ Cut files are `e <u> <v>` lines, FVS witnesses `v <id>` lines, and path
 decompositions one `B <id> <id> ...` line per bag.  Serialization is
 deterministic, and parse(serialize(x)) round-trips exactly.
 
+Integer fields (ids, counts, beta, lambda, path positions) are plain ASCII
+`-?[0-9]+`; rationals hold neither `_` nor a non-ASCII character, although
+Python's int() and Fraction() would read `1_2` or fullwidth digits.
+`parse_instance` reads a file in one pass: well-formed `e` and `c role`
+records go inline into flat integer lists and the role map, with no tuple
+per edge, and everything else goes through the per-record helpers.
+Instance files are written straight from `Graph.adj`.
+
 A malformed record raises InputError naming its line, with ids 1-based as
 in the file: a bad field, an id outside 1..n, a negative p-line count, a
 self-loop or repeated edge, a cut edge the instance lacks, a vertex given
@@ -30,6 +38,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import length_hint
 
 from .errors import InputError
 from .gadgets import ReductionOutput
@@ -90,11 +99,18 @@ def _records(text: str):
             yield ln, tokens[0], tokens[1:]
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
 def _parse_int(token: str, ln: int, what: str = "integer") -> int:
+    """int(token) for a plain ASCII integer `-?[0-9]+`; int() alone would
+    also take `1_2`, `+1` and non-ASCII digits."""
     try:
-        return int(token)
-    except ValueError:
-        raise InputError(f"line {ln}: bad {what} {token!r}") from None
+        if _INT.fullmatch(token):
+            return int(token)
+    except ValueError:  # past Python's int-string limit
+        pass
+    raise InputError(f"line {ln}: bad {what} {token!r}")
 
 
 def _vertex_id(token: str, ln: int, n: int | None) -> int:
@@ -120,27 +136,29 @@ def _p_line(kind: str, rest: list[str], ln: int, n: int | None) -> tuple[int, in
     return n, m
 
 
-def _edge_record(rest: list[str], ln: int, n: int | None) -> tuple[int, int, int]:
-    """(line, u, v) of an `e <u> <v>` record, ids 0-based."""
+def _edge_record(rest: list[str], ln: int, n: int | None) -> tuple[int, int]:
+    """(u, v) of an `e <u> <v>` record, ids 0-based."""
     if len(rest) != 2:
         raise InputError(f"line {ln}: expected `e <u> <v>`")
-    return ln, _vertex_id(rest[0], ln, n), _vertex_id(rest[1], ln, n)
+    return _vertex_id(rest[0], ln, n), _vertex_id(rest[1], ln, n)
 
 
-def _graph(n: int, records) -> Graph:
-    """Graph(n, pairs) over (line, u, v) records in file order.
+def _graph(n: int, eu: list[int], ev: list[int], lines: list[int]) -> Graph:
+    """Graph(n, zip(eu, ev)) over pairs in file order, pair i read on lines[i].
 
     The ids are already checked against 1..n, so Graph can only reject the
-    pair it was reading as a self-loop or a repeat; the error names that
-    pair's line and its 1-based ids.
+    pair it was reading as a self-loop or a repeat.  Graph reads no pair
+    past that one, so what is left of `ends` tells which pair it was, and
+    the error names its line and its 1-based ids.
     """
-    at = [0]  # the line of the pair last handed out
+    ends = iter(eu)
     try:
-        return Graph(n, ((u, v) for at[0], u, v in records))
+        return Graph(n, zip(ends, ev))
     except InputError:
-        u, v = next((u + 1, v + 1) for ln, u, v in records if ln == at[0])
+        i = len(eu) - length_hint(ends) - 1
+        u, v = eu[i] + 1, ev[i] + 1
         what = f"self-loop at vertex {u}" if u == v else f"duplicate edge {edge(u, v)}"
-        raise InputError(f"line {at[0]}: {what}") from None
+        raise InputError(f"line {lines[i]}: {what}") from None
 
 
 _PLAIN_RATIONAL = re.compile(r"-?[0-9]+(\.[0-9]+)?")
@@ -150,8 +168,12 @@ def _parse_rational(token: str, ln: int) -> Fraction:
     """Fraction(token); InputError naming line `ln` where Fraction refuses.
 
     Plain decimals and integers (ASCII digits, an optional minus sign) are
-    built from their digits; past Python's int-string limit both refuse."""
+    built from their digits; past Python's int-string limit both refuse.
+    Tokens holding `_` or a non-ASCII character are refused too, although
+    Fraction would read `1_0` and non-ASCII digits."""
     try:
+        if not token.isascii() or "_" in token:
+            raise ValueError(token)
         if _PLAIN_RATIONAL.fullmatch(token):
             whole, _, digits = token.partition(".")
             if not digits:
@@ -179,53 +201,70 @@ _SCALARS = {"s": "s <id>", "t": "t <id>", "b": "b <beta>", "l": "l <lambda>"}
 
 
 def parse_instance(text: str) -> ParsedInstance:
-    """Parse an instance file; malformed lines raise InputError with location."""
+    """Parse an instance file; malformed lines raise InputError with location.
+
+    One pass over the lines.  Well-formed `e` and `c role` records are read
+    inline into flat lists and the role map; every other record, and any
+    fault in those two, goes through the per-record helpers, which name it.
+    """
     n = m = None
+    top = 0  # ids 1..top are read inline; 0 until the p-line
     scalars: dict[str, int] = {}
-    edges: list[tuple[int, int, int]] = []
+    eu: list[int] = []  # 0-based edge ends, and the line of each pair
+    ev: list[int] = []
+    lines: list[int] = []
     intervals: dict[int, tuple[Fraction, Fraction]] = {}
     roles: dict[int, str] = {}
     params: dict[str, str] = {}
 
-    for ln, kind, rest in _records(text):
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        kind = tokens[0]
         if kind == "e":
-            # two ids in 1..n, inline; anything else goes to _edge_record,
-            # which names the fault
-            try:
-                u, v = map(int, rest)
-            except ValueError:
-                u = v = 0
-            if n is not None and 0 < u <= n and 0 < v <= n:
-                edges.append((ln, u - 1, v - 1))
-            else:
-                edges.append(_edge_record(rest, ln, n))
+            u = v = -1
+            if len(tokens) == 3 and raw.isascii() and tokens[1].isdigit() and tokens[2].isdigit():
+                u, v = int(tokens[1]) - 1, int(tokens[2]) - 1
+            if not (0 <= u < top and 0 <= v < top):
+                u, v = _edge_record(tokens[1:], ln, n)
+            eu.append(u)
+            ev.append(v)
+            lines.append(ln)
         elif kind == "c":
-            if len(rest) >= 3 and rest[0] == "param":
-                if rest[1] in params:
-                    raise InputError(f"line {ln}: param {rest[1]!r} given twice")
-                params[rest[1]] = " ".join(rest[2:])  # values may hold spaces
-            elif len(rest) >= 3 and rest[0] == "role":
-                if len(rest) != 3:
+            v = -1
+            if len(tokens) == 4 and tokens[1] == "role" and tokens[2].isascii() and tokens[2].isdigit():
+                v = int(tokens[2]) - 1
+            if 0 <= v < top and v not in roles:
+                roles[v] = tokens[3]
+            elif len(tokens) >= 4 and tokens[1] == "param":
+                if tokens[2] in params:
+                    raise InputError(f"line {ln}: param {tokens[2]!r} given twice")
+                params[tokens[2]] = " ".join(tokens[3:])  # values may hold spaces
+            elif len(tokens) >= 4 and tokens[1] == "role":
+                if len(tokens) != 4:
                     raise InputError(f"line {ln}: expected `c role <id> <tag>`")
-                v = _vertex_id(rest[1], ln, n)
+                v = _vertex_id(tokens[2], ln, n)
                 if v in roles:
                     raise InputError(f"line {ln}: role of vertex {v + 1} given twice")
-                roles[v] = rest[2]
+                roles[v] = tokens[3]
         elif kind == "p":
-            n, m = _p_line("lbc", rest, ln, n)
+            n, m = _p_line("lbc", tokens[1:], ln, n)
+            top = n
         elif kind in _SCALARS:
             if kind in scalars:
                 raise InputError(f"line {ln}: {kind!r} record given twice")
-            if len(rest) != 1:
+            if len(tokens) != 2:
                 raise InputError(f"line {ln}: expected `{_SCALARS[kind]}`")
-            scalars[kind] = _vertex_id(rest[0], ln, n) if kind in "st" else _parse_int(rest[0], ln)
+            value = tokens[1]
+            scalars[kind] = _vertex_id(value, ln, n) if kind in "st" else _parse_int(value, ln)
         elif kind == "i":
-            if len(rest) != 3:
+            if len(tokens) != 4:
                 raise InputError(f"line {ln}: expected `i <id> <start> <end>`")
-            v = _vertex_id(rest[0], ln, n)
+            v = _vertex_id(tokens[1], ln, n)
             if v in intervals:
                 raise InputError(f"line {ln}: interval of vertex {v + 1} given twice")
-            a, b = _parse_rational(rest[1], ln), _parse_rational(rest[2], ln)
+            a, b = _parse_rational(tokens[2], ln), _parse_rational(tokens[3], ln)
             if a > b:
                 raise InputError(
                     f"line {ln}: vertex {v + 1}: empty interval [{_show(a)}, {_show(b)}]"
@@ -239,9 +278,9 @@ def parse_instance(text: str) -> ParsedInstance:
     for name in _SCALARS:
         if name not in scalars:
             raise InputError(f"missing {name!r} record")
-    graph = _graph(n, edges)
+    graph = _graph(n, eu, ev, lines)
     if m != graph.m:
-        raise InputError(f"p-line promises {m} edges, file has {len(edges)}")
+        raise InputError(f"p-line promises {m} edges, file has {len(eu)}")
     inst = Instance(graph, scalars["s"], scalars["t"], scalars["b"], scalars["l"])
     model = None
     if intervals:
@@ -267,8 +306,7 @@ def serialize_instance(
     lines.append(f"t {inst.t + 1}")
     lines.append(f"b {inst.beta}")
     lines.append(f"l {inst.lam}")
-    for u, v in g.edge_list():
-        lines.append(f"e {u + 1} {v + 1}")
+    lines += _edge_lines(g)
     if model is not None:
         for v in range(g.n):
             lines.append(
@@ -283,6 +321,11 @@ def serialize_instance(
         for v, tag in items:
             lines.append(f"c role {v + 1} {tag}")
     return "\n".join(lines) + "\n"
+
+
+def _edge_lines(g: Graph) -> list[str]:
+    """`e <u> <v>` for each edge in `edge_list()` order, read off `g.adj`."""
+    return [f"e {u + 1} {w + 1}" for u, a in enumerate(g.adj) for w in a if u < w]
 
 
 def serialize_reduction_output(out: ReductionOutput) -> str:
@@ -304,20 +347,25 @@ def load_reduction_output(text: str, source=None) -> ReductionOutput:
         raise InputError("file lacks a complete role annotation")
     params: dict[str, int | str] = {}
     for key, value in raw_params.items():
-        if value.lstrip("-").isdigit():  # also true for digits int() rejects
+        if value.lstrip("-").isdigit():  # also true for non-ASCII digits
             try:
+                if not _INT.fullmatch(value):
+                    raise ValueError(value)
                 value = int(value)
             except ValueError:
                 raise InputError(f"param {key}: bad integer {value!r}") from None
         params[key] = value
 
+    g = inst.graph
+    tags = tuple(map(roles.__getitem__, range(g.n)))
     members: dict[str, dict[int, int]] = {}
     vertex_by_role: dict[str, int] = {}
-    for v in range(inst.graph.n):
-        tag = roles[v]
-        if "@" in tag:
-            base, pos = tag.rsplit("@", 1)
+    for v, tag in enumerate(tags):
+        base, at, pos = tag.rpartition("@")
+        if at:
             try:
+                if not ((pos.isdigit() and pos.isascii()) or _INT.fullmatch(pos)):
+                    raise ValueError(pos)
                 position = int(pos)
             except ValueError:
                 raise InputError(f"role of vertex {v + 1}: bad path position {pos!r}") from None
@@ -330,26 +378,25 @@ def load_reduction_output(text: str, source=None) -> ReductionOutput:
             )
         slots[key] = v
 
-    g = inst.graph
     paths: dict[str, tuple[int, ...]] = {}
     for base, inner in members.items():
         seq = [inner[pos] for pos in sorted(inner)]
         if len(seq) == 1:
             # both endpoints neighbor the single interior vertex; orient by id
-            ends = sorted(w for w in g.adj[seq[0]] if "@" not in roles[w])
+            ends = sorted(w for w in g.adj[seq[0]] if "@" not in tags[w])
             if len(ends) != 2:
                 raise InputError(f"cannot recover endpoints of path {base!r}")
             paths[base] = (ends[0], seq[0], ends[1])
             continue
-        anchors_first = [w for w in g.adj[seq[0]] if w != seq[1] and "@" not in roles[w]]
-        anchors_last = [w for w in g.adj[seq[-1]] if w != seq[-2] and "@" not in roles[w]]
+        anchors_first = [w for w in g.adj[seq[0]] if w != seq[1] and "@" not in tags[w]]
+        anchors_last = [w for w in g.adj[seq[-1]] if w != seq[-2] and "@" not in tags[w]]
         if len(anchors_first) != 1 or len(anchors_last) != 1:
             raise InputError(f"cannot recover endpoints of path {base!r}")
         paths[base] = (anchors_first[0], *seq, anchors_last[0])
 
     return ReductionOutput(
         instance=inst,
-        roles=tuple(roles[v] for v in range(g.n)),
+        roles=tags,
         paths=paths,
         vertex_by_role=vertex_by_role,
         params=params,
@@ -364,28 +411,31 @@ def load_reduction_output(text: str, source=None) -> ReductionOutput:
 def parse_source_graph(text: str) -> Graph:
     """`p graph <n> <m>` header plus `e <u> <v>` lines (1-indexed)."""
     n = m = None
-    edges = []
+    eu: list[int] = []
+    ev: list[int] = []
+    lines: list[int] = []
     for ln, kind, rest in _records(text):
         if kind == "c":
             continue
         if kind == "p":
             n, m = _p_line("graph", rest, ln, n)
         elif kind == "e":
-            edges.append(_edge_record(rest, ln, n))
+            u, v = _edge_record(rest, ln, n)
+            eu.append(u)
+            ev.append(v)
+            lines.append(ln)
         else:
             raise InputError(f"line {ln}: unknown record type {kind!r}")
     if n is None:
         raise InputError("missing `p graph` record")
-    g = _graph(n, edges)
+    g = _graph(n, eu, ev, lines)
     if m != g.m:
-        raise InputError(f"p-line promises {m} edges, file has {len(edges)}")
+        raise InputError(f"p-line promises {m} edges, file has {len(eu)}")
     return g
 
 
 def serialize_source_graph(g: Graph) -> str:
-    lines = [f"p graph {g.n} {g.m}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edge_list())
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"p graph {g.n} {g.m}", *_edge_lines(g)]) + "\n"
 
 
 def parse_cut(text: str, g: Graph) -> frozenset:
@@ -395,7 +445,7 @@ def parse_cut(text: str, g: Graph) -> frozenset:
             continue
         if kind != "e":
             raise InputError(f"line {ln}: expected `e <u> <v>`")
-        _, u, v = _edge_record(rest, ln, g.n)
+        u, v = _edge_record(rest, ln, g.n)
         if u == v:
             raise InputError(f"line {ln}: self-loop at vertex {u + 1}")
         e = edge(u, v)

@@ -3,6 +3,10 @@
 Vertex ids are dense integers 0..n-1.  Edges live only in the sorted `adj`
 tuples; `edge_list()` and `edges` are views built from them on each call.
 All types here are immutable after construction and safe to share.
+Construction is one pure-Python pass over the pairs: repeats are caught by
+an integer key u * n + w (u < w) rather than a tuple per edge, and the only
+containers it allocates are one neighbour list per vertex and the sorted
+tuples made from them.
 
 Hop distances come from one bounded BFS, exposed as `bfs_distances` and
 `shortest_bounded_path`; their `removed` edge set stands for G - F without
@@ -37,28 +41,40 @@ def edge_set(pairs) -> frozenset[Edge]:
     return frozenset(edge(u, v) for u, v in pairs)
 
 
+def _reject_pair(n: int, u: int, w: int):
+    """Raise the InputError for a pair Graph cannot take: a self-loop first,
+    then an id outside 0..n-1, else a repeat."""
+    e = edge(u, w)
+    if not (0 <= e[0] and e[1] < n):
+        raise InputError(f"edge {e} out of range for n={n}")
+    raise InputError(f"duplicate edge {e}")
+
+
 class Graph:
     """Immutable undirected simple graph; sorted `adj` is its only edge store."""
 
     __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int, edges=()):
+        """Build from (u, v) pairs in one pass; the first self-loop, id
+        outside 0..n-1 or repeated pair raises InputError, and no pair after
+        it is read."""
         if n < 0:
             raise InputError(f"negative vertex count {n}")
-        seen: set[Edge] = set()
+        seen: set[int] = set()  # u * n + w for each pair with u < w
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            e = edge(u, v)
-            if not (0 <= e[0] and e[1] < n):
-                raise InputError(f"edge {e} out of range for n={n}")
-            if e in seen:
-                raise InputError(f"duplicate edge {e}")
-            seen.add(e)
-            adj[e[0]].append(e[1])
-            adj[e[1]].append(e[0])
+        for u, w in edges:
+            key = u * n + w if u < w else w * n + u
+            if key in seen or u == w or not (0 <= u < n and 0 <= w < n):
+                _reject_pair(n, u, w)
+            seen.add(key)
+            adj[u].append(w)
+            adj[w].append(u)
         self.n = n
         self.m = len(seen)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        for a in adj:
+            a.sort()
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     @property
     def edges(self) -> frozenset[Edge]:

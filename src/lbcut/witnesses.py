@@ -9,11 +9,20 @@ while the next cross-link target is ahead of it), and re-inserts each
 subdivided path between its endpoints by bag doubling: the host bag is
 repeated with consecutive path vertices added, costing at most two extra
 slots.  Total width is (2k+2) + 9 = 2k + 11.
+
+`verify_path_decomposition` checks any decomposition in flat numpy passes:
+the bags are read once into one id array, per-vertex bag counts and first
+and last bags come from `bincount` and `minimum.at`/`maximum.at` (fast from
+numpy 1.25 on), and every edge of `g.adj` is tested for overlapping runs at
+once.  It allocates no container per vertex, bag or edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import InputError, InternalCheckError
 from .gadgets import ReductionOutput, role
@@ -159,28 +168,43 @@ class PdVerdict:
 
 
 def verify_path_decomposition(g: Graph, pd: PathDecomposition) -> PdVerdict:
-    """Check vertex coverage, edge coverage, and contiguity of occurrences."""
-    seen_in = {v: [] for v in range(g.n)}
-    for idx, bag in enumerate(pd.bags):
-        for v in bag:
-            if not (0 <= v < g.n):
-                return PdVerdict(False, kind="unknown-vertex", witness=v)
-            seen_in[v].append(idx)
-    span = {}
-    for v in range(g.n):
-        if not seen_in[v]:
-            return PdVerdict(False, kind="vertex-uncovered", witness=v)
-        lo, hi = seen_in[v][0], seen_in[v][-1]
-        if len(seen_in[v]) != hi - lo + 1:
-            return PdVerdict(False, kind="contiguity", witness=v)
-        span[v] = (lo, hi)
-    for e in g.edge_list():
-        # with contiguity verified, occurrence runs overlap iff some bag
-        # holds both endpoints
-        (alo, ahi), (blo, bhi) = span[e[0]], span[e[1]]
-        if max(alo, blo) > min(ahi, bhi):
-            return PdVerdict(False, kind="edge-uncovered", witness=e)
-    return PdVerdict(True, width=pd.width)
+    """Check vertex coverage, contiguity of occurrences and edge coverage.
+
+    The first fault found is reported: an id outside 0..n-1 (the first in
+    bag order), else the lowest vertex that is uncovered or whose bags are
+    not one run, else the first uncovered edge in `edge_list()` order.
+    """
+    bags, n = pd.bags, g.n
+    sizes = np.fromiter(map(len, bags), dtype=np.int64, count=len(bags))
+    try:
+        flat = np.fromiter(chain.from_iterable(bags), dtype=np.int64, count=int(sizes.sum()))
+    except OverflowError:  # an id past int64, so some id lies outside 0..n-1
+        flat = None
+    if flat is None or (flat.size and (flat.min() < 0 or flat.max() >= n)):
+        v = next(v for v in chain.from_iterable(bags) if not 0 <= v < n)
+        return PdVerdict(False, kind="unknown-vertex", witness=v)
+    # per vertex: how many bags hold it, and the first and last of them
+    bag_of = np.repeat(np.arange(len(bags), dtype=np.int64), sizes)
+    count = np.bincount(flat, minlength=n)
+    first = np.full(n, len(bags), dtype=np.int64)
+    np.minimum.at(first, flat, bag_of)
+    last = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(last, flat, bag_of)
+    faulty = (count == 0) | (count != last - first + 1)
+    if faulty.any():
+        v = int(faulty.argmax())
+        return PdVerdict(False, kind="contiguity" if count[v] else "vertex-uncovered", witness=v)
+    # the arcs u -> w of `g.adj` in order; those with u < w are `edge_list()`
+    u = np.repeat(np.arange(n, dtype=np.int64),
+                  np.fromiter(map(len, g.adj), dtype=np.int64, count=n))
+    w = np.fromiter(chain.from_iterable(g.adj), dtype=np.int64, count=u.size)
+    # with contiguity verified, occurrence runs overlap iff some bag holds
+    # both endpoints
+    uncovered = (u < w) & (np.maximum(first[u], first[w]) > np.minimum(last[u], last[w]))
+    if uncovered.any():
+        i = int(uncovered.argmax())
+        return PdVerdict(False, kind="edge-uncovered", witness=(int(u[i]), int(w[i])))
+    return PdVerdict(True, width=int(sizes.max(initial=0)) - 1)
 
 
 def build_pw_witness(out: ReductionOutput) -> PathDecomposition:

@@ -372,19 +372,25 @@ print(json.dumps({
 """
 
 
-def table_branch_envelope(n):
-    """Solve and cut the n-vertex envelope recipe (~20 starts per unit,
-    terminals at rank 10%/90%, lam = dist + 1, seed 1) in a child process;
-    assert it takes the table branch in under 15 s and 512 MB."""
+def run_child(code, *args):
+    """Run `code` in a fresh interpreter that imports this lbcut; return the
+    JSON object on the last line of its output."""
     src = str(Path(lbcut.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-c", ENVELOPE_CHILD, str(n), "1"], env=env, capture_output=True,
+        [sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True,
         text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def table_branch_envelope(n):
+    """Solve and cut the n-vertex envelope recipe (~20 starts per unit,
+    terminals at rank 10%/90%, lam = dist + 1, seed 1) in a child process;
+    assert it takes the table branch in under 15 s and 512 MB."""
+    out = run_child(ENVELOPE_CHILD, n, 1)
     assert out["branch"] == "table" and out["q"] > n * 25 // 32  # 10,000 at n=12800
     assert out["seconds"] < 15, f"n={n} solve took {out['seconds']:.1f}s"
     assert out["maxrss_mb"] < 512, f"n={n} solve peaked at {out['maxrss_mb']:.0f} MB"
@@ -405,3 +411,49 @@ def test_table_branch_envelope_25600():
     # bounds are about 2.5x the time (~6 s) and 3x the peak RSS (~175 MB)
     # measured on a 2-vCPU host
     table_branch_envelope(25600)
+
+
+# The pathwidth family at the benchmark's source size (n=8, m=16, k=3, so H
+# has 88,715 vertices for seed 0): generate, build and check the width-2k+11
+# witness, write the file and read it back, in a fresh interpreter so its
+# peak RSS is the round trip's own.
+PW_ROUND_TRIP_CHILD = """
+import itertools, json, resource, sys, time
+from random import Random
+from lbcut.formats import load_reduction_output, serialize_reduction_output
+from lbcut.graph import Graph
+from lbcut.reductions_pw import CliqueInstance, gen_pw
+from lbcut.witnesses import build_pw_witness, verify_path_decomposition
+
+rng = Random(int(sys.argv[1]))
+clique = sorted(rng.sample(range(8), 3))
+edges = set(itertools.combinations(clique, 2))
+rest = [e for e in itertools.combinations(range(8), 2) if e not in edges]
+edges.update(rng.sample(rest, 16 - len(edges)))
+cq = CliqueInstance(Graph(8, sorted(edges)), 3)
+started = time.perf_counter()
+out = gen_pw(cq)
+verdict = verify_path_decomposition(out.instance.graph, build_pw_witness(out))
+back = load_reduction_output(serialize_reduction_output(out), source=cq)
+print(json.dumps({
+    "seconds": time.perf_counter() - started,
+    "h_vertices": out.instance.graph.n,
+    "ok": verdict.ok and back == out,
+    "width": verdict.width,
+    "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
+
+
+def test_pw_round_trip_envelope():
+    # bounds are about 3x the time (0.75-1.2 s) and 3x the peak RSS (~175 MB)
+    # measured on a 2-vCPU host
+    out = run_child(PW_ROUND_TRIP_CHILD, 0)
+    assert out["ok"] and out["width"] <= 2 * 3 + 11 and out["h_vertices"] > 80000
+    assert out["seconds"] < 3, f"PW round trip took {out['seconds']:.1f}s"
+    assert out["maxrss_mb"] < 512, f"PW round trip peaked at {out['maxrss_mb']:.0f} MB"
+    report(
+        "7 (PW round trip)",
+        f"H with {out['h_vertices']} vertices generated, certified and reloaded in "
+        f"{out['seconds']:.1f}s at {out['maxrss_mb']:.0f} MB peak RSS",
+    )

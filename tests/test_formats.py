@@ -149,7 +149,11 @@ RATIONAL_TOKENS = st.one_of(
 @example(token="-0")
 @settings(max_examples=400, deadline=None)
 def test_parse_rational_agrees_with_fraction(token):
+    # Fraction is the reference, except that it also reads `1_0` and
+    # non-ASCII digits, which a file must not hold
     try:
+        if not token.isascii() or "_" in token:
+            raise ValueError(token)
         expected = Fraction(token)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(InputError) as err:
@@ -158,6 +162,92 @@ def test_parse_rational_agrees_with_fraction(token):
     else:
         value = _parse_rational(token, 7)
         assert type(value) is Fraction and value == expected
+
+
+NOT_PLAIN = {  # tokens int() or Fraction() would read, but a file must not hold
+    "underscore": "1_2",
+    "plus": "+1",
+    "fullwidth": "\uff12",  # fullwidth 2
+    "arabic-indic": "\u0661",  # Arabic-Indic 1
+}
+
+
+@pytest.mark.parametrize("token", list(NOT_PLAIN.values()), ids=list(NOT_PLAIN))
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_instance, MINIMAL.replace("p lbc 2 1", "p lbc X 1"), "line 2: bad vertex count"),
+        (parse_instance, MINIMAL.replace("p lbc 2 1", "p lbc 2 X"), "line 2: bad edge count"),
+        (parse_instance, MINIMAL.replace("s 1", "s X"), "line 3: bad vertex id"),
+        (parse_instance, MINIMAL.replace("t 2", "t X"), "line 4: bad vertex id"),
+        (parse_instance, MINIMAL.replace("b 1", "b X"), "line 5: bad integer"),
+        (parse_instance, MINIMAL.replace("l 1", "l X"), "line 6: bad integer"),
+        (parse_instance, MINIMAL.replace("e 1 2", "e 1 X"), "line 7: bad vertex id"),
+        (parse_instance, MINIMAL.replace("e 1 2", "e X 2"), "line 7: bad vertex id"),
+        (parse_instance, MINIMAL + "c role X s\n", "line 8: bad vertex id"),
+        (parse_instance, MINIMAL + "i X 0 1\n", "line 8: bad vertex id"),
+        (parse_source_graph, "p graph X 0\n", "line 1: bad vertex count"),
+        (parse_source_graph, "p graph 2 1\ne 1 X\n", "line 2: bad vertex id"),
+        (lambda x: parse_cut(x, Graph(3, [(0, 1)])), "e X 2\n", "line 1: bad vertex id"),
+        (lambda x: parse_fvs(x, Graph(3)), "v 1\nv X\n", "line 2: bad vertex id"),
+        (lambda x: parse_path_decomposition(x, Graph(3)), "B 1 X\n", "line 1: bad vertex id"),
+    ],
+    ids=["p-n", "p-m", "s", "t", "b", "l", "e-second", "e-first", "role-id", "i-id",
+         "source-p", "source-e", "cut", "fvs", "pd"],
+)
+def test_integer_tokens_are_plain_ascii(parse, text, message, token):
+    # `t 1_2` once read as vertex 12, `e 2 \uff13` as vertex 3
+    with pytest.raises(InputError) as err:
+        parse(text.replace("X", token))
+    assert str(err.value) == f"{message} {token!r}"
+
+
+@pytest.mark.parametrize("token", ["1_0", "0.5_0", "1/1_0", "\uff10", "\u0661/2", "0.\u0665"])
+@pytest.mark.parametrize(
+    "text, line",
+    [(MINIMAL + "i 1 0 1\ni 2 1/2 X\n", 9), (MINIMAL + "i 1 X 1\ni 2 0 1\n", 8)],
+    ids=["end", "start"],
+)
+def test_rational_tokens_are_ascii_without_underscores(text, line, token):
+    # `i 2 1/2 1_0` once read as end 10, and `\uff10` as 0
+    with pytest.raises(InputError) as err:
+        parse_instance(text.replace("X", token))
+    assert str(err.value) == f"line {line}: bad rational {token!r}"
+
+
+@pytest.mark.parametrize("token", list(NOT_PLAIN.values()), ids=list(NOT_PLAIN))
+def test_path_positions_and_params_are_plain_ascii(token):
+    with pytest.raises(InputError) as err:
+        load_reduction_output(ROLED.replace("p@1", f"p@{token}"))
+    assert str(err.value) == f"role of vertex 2: bad path position {token!r}"
+    if token.isdigit():  # param values that look like integers are read as them
+        with pytest.raises(InputError) as err:
+            load_reduction_output(ROLED + f"c param k {token}\n")
+        assert str(err.value) == f"param k: bad integer {token!r}"
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_instance, "p lbc 4 3\ns 1\nt 4\nb 1\nl 3\ne 1 2\ne 3 4\ne 2 1\ne 2 3\n",
+         "line 8: duplicate edge (1, 2)"),
+        (parse_instance, "p lbc 4 3\ns 1\nt 4\nb 1\nl 3\ne 1 2\ne 3 3\ne 2 3\ne 3 4\n",
+         "line 7: self-loop at vertex 3"),
+        (parse_instance, "p lbc 4 3\ns 1\ne 1 2\nt 4\nb 1\ne 1 2\nl 3\ne 2 3\ne 3 4\n",
+         "line 6: duplicate edge (1, 2)"),
+        (parse_source_graph, "p graph 4 3\ne 1 2\ne 4 3\ne 3 4\ne 2 3\ne 1 4\n",
+         "line 4: duplicate edge (3, 4)"),
+        (parse_source_graph, "p graph 4 3\ne 1 2\ne 3 3\ne 2 3\ne 3 4\n",
+         "line 3: self-loop at vertex 3"),
+    ],
+    ids=["instance-repeat", "instance-self-loop", "instance-repeat-between-scalars",
+         "source-repeat", "source-self-loop"],
+)
+def test_graph_faults_name_their_own_line(parse, text, message):
+    # later `e` lines follow the fault, so the last line is not the one named
+    with pytest.raises(InputError) as err:
+        parse(text)
+    assert str(err.value) == message
 
 
 class TestAuxiliaryFormats:

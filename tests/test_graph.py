@@ -95,6 +95,31 @@ class TestGraphBasics:
         with pytest.raises(InputError, match="self-loop"):
             g.has_edge(1, 1)
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(0, 1), (2, 1), (1, 0)], "duplicate edge (0, 1)"),
+            ([(0, 1), (2, 2)], "self-loop at vertex 2"),
+            ([(5, 5)], "self-loop at vertex 5"),
+            ([(0, 1), (5, 0)], "edge (0, 5) out of range for n=3"),
+            ([(1, 2), (0, 5)], "edge (0, 5) out of range for n=3"),  # 0*3+5 == 1*3+2
+            ([(0, -1)], "edge (-1, 0) out of range for n=3"),
+        ],
+        ids=["repeat", "self-loop", "self-loop-out-of-range", "out-of-range",
+             "out-of-range-key-collision", "negative"],
+    )
+    def test_the_first_bad_pair_raises_and_nothing_after_it_is_read(self, pairs, message):
+        read = []
+
+        def then_more():  # the bad pair is the last of `pairs`; more follow
+            for pair in [*pairs, (1, 0), (2, 2), (0, 7)]:
+                read.append(pair)
+                yield pair
+
+        with pytest.raises(InputError) as err:
+            Graph(3, then_more())
+        assert str(err.value) == message and read == pairs
+
     def test_shuffled_edge_lists_give_equal_graphs(self):
         for seed in range(20):
             g = random_graph(10, 0.4, seed=seed)
