@@ -225,7 +225,10 @@ def parse_instance(text: str) -> ParsedInstance:
         if kind == "e":
             u = v = -1
             if len(tokens) == 3 and raw.isascii() and tokens[1].isdigit() and tokens[2].isdigit():
-                u, v = int(tokens[1]) - 1, int(tokens[2]) - 1
+                try:
+                    u, v = int(tokens[1]) - 1, int(tokens[2]) - 1
+                except ValueError:  # past Python's int-string limit
+                    pass
             if not (0 <= u < top and 0 <= v < top):
                 u, v = _edge_record(tokens[1:], ln, n)
             eu.append(u)
@@ -234,20 +237,21 @@ def parse_instance(text: str) -> ParsedInstance:
         elif kind == "c":
             v = -1
             if len(tokens) == 4 and tokens[1] == "role" and tokens[2].isascii() and tokens[2].isdigit():
-                v = int(tokens[2]) - 1
+                try:
+                    v = int(tokens[2]) - 1
+                except ValueError:  # past Python's int-string limit
+                    pass
             if 0 <= v < top and v not in roles:
                 roles[v] = tokens[3]
             elif len(tokens) >= 4 and tokens[1] == "param":
                 if tokens[2] in params:
                     raise InputError(f"line {ln}: param {tokens[2]!r} given twice")
                 params[tokens[2]] = " ".join(tokens[3:])  # values may hold spaces
-            elif len(tokens) >= 4 and tokens[1] == "role":
+            elif len(tokens) >= 4 and tokens[1] == "role":  # refused inline: name why
                 if len(tokens) != 4:
                     raise InputError(f"line {ln}: expected `c role <id> <tag>`")
                 v = _vertex_id(tokens[2], ln, n)
-                if v in roles:
-                    raise InputError(f"line {ln}: role of vertex {v + 1} given twice")
-                roles[v] = tokens[3]
+                raise InputError(f"line {ln}: role of vertex {v + 1} given twice")
         elif kind == "p":
             n, m = _p_line("lbc", tokens[1:], ln, n)
             top = n
@@ -364,7 +368,7 @@ def load_reduction_output(text: str, source=None) -> ReductionOutput:
         base, at, pos = tag.rpartition("@")
         if at:
             try:
-                if not ((pos.isdigit() and pos.isascii()) or _INT.fullmatch(pos)):
+                if not _INT.fullmatch(pos):
                     raise ValueError(pos)
                 position = int(pos)
             except ValueError:

@@ -91,6 +91,8 @@ PATH_3 = "p lbc 3 2\ns 1\nt 3\nb 1\nl 2\ne 1 2\ne 2 3\n"
         ("solve", PATH_3.replace("p lbc 3 2", "p lbc -3 2"), 1),
         # past Python's 4300-digit int-string limit
         ("solve", PATH_3 + "i 1 0 " + "1" * 5000 + "\n", 8),
+        ("solve", PATH_3.replace("e 2 3", "e 2 " + "1" * 5000), "7: bad vertex id"),
+        ("solve", PATH_3 + "c role " + "1" * 5000 + " x\n", "8: bad vertex id"),
         # the rest also check the message, whose ids are 1-based as in the file
         ("source", "p graph 2 2\ne 1 2\ne 2 1\n", "3: duplicate edge (1, 2)"),
         ("source", "p graph 2 1\ne 1 1\n", "2: self-loop at vertex 1"),
@@ -102,6 +104,7 @@ PATH_3 = "p lbc 3 2\ns 1\nt 3\nb 1\nl 2\ne 1 2\ne 2 3\n"
     ids=["b-zz", "p-lbc-x", "bare-s", "source-id", "cut-non-edge", "cut-id", "fvs-id",
          "not-utf-8", "source-repeated-edge", "source-self-loop", "solve-self-loop",
          "cut-self-loop", "p-graph-negative", "p-lbc-negative", "long-coordinate",
+         "long-edge-id", "long-role-id",
          "source-repeated-edge-ids",
          "source-self-loop-ids", "solve-self-loop-ids", "cut-non-edge-ids",
          "cut-repeated-edge", "fvs-repeated-vertex"],
