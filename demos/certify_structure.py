@@ -15,7 +15,6 @@ from lbcut import (
     decode_fvs,
     forward_cut_fvs,
     gen_fvs,
-    suppress_degree_two,
     verify_cut,
     verify_fvs,
 )
@@ -39,7 +38,11 @@ witness = build_fvs_witness(out)
 print(f"\nfeedback vertex set: {sorted(witness)} (size 2k+2 = {2 * mc.k + 2})")
 print(f"acyclic after removal: {verify_fvs(h.graph, witness)}")
 
-# classify what is left once the hubs are gone
+# classify what is left once the hubs are gone, by the kind of each
+# vertex: the first field of its anchor's or its path's tag
+kind = {v: tag.split(":")[0] for tag, v in out.vertex_by_role.items()}
+for tag, seq in out.paths.items():
+    kind.update(dict.fromkeys(seq[1:-1], tag.split(":")[0]))
 g = h.graph
 seen = set(witness)
 shapes = Counter()
@@ -54,7 +57,7 @@ for v in range(g.n):
         seen.add(x)
         comp.append(x)
         stack.extend(w for w in g.adj[x] if w not in seen)
-    kinds = {out.roles[x].split("@")[0].split(":")[0] for x in comp}
+    kinds = {kind[x] for x in comp}
     if kinds & {"ve", "eu", "el"}:
         shapes["edge gadget (tree)"] += 1
     elif len(kinds) > 1:
@@ -65,7 +68,7 @@ print("components behind the certificate:")
 for shape, count in shapes.most_common():
     print(f"  {shape}: {count}")
 
-# the same suppression used by pathwidth reasoning shrinks those paths
-sup = suppress_degree_two(h.graph, protected=witness)
-print(f"\nsuppressing degree-two vertices: {h.graph.n} -> {sup.graph.n} vertices")
-print(f"re-expansion reproduces the instance: {sup.expand(h.graph.n) == h.graph}")
+# anchors and path records describe the whole instance
+print(f"\nskeleton: {len(out.vertex_by_role)} anchors joined by {len(out.paths)} "
+      f"subdivided paths, whose interiors are the other "
+      f"{g.n - len(out.vertex_by_role)} vertices")

@@ -60,10 +60,8 @@ from .reductions_fvs import (
 )
 from .witnesses import (
     PathDecomposition,
-    Suppression,
     build_fvs_witness,
     build_pw_witness,
-    suppress_degree_two,
     verify_fvs,
     verify_path_decomposition,
 )

@@ -58,22 +58,22 @@ def build_parser():
         help="auto uses the interval solver when interval lines are present",
     )
     sp.add_argument("--print-cut", action="store_true")
-    sp.add_argument("--subset-cap", type=int, default=OracleBudget.max_subset_edges)
-    sp.add_argument("--branch-cap", type=int, default=OracleBudget.max_branch_nodes)
+    sp.add_argument("--subset-cap", type=_integer, default=OracleBudget.max_subset_edges)
+    sp.add_argument("--branch-cap", type=_integer, default=OracleBudget.max_branch_nodes)
     sp.set_defaults(func=cmd_solve)
 
     gp = sub.add_parser("gen", help="generate a hard instance family member")
     gsub = gp.add_subparsers(required=True)
     g1 = gsub.add_parser("pw", help="bounded pathwidth + max degree family")
     g1.add_argument("--source", required=True, help="`p graph` file")
-    g1.add_argument("-k", type=int, required=True)
+    g1.add_argument("-k", type=_integer, required=True)
     g1.add_argument("-o", "--output", required=True)
     g1.add_argument("--pd", help="also write the path decomposition witness here")
     g1.set_defaults(func=cmd_gen_pw)
     g2 = gsub.add_parser("fvs", help="bounded feedback vertex number family")
     g2.add_argument("--source", required=True)
-    g2.add_argument("-k", type=int, required=True)
-    g2.add_argument("--nu", type=int, required=True)
+    g2.add_argument("-k", type=_integer, required=True)
+    g2.add_argument("--nu", type=_integer, required=True)
     g2.add_argument("-o", "--output", required=True)
     g2.add_argument("--fvs", help="also write the feedback vertex witness here")
     g2.set_defaults(func=cmd_gen_fvs)
@@ -84,9 +84,9 @@ def build_parser():
         f = fsub.add_parser(fam)
         f.add_argument("--instance", required=True, help="generated instance file")
         f.add_argument("--source", required=True)
-        f.add_argument("-k", type=int, required=True)
+        f.add_argument("-k", type=_integer, required=True)
         if fam == "fvs":
-            f.add_argument("--nu", type=int, required=True)
+            f.add_argument("--nu", type=_integer, required=True)
         f.add_argument("--clique", required=True, help="comma-separated 1-indexed ids")
         f.add_argument("-o", "--output", required=True)
         f.set_defaults(func=cmd_forward_cut, family=fam)
@@ -97,9 +97,9 @@ def build_parser():
         d = dsub.add_parser(fam)
         d.add_argument("--instance", required=True)
         d.add_argument("--source", required=True)
-        d.add_argument("-k", type=int, required=True)
+        d.add_argument("-k", type=_integer, required=True)
         if fam == "fvs":
-            d.add_argument("--nu", type=int, required=True)
+            d.add_argument("--nu", type=_integer, required=True)
         d.add_argument("-f", "--cut", required=True)
         d.set_defaults(func=cmd_decode, family=fam)
 
@@ -119,18 +119,18 @@ def build_parser():
     v3.set_defaults(func=cmd_verify_pd)
 
     rp = sub.add_parser("random-pig", help="random proper interval instance")
-    rp.add_argument("-n", type=int, required=True)
+    rp.add_argument("-n", type=_integer, required=True)
     rp.add_argument("--density", type=float, default=0.5)
     rp.add_argument("--beta-range", default="1:6")
     rp.add_argument("--lambda-range", default="2:6")
-    rp.add_argument("--seed", type=int, default=0)
+    rp.add_argument("--seed", type=_integer, default=0)
     rp.add_argument("-o", "--output", required=True)
     rp.set_defaults(func=cmd_random_pig)
 
     bp = sub.add_parser("bench", help="batch solver runs, TSV on stdout")
     bp.add_argument("files", nargs="+")
     bp.add_argument("--mode", choices=["auto", "dp", "subset", "branch"], default="auto")
-    bp.add_argument("--jobs", type=int, default=1)
+    bp.add_argument("--jobs", type=_integer, default=1)
     bp.set_defaults(func=cmd_bench)
 
     return p
@@ -303,10 +303,19 @@ def cmd_verify_pd(args) -> int:
     return NO
 
 
+def _integer(token):
+    """An integer option, spelled `-?[0-9]+` as in the files; argparse
+    reports a bad one as a usage error (exit 2)."""
+    try:
+        return formats.plain_int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer {token!r}") from None
+
+
 def _int_option(token, option):
     """An integer in an option value; a bad one is a usage error (exit 2)."""
     try:
-        return int(token)
+        return formats.plain_int(token)
     except ValueError:
         raise InputError(f"{option}: bad integer {token!r}") from None
 

@@ -10,26 +10,31 @@ Instance files (1-indexed vertex ids, whitespace separated):
     e <u> <v>
     i <id> <start> <end>     interval line; rationals as decimals or p/q,
                              <m>e-<k> past Python's int-string limit
-    c <free text>            comment; `c param k 3` and `c role 5 u:1:0`
-                             carry generator annotations
+    c <free text>            comment, except for three generator records:
+    c param <key> <value>    a parameter of the construction
+    c role <id> <tag>        an anchor vertex and its tag (no '@')
+    c path <tag> <u> <first> <last> <v>
+                             a subdivided path u, first..last, v, its
+                             interior the consecutive ids first..last
 
 Cut files are `e <u> <v>` lines, FVS witnesses `v <id>` lines, and path
 decompositions one `B <id> <id> ...` line per bag.  Serialization is
 deterministic, and parse(serialize(x)) round-trips exactly.
 
-Integer fields (ids, counts, beta, lambda, path positions) are plain ASCII
-`-?[0-9]+`; rationals hold neither `_` nor a non-ASCII character, although
-Python's int() and Fraction() would read `1_2` or fullwidth digits.
-`parse_instance` reads a file in one pass: well-formed `e` and `c role`
-records go inline into flat integer lists and the role map, with no tuple
-per edge, and everything else goes through the per-record helpers.
-Instance files are written straight from `Graph.adj`.
+Integer fields (ids, counts, beta, lambda) are plain ASCII `-?[0-9]+`;
+rationals hold neither `_` nor a non-ASCII character, although Python's
+int() and Fraction() would read `1_2` or fullwidth digits.
+`parse_instance` reads a file in one pass: well-formed `e` records go
+inline into flat integer lists, with no tuple per edge, and everything else
+goes through the per-record helpers.  Instance files are written straight
+from `Graph.adj`.
 
 A malformed record raises InputError naming its line, with ids 1-based as
 in the file: a bad field, an id outside 1..n, a negative p-line count, a
 self-loop or repeated edge, a cut edge the instance lacks, a vertex given
-twice in an FVS or in one bag, or a repeated p, s, t, b, l, i, role or
-param record.
+twice in an FVS or in one bag, or a repeated p, s, t, b, l, i, role, param
+or path record.  `load_reduction_output` also names the line of a path
+record that does not match the graph.
 """
 
 from __future__ import annotations
@@ -102,15 +107,21 @@ def _records(text: str):
 _INT = re.compile(r"-?[0-9]+")
 
 
+def plain_int(token: str) -> int:
+    """int(token) for a plain ASCII integer `-?[0-9]+`, else ValueError.
+
+    int() alone would also take `1_2`, `+1` and non-ASCII digits."""
+    if not _INT.fullmatch(token):
+        raise ValueError(token)
+    return int(token)  # ValueError past Python's int-string limit
+
+
 def _parse_int(token: str, ln: int, what: str = "integer") -> int:
-    """int(token) for a plain ASCII integer `-?[0-9]+`; int() alone would
-    also take `1_2`, `+1` and non-ASCII digits."""
+    """plain_int(token); InputError naming line `ln` where it refuses."""
     try:
-        if _INT.fullmatch(token):
-            return int(token)
-    except ValueError:  # past Python's int-string limit
-        pass
-    raise InputError(f"line {ln}: bad {what} {token!r}")
+        return plain_int(token)
+    except ValueError:
+        raise InputError(f"line {ln}: bad {what} {token!r}") from None
 
 
 def _vertex_id(token: str, ln: int, n: int | None) -> int:
@@ -186,10 +197,18 @@ def _parse_rational(token: str, ln: int) -> Fraction:
 
 @dataclass
 class ParsedInstance:
+    """An instance with its model and generator records; ids are 0-based.
+
+    roles maps each `c role` vertex to its tag, and paths each `c path` tag
+    to (line, u, first, last, v).  param_lines holds the line of each param.
+    """
+
     instance: Instance
     model: IntervalModel | None
     roles: dict[int, str] = field(default_factory=dict)
     params: dict[str, str] = field(default_factory=dict)
+    paths: dict[str, tuple[int, int, int, int, int]] = field(default_factory=dict)
+    param_lines: dict[str, int] = field(default_factory=dict)
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -203,9 +222,9 @@ _SCALARS = {"s": "s <id>", "t": "t <id>", "b": "b <beta>", "l": "l <lambda>"}
 def parse_instance(text: str) -> ParsedInstance:
     """Parse an instance file; malformed lines raise InputError with location.
 
-    One pass over the lines.  Well-formed `e` and `c role` records are read
-    inline into flat lists and the role map; every other record, and any
-    fault in those two, goes through the per-record helpers, which name it.
+    One pass over the lines.  Well-formed `e` records are read inline into
+    flat lists; every other record, and any fault in an `e` record, goes
+    through the per-record helpers, which name it.
     """
     n = m = None
     top = 0  # ids 1..top are read inline; 0 until the p-line
@@ -215,7 +234,10 @@ def parse_instance(text: str) -> ParsedInstance:
     lines: list[int] = []
     intervals: dict[int, tuple[Fraction, Fraction]] = {}
     roles: dict[int, str] = {}
+    carrier: dict[str, int] = {}  # the vertex of each role tag
     params: dict[str, str] = {}
+    param_lines: dict[str, int] = {}
+    paths: dict[str, tuple[int, int, int, int, int]] = {}
 
     for ln, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
@@ -235,23 +257,38 @@ def parse_instance(text: str) -> ParsedInstance:
             ev.append(v)
             lines.append(ln)
         elif kind == "c":
-            v = -1
-            if len(tokens) == 4 and tokens[1] == "role" and tokens[2].isascii() and tokens[2].isdigit():
-                try:
-                    v = int(tokens[2]) - 1
-                except ValueError:  # past Python's int-string limit
-                    pass
-            if 0 <= v < top and v not in roles:
-                roles[v] = tokens[3]
-            elif len(tokens) >= 4 and tokens[1] == "param":
+            record = tokens[1] if len(tokens) >= 4 else None  # shorter: a comment
+            if record == "role":
+                if len(tokens) != 4:
+                    raise InputError(f"line {ln}: expected `c role <id> <tag>`")
+                v, tag = _vertex_id(tokens[2], ln, n), tokens[3]
+                if v in roles:
+                    raise InputError(f"line {ln}: role of vertex {v + 1} given twice")
+                if "@" in tag:  # paths are `c path` records, not per-vertex roles
+                    raise InputError(f"line {ln}: role tag {tag!r} holds '@'")
+                if tag in carrier:
+                    raise InputError(
+                        f"line {ln}: role {tag!r} is already carried by vertex {carrier[tag] + 1}"
+                    )
+                roles[v] = tag
+                carrier[tag] = v
+            elif record == "param":
                 if tokens[2] in params:
                     raise InputError(f"line {ln}: param {tokens[2]!r} given twice")
                 params[tokens[2]] = " ".join(tokens[3:])  # values may hold spaces
-            elif len(tokens) >= 4 and tokens[1] == "role":  # refused inline: name why
-                if len(tokens) != 4:
-                    raise InputError(f"line {ln}: expected `c role <id> <tag>`")
-                v = _vertex_id(tokens[2], ln, n)
-                raise InputError(f"line {ln}: role of vertex {v + 1} given twice")
+                param_lines[tokens[2]] = ln
+            elif record == "path":
+                if len(tokens) != 7:
+                    raise InputError(f"line {ln}: expected `c path <tag> <u> <first> <last> <v>`")
+                tag = tokens[2]
+                if tag in paths:
+                    raise InputError(f"line {ln}: path {tag!r} given twice")
+                u, first, last, v = (_vertex_id(x, ln, n) for x in tokens[3:])
+                if first > last:
+                    raise InputError(
+                        f"line {ln}: path {tag!r}: first interior {first + 1} after last {last + 1}"
+                    )
+                paths[tag] = ln, u, first, last, v
         elif kind == "p":
             n, m = _p_line("lbc", tokens[1:], ln, n)
             top = n
@@ -295,15 +332,10 @@ def parse_instance(text: str) -> ParsedInstance:
             tuple(intervals[v][0] for v in range(n)),
             tuple(intervals[v][1] for v in range(n)),
         )
-    return ParsedInstance(inst, model, roles, params)
+    return ParsedInstance(inst, model, roles, params, paths, param_lines)
 
 
-def serialize_instance(
-    inst: Instance,
-    model: IntervalModel | None = None,
-    roles=None,
-    params: dict | None = None,
-) -> str:
+def serialize_instance(inst: Instance, model: IntervalModel | None = None) -> str:
     g = inst.graph
     lines = [f"p lbc {g.n} {g.m}"]
     lines.append(f"s {inst.s + 1}")
@@ -317,13 +349,6 @@ def serialize_instance(
                 f"i {v + 1} {_fmt_rational(model.starts[v], v)} "
                 f"{_fmt_rational(model.ends[v], v)}"
             )
-    if params:
-        for key in sorted(params):
-            lines.append(f"c param {key} {params[key]}")
-    if roles:
-        items = sorted(roles.items()) if isinstance(roles, dict) else enumerate(roles)
-        for v, tag in items:
-            lines.append(f"c role {v + 1} {tag}")
     return "\n".join(lines) + "\n"
 
 
@@ -333,76 +358,65 @@ def _edge_lines(g: Graph) -> list[str]:
 
 
 def serialize_reduction_output(out: ReductionOutput) -> str:
-    return serialize_instance(
-        out.instance, model=None, roles=out.roles, params=out.params
-    )
+    """The instance, then `c param` records by key, `c role` records by id,
+    and one `c path` record per path in registration order."""
+    params = out.params
+    lines = [serialize_instance(out.instance)]
+    lines += [f"c param {key} {params[key]}\n" for key in sorted(params)]
+    anchors = sorted((v, tag) for tag, v in out.vertex_by_role.items())
+    lines += [f"c role {v + 1} {tag}\n" for v, tag in anchors]
+    lines += [
+        f"c path {tag} {seq[0] + 1} {seq[1] + 1} {seq[-2] + 1} {seq[-1] + 1}\n"
+        for tag, seq in out.paths.items()
+    ]
+    return "".join(lines)
 
 
 def load_reduction_output(text: str, source=None) -> ReductionOutput:
-    """Rebuild a generated instance (role map and path registry) from a file.
+    """Rebuild a generated instance (anchors and path registry) from a file.
 
-    Interior path vertices carry `<path>@<pos>` roles; endpoints are
-    recovered from adjacency, so decoders and witness builders work on
-    reloaded instances exactly as on freshly generated ones.
+    The paths come straight from the `c path` records.  Each record is
+    checked against the graph, and a fault names its line: an interior
+    vertex that is an anchor or on another path, an endpoint that is not an
+    anchor, or two consecutive vertices that are not adjacent.  Every vertex
+    must be an anchor or a path interior.  A param value that looks like an
+    integer is read as one.
     """
     parsed = parse_instance(text)
-    inst, roles, raw_params = parsed.instance, parsed.roles, parsed.params
-    if len(roles) != inst.graph.n:
-        raise InputError("file lacks a complete role annotation")
+    g, roles = parsed.instance.graph, parsed.roles
     params: dict[str, int | str] = {}
-    for key, value in raw_params.items():
+    for key, value in parsed.params.items():
         if value.lstrip("-").isdigit():  # also true for non-ASCII digits
-            try:
-                if not _INT.fullmatch(value):
-                    raise ValueError(value)
-                value = int(value)
-            except ValueError:
-                raise InputError(f"param {key}: bad integer {value!r}") from None
+            value = _parse_int(value, parsed.param_lines[key])
         params[key] = value
 
-    g = inst.graph
-    tags = tuple(map(roles.__getitem__, range(g.n)))
-    members: dict[str, dict[int, int]] = {}
-    vertex_by_role: dict[str, int] = {}
-    for v, tag in enumerate(tags):
-        base, at, pos = tag.rpartition("@")
-        if at:
-            try:
-                if not _INT.fullmatch(pos):
-                    raise ValueError(pos)
-                position = int(pos)
-            except ValueError:
-                raise InputError(f"role of vertex {v + 1}: bad path position {pos!r}") from None
-            slots, key = members.setdefault(base, {}), position
-        else:
-            slots, key = vertex_by_role, tag
-        if key in slots:
-            raise InputError(
-                f"role of vertex {v + 1}: {tag!r} is already carried by vertex {slots[key] + 1}"
-            )
-        slots[key] = v
-
+    taken = bytearray(g.n)  # 1 for an anchor, 2 for a path interior
+    for v in roles:
+        taken[v] = 1
+    adj = g.adj
     paths: dict[str, tuple[int, ...]] = {}
-    for base, inner in members.items():
-        seq = [inner[pos] for pos in sorted(inner)]
-        if len(seq) == 1:
-            # both endpoints neighbor the single interior vertex; orient by id
-            ends = sorted(w for w in g.adj[seq[0]] if "@" not in tags[w])
-            if len(ends) != 2:
-                raise InputError(f"cannot recover endpoints of path {base!r}")
-            paths[base] = (ends[0], seq[0], ends[1])
-            continue
-        anchors_first = [w for w in g.adj[seq[0]] if w != seq[1] and "@" not in tags[w]]
-        anchors_last = [w for w in g.adj[seq[-1]] if w != seq[-2] and "@" not in tags[w]]
-        if len(anchors_first) != 1 or len(anchors_last) != 1:
-            raise InputError(f"cannot recover endpoints of path {base!r}")
-        paths[base] = (anchors_first[0], *seq, anchors_last[0])
+    for tag, (ln, u, first, last, v) in parsed.paths.items():
+        span = taken[first:last + 1]
+        if any(span):
+            x = first + next(i for i, mark in enumerate(span) if mark)
+            what = "an anchor" if taken[x] == 1 else "on another path"
+            raise InputError(f"line {ln}: path {tag!r}: vertex {x + 1} is already {what}")
+        taken[first:last + 1] = b"\2" * len(span)
+        for end in (u, v):
+            if end not in roles:
+                raise InputError(f"line {ln}: path {tag!r}: endpoint {end + 1} is not an anchor")
+        seq = (u, *range(first, last + 1), v)
+        for a, b in zip(seq, seq[1:]):
+            if b not in adj[a]:
+                raise InputError(f"line {ln}: path {tag!r}: ({a + 1}, {b + 1}) is not an edge")
+        paths[tag] = seq
+    if 0 in taken:
+        raise InputError(f"vertex {taken.index(0) + 1} is neither an anchor nor on a path")
 
     return ReductionOutput(
-        instance=inst,
-        roles=tags,
+        instance=parsed.instance,
         paths=paths,
-        vertex_by_role=vertex_by_role,
+        vertex_by_role={tag: v for v, tag in roles.items()},
         params=params,
         source=source,
     )

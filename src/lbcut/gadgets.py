@@ -1,11 +1,13 @@
 """Shared machinery for building gadget graphs out of subdivided paths.
 
-Generated graphs are navigated structurally: every vertex carries a role
-token, and every subdivided path is registered under its own token with
-the full vertex sequence (endpoints included).  Role tokens are plain
-':'-joined strings, with '@<pos>' appended for a path's interior vertices,
-so they survive a round trip through instance files.  `LexEdges` numbers
-the source graph's edges for both clique-search inputs.
+Generated graphs are navigated structurally.  Each anchor vertex carries a
+role tag, and each subdivided path is registered under its own tag with its
+full vertex sequence (endpoints, which are anchors, included).  A path's
+interior is a run of consecutive ids and carries no tag of its own, so
+every vertex is an anchor or the interior of exactly one path.  Tags are
+plain ':'-joined strings, so they survive a round trip through instance
+files.  `LexEdges` numbers the source graph's edges for both clique-search
+inputs.
 """
 
 from __future__ import annotations
@@ -72,10 +74,10 @@ class LexEdges:
 
 
 class GadgetBuilder:
-    """Accumulates vertices, edges, and subdivided paths, then emits a Graph."""
+    """Accumulates anchors, edges, and subdivided paths, then emits a Graph."""
 
     def __init__(self):
-        self.roles: list[str] = []
+        self.n = 0
         self.edges: list[tuple[int, int]] = []
         self.paths: dict[str, tuple[int, ...]] = {}
         self.vertex_by_role: dict[str, int] = {}  # anchors; `paths` holds the rest
@@ -83,8 +85,8 @@ class GadgetBuilder:
     def vertex(self, tag: str) -> int:
         if tag in self.vertex_by_role:
             raise InternalCheckError(f"duplicate vertex role {tag!r}")
-        vid = len(self.roles)
-        self.roles.append(tag)
+        vid = self.n
+        self.n += 1
         self.vertex_by_role[tag] = vid
         return vid
 
@@ -92,14 +94,15 @@ class GadgetBuilder:
         self.edges.append((u, v))
 
     def path(self, u: int, v: int, length: int, tag: str) -> tuple[int, ...]:
-        """A u-v path with `length` edges; interior vertices get tag@pos."""
-        if length < 1:
-            raise InternalCheckError(f"path {tag!r} needs positive length")
+        """A u-v path with `length` >= 2 edges, its interior new consecutive
+        ids; a length-1 path would just be an edge."""
+        if length < 2:
+            raise InternalCheckError(f"path {tag!r} needs length at least 2")
         if tag in self.paths:
             raise InternalCheckError(f"duplicate path role {tag!r}")
-        first = len(self.roles)
-        self.roles.extend(f"{tag}@{pos}" for pos in range(1, length))
-        seq = (u, *range(first, len(self.roles)), v)
+        first = self.n
+        self.n += length - 1
+        seq = (u, *range(first, self.n), v)
         self.edges.extend(zip(seq, seq[1:]))
         self.paths[tag] = seq
         return seq
@@ -107,15 +110,14 @@ class GadgetBuilder:
     def graph(self) -> Graph:
         """The built graph; a self-loop or repeated edge is a generator bug."""
         try:
-            return Graph(len(self.roles), self.edges)
+            return Graph(self.n, self.edges)
         except InputError as err:
             raise InternalCheckError(str(err)) from err
 
     def output(self, s: int, t: int, beta: int, lam: int, params, source) -> "ReductionOutput":
-        """The built graph as an instance, with its roles, paths and params."""
+        """The built graph as an instance, with its paths, anchors and params."""
         return ReductionOutput(
             instance=Instance(self.graph(), s, t, beta, lam),
-            roles=tuple(self.roles),
             paths=self.paths,
             vertex_by_role=self.vertex_by_role,
             params=params,
@@ -127,15 +129,17 @@ class GadgetBuilder:
 class ReductionOutput:
     """A generated hard instance with its structural annotations.
 
-    params always holds the reduction family plus the parameter values the
-    construction promises (k, n, m, and eta or nu); roles maps every vertex
-    of the instance graph to its role token.
+    paths maps each subdivided path's tag to its vertex sequence, endpoints
+    included, in registration order; its interior is a run of consecutive
+    ids.  vertex_by_role maps each anchor's tag to its vertex.  Every vertex
+    is an anchor or the interior of one path.  params always holds the
+    reduction family plus the parameter values the construction promises
+    (k, n, m, and eta or nu).
     """
 
     instance: Instance
-    roles: tuple[str, ...]
-    paths: dict[str, tuple[int, ...]] = field(compare=False)
-    vertex_by_role: dict[str, int] = field(compare=False)
+    paths: dict[str, tuple[int, ...]]
+    vertex_by_role: dict[str, int]
     params: dict[str, int | str] = field(compare=False)
     source: object = field(compare=False, default=None)
 

@@ -25,8 +25,8 @@ from itertools import chain
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .gadgets import ReductionOutput, role
-from .graph import Graph, edge
+from .gadgets import ReductionOutput
+from .graph import Graph
 
 
 # ---------------------------------------------------------------------------
@@ -64,83 +64,6 @@ def build_fvs_witness(out: ReductionOutput) -> frozenset:
         hubs.add(out.anchor("u", i))
         hubs.add(out.anchor("l", i))
     return frozenset(hubs)
-
-
-# ---------------------------------------------------------------------------
-# degree-two suppression
-
-
-@dataclass(frozen=True)
-class Suppression:
-    """Result of suppressing degree-two vertices.
-
-    graph: the contracted graph (dense ids); old_of_new maps its vertices
-    to the original ids; chains maps each contracted edge (in original-id
-    pairs) to the ordered run of suppressed original vertices inside it.
-    """
-
-    graph: Graph
-    old_of_new: tuple[int, ...]
-    chains: dict[tuple[int, int], tuple[int, ...]]
-
-    def expand(self, n: int) -> Graph:
-        """Rebuild the original n-vertex graph from the chains."""
-        edges = []
-        for u, v in self.graph.edge_list():
-            ou, ov = self.old_of_new[u], self.old_of_new[v]
-            seq = (ou, *self.chains.get(edge(ou, ov), ()), ov)
-            edges.extend(zip(seq, seq[1:]))
-        return Graph(n, edges)
-
-
-def suppress_degree_two(g: Graph, protected=frozenset()) -> Suppression:
-    """Contract degree-two vertices until none are eligible.
-
-    A vertex is skipped when contracting it would create a parallel edge
-    or a self-loop, and when it is in `protected`.  Chains record the
-    suppressed vertices per surviving edge, oriented from the smaller
-    original endpoint, so expand() can reproduce the input exactly.
-    """
-    adj: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
-    chains: dict[tuple[int, int], list[int]] = {}
-
-    changed = True
-    while changed:
-        changed = False
-        for v in range(g.n):
-            if v in protected or v not in adj or len(adj[v]) != 2:
-                continue
-            a, b = sorted(adj[v])
-            if b in adj[a]:
-                continue  # would create a parallel edge
-            left = chains.pop(edge(a, v), [])
-            right = chains.pop(edge(v, b), [])
-            run = _oriented(left, a, v) + [v] + _oriented(right, v, b)
-            adj[a].discard(v)
-            adj[b].discard(v)
-            del adj[v]
-            adj[a].add(b)
-            adj[b].add(a)
-            chains[edge(a, b)] = run  # a < b, so the run is already a -> b
-            changed = True
-
-    kept = sorted(adj)
-    new_of_old = {v: i for i, v in enumerate(kept)}
-    out_edges = [
-        (new_of_old[v], new_of_old[w]) for v in kept for w in adj[v] if v < w
-    ]
-    return Suppression(
-        Graph(len(kept), out_edges),
-        tuple(kept),
-        {e: tuple(run) for e, run in chains.items()},
-    )
-
-
-def _oriented(run, frm, to):
-    """A stored chain for edge {frm,to}, re-oriented to start nearest `frm`."""
-    if not run:
-        return []
-    return list(run) if frm < to else list(reversed(run))
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +174,7 @@ def build_pw_witness(out: ReductionOutput) -> PathDecomposition:
         base = frozenset(bag | hubs)
         bags.append(base)
         for seq in assignments[idx]:
-            inner = seq[1:-1]
-            if not inner:
-                continue
+            inner = seq[1:-1]  # at least one vertex: every path has length >= 2
             if len(inner) == 1:
                 bags.append(base | {inner[0]})
             for a, b in zip(inner, inner[1:]):
@@ -273,13 +194,8 @@ def _incidence_bags(out, i, j, n, m):
     b = [out.anchor("b", i, j, p) for p in range(n + 1)]
     c = [out.anchor("c", i, j, p) for p in range(m + 1)]
     d = [out.anchor("d", i, j, p) for p in range(m + 1)]
-    target = {}
-    for x in range(n):
-        seq = out.paths.get(role("xac", i, j, x))
-        if seq is None:
-            continue
-        endpoint = seq[-1] if seq[0] == a[x] else seq[0]
-        target[x] = c.index(endpoint)
+    # the c column at which the cross link from each a column ends
+    target = [c.index(out.path_seq("xac", i, j, x)[-1]) for x in range(n)]
 
     def window(p, q):
         return {a[p], b[p], a[p + 1], b[p + 1], c[q], d[q], c[q + 1], d[q + 1]}
@@ -287,8 +203,7 @@ def _incidence_bags(out, i, j, n, m):
     p = q = 0
     bags = [window(p, q)]
     while (p, q) != (n - 1, m - 1):
-        nxt = target.get(p + 1)
-        if q < m - 1 and (p == n - 1 or (nxt is not None and q < nxt)):
+        if q < m - 1 and (p == n - 1 or q < target[p + 1]):
             q += 1
         elif p < n - 1:
             p += 1

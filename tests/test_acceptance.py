@@ -434,12 +434,14 @@ cq = CliqueInstance(Graph(8, sorted(edges)), 3)
 started = time.perf_counter()
 out = gen_pw(cq)
 verdict = verify_path_decomposition(out.instance.graph, build_pw_witness(out))
-back = load_reduction_output(serialize_reduction_output(out), source=cq)
+text = serialize_reduction_output(out)
+back = load_reduction_output(text, source=cq)
 print(json.dumps({
     "seconds": time.perf_counter() - started,
     "h_vertices": out.instance.graph.n,
     "ok": verdict.ok and back == out,
     "width": verdict.width,
+    "bytes": len(text),
     "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """
@@ -452,6 +454,7 @@ def test_pw_round_trip_envelope():
     assert out["ok"] and out["width"] <= 2 * 3 + 11 and out["h_vertices"] > 80000
     assert out["seconds"] < 3, f"PW round trip took {out['seconds']:.1f}s"
     assert out["maxrss_mb"] < 512, f"PW round trip peaked at {out['maxrss_mb']:.0f} MB"
+    assert out["bytes"] < 2_000_000, f"PW file holds {out['bytes']} bytes"
     report(
         "7 (PW round trip)",
         f"H with {out['h_vertices']} vertices generated, certified and reloaded in "

@@ -177,9 +177,15 @@ def test_auto_mode_says_why_it_falls_back(tmp_path, capsys):
          "--branch-cap must be positive, got -5"),
         (["bench", "--jobs", "0"], "--jobs must be positive, got 0"),
         (["bench", "--jobs", "-3"], "--jobs must be positive, got -3"),
+        # int() would read these as 2, 2 and 30
+        (["forward-cut", "pw", "--clique", "0_2,3"], "--clique: bad integer '0_2'"),
+        (["forward-cut", "pw", "--clique", "\uff12,3"], "--clique: bad integer '\uff12'"),
+        (["random-pig", "-n", "\uff130"], "argument -n: bad integer '\uff130'"),
+        (["random-pig", "-n", "5", "--seed", "+1"], "argument --seed: bad integer '+1'"),
     ],
     ids=["clique-x", "beta-range-x", "lambda-range-empty", "random-pig-n1",
-         "subset-cap-0", "branch-cap-negative", "bench-jobs-0", "bench-jobs-negative"],
+         "subset-cap-0", "branch-cap-negative", "bench-jobs-0", "bench-jobs-negative",
+         "clique-underscore", "clique-fullwidth", "random-pig-n-fullwidth", "seed-plus"],
 )
 def test_malformed_option_is_usage_error(tmp_path, capsys, argv, message):
     if argv[0] == "forward-cut":
@@ -192,7 +198,11 @@ def test_malformed_option_is_usage_error(tmp_path, capsys, argv, message):
         argv = argv[:1] + [str(write_instance(tmp_path)[0])] + argv[1:]
     else:
         argv = argv + ["-o", str(tmp_path / "out.txt")]
-    assert main(argv) == 2
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a bad option value itself
+        code = exc.code
+    assert code == 2
     assert message in capsys.readouterr().err
 
 

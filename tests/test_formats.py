@@ -217,13 +217,16 @@ def test_rational_tokens_are_ascii_without_underscores(text, line, token):
 
 @pytest.mark.parametrize("token", list(NOT_PLAIN.values()), ids=list(NOT_PLAIN))
 def test_path_positions_and_params_are_plain_ascii(token):
-    with pytest.raises(InputError) as err:
-        load_reduction_output(ROLED.replace("p@1", f"p@{token}"))
-    assert str(err.value) == f"role of vertex 2: bad path position {token!r}"
+    for i in range(4):  # the u, first, last and v fields of a `c path` record
+        ids = ["1", "2", "2", "3"]
+        ids[i] = token
+        with pytest.raises(InputError) as err:
+            load_reduction_output(ROLED.replace("c path p 1 2 2 3", "c path p " + " ".join(ids)))
+        assert str(err.value) == f"line 10: bad vertex id {token!r}"
     if token.isdigit():  # param values that look like integers are read as them
         with pytest.raises(InputError) as err:
             load_reduction_output(ROLED + f"c param k {token}\n")
-        assert str(err.value) == f"param k: bad integer {token!r}"
+        assert str(err.value) == f"line 11: bad integer {token!r}"
 
 
 @pytest.mark.parametrize(
@@ -372,24 +375,61 @@ def test_only_the_c_record_is_a_comment(parse, text, message):
         parse(text)
 
 
-ROLED_BUT_3 = "p lbc 3 2\ns 1\nt 3\nb 1\nl 2\ne 1 2\ne 2 3\nc role 1 s\nc role 2 p@1\n"
-ROLED = ROLED_BUT_3 + "c role 3 t\n"
+ROLED = "p lbc 3 2\ns 1\nt 3\nb 1\nl 2\ne 1 2\ne 2 3\nc role 1 s\nc role 3 t\nc path p 1 2 2 3\n"
 
 
 @pytest.mark.parametrize(
     "extra, message",
     [
-        ("c role 3 t\nc param k \u00b2\n", "param k: bad integer '\u00b2'"),
-        ("c role 3 s\n", "role of vertex 3: 's' is already carried by vertex 1"),
-        ("c role 3 p@1\n", "role of vertex 3: 'p@1' is already carried by vertex 2"),
+        ("c param k \u00b2\n", "line 11: bad integer '\u00b2'"),
+        ("c role 2 s\n", "line 11: role 's' is already carried by vertex 1"),
+        ("c path q 1 2 2 3\n", "line 11: path 'q': vertex 2 is already on another path"),
     ],
     ids=["param-superscript-two", "role-twice", "path-position-twice"],
 )
 def test_reduction_output_annotations_checked(extra, message):
-    # the extra lines carry vertex 3's only role
     assert load_reduction_output(ROLED).paths == {"p": (0, 1, 2)}
-    with pytest.raises(InputError, match=re.escape(message)):
-        load_reduction_output(ROLED_BUT_3 + extra)
+    with pytest.raises(InputError) as err:
+        load_reduction_output(ROLED + extra)
+    assert str(err.value) == message
+
+
+# anchors 1, 3 and 5 on a 5-vertex path; records p (1-2-3) and q (3-4-5)
+# on lines 13 and 14
+PATHED = (
+    "p lbc 5 4\ns 1\nt 5\nb 1\nl 4\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n"
+    "c role 1 s\nc role 3 m\nc role 5 t\nc path p 1 2 2 3\nc path q 3 4 4 5\n"
+)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("c path q 3 4 4 5", "c path q 3 4 4 6", "line 14: vertex id 6 out of range 1..5"),
+        ("c path q 3 4 4 5", "c path q 3 4 3 5",
+         "line 14: path 'q': first interior 4 after last 3"),
+        ("c path q 3 4 4 5", "c path p 3 4 4 5", "line 14: path 'p' given twice"),
+        ("c path q 3 4 4 5", "c path q 3 4 5 5",
+         "line 14: path 'q': vertex 5 is already an anchor"),
+        ("c path q 3 4 4 5", "c path q 3 2 2 1",
+         "line 14: path 'q': vertex 2 is already on another path"),
+        ("c path q 3 4 4 5", "c path q 2 4 4 5",
+         "line 14: path 'q': endpoint 2 is not an anchor"),
+        ("c path q 3 4 4 5", "c path q 1 4 4 5", "line 14: path 'q': (1, 4) is not an edge"),
+        ("c path q 3 4 4 5", "c path q 3 4 5",
+         "line 14: expected `c path <tag> <u> <first> <last> <v>`"),
+        ("c role 3 m", "c role 3 p@1", "line 11: role tag 'p@1' holds '@'"),
+        ("c path q 3 4 4 5", "c ok", "vertex 4 is neither an anchor nor on a path"),
+    ],
+    ids=["id-out-of-range", "first-after-last", "repeated-tag", "interior-is-anchor",
+         "interiors-overlap", "endpoint-not-anchor", "not-an-edge", "field-count",
+         "old-style-role", "uncovered-vertex"],
+)
+def test_path_record_faults_name_their_line(old, new, message):
+    assert load_reduction_output(PATHED).paths == {"p": (0, 1, 2), "q": (2, 3, 4)}
+    with pytest.raises(InputError) as err:
+        load_reduction_output(PATHED.replace(old, new))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -433,6 +473,9 @@ AUX_LINES = st.lists(
             st.sampled_from(["3", "-2", "1_0", "x", "\u00b2"]),
         ).map(lambda rec: "c param %s %s" % rec),
         st.tuples(FUZZ_TOKENS, ROLE_TAGS).map(lambda rec: "c role %s %s" % rec),
+        st.tuples(ROLE_TAGS, *[st.one_of(FUZZ_TOKENS, st.sampled_from(["0", "4"]))] * 4).map(
+            lambda rec: "c path %s %s %s %s %s" % rec
+        ),
     ),
     max_size=3,
 )
@@ -454,12 +497,6 @@ def test_aux_parsers_raise_only_input_error(header, lines):
             pass
 
 
-def paths_equal_up_to_reversal(a, b):
-    if a.keys() != b.keys():
-        return False
-    return all(b[tag] in (seq, tuple(reversed(seq))) for tag, seq in a.items())
-
-
 @pytest.mark.parametrize(
     "gen, case", [(gen_pw, PW_CASES[0]), (gen_fvs, FVS_CASES[1])], ids=["pw", "fvs"]
 )
@@ -478,18 +515,17 @@ class TestReductionRoundTrip:
         out = gen_pw(cq)
         text = serialize_reduction_output(out)
         reloaded = load_reduction_output(text, source=cq)
-        assert reloaded.instance == out.instance
-        assert paths_equal_up_to_reversal(out.paths, reloaded.paths)
+        assert reloaded == out and reloaded.paths == out.paths
+        assert serialize_reduction_output(reloaded) == text
         cut = forward_cut_pw(reloaded, clique)
         assert decode_pw(reloaded, cut) == clique
 
     def test_fvs_output_reloads_and_decodes(self):
         mc, clique = FVS_CASES[1]
         out = gen_fvs(mc)
-        reloaded = load_reduction_output(
-            serialize_reduction_output(out), source=mc
-        )
-        assert reloaded.instance == out.instance
-        assert paths_equal_up_to_reversal(out.paths, reloaded.paths)
+        text = serialize_reduction_output(out)
+        reloaded = load_reduction_output(text, source=mc)
+        assert reloaded == out and reloaded.paths == out.paths
+        assert serialize_reduction_output(reloaded) == text
         cut = forward_cut_fvs(reloaded, clique)
         assert decode_fvs(reloaded, cut) == clique

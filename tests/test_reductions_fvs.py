@@ -30,6 +30,18 @@ def planted_mc_instance(k, nu, extra, seed):
     return MulticoloredCliqueInstance(Graph(k * nu, edges), k, nu), tuple(sorted(clique))
 
 
+def vertex_kinds(out):
+    """The kind of every vertex: the first field of its anchor's tag, or of
+    the tag of the path whose interior holds it."""
+    kind = [None] * out.instance.graph.n
+    for tag, v in out.vertex_by_role.items():
+        kind[v] = tag.split(":")[0]
+    for tag, seq in out.paths.items():
+        for v in seq[1:-1]:
+            kind[v] = tag.split(":")[0]
+    return kind
+
+
 def threshold_edges(out, mc, i, x):
     """Part i's threshold pattern for index x, spelled out from the path roles."""
     s, t, li = out.anchor("s"), out.anchor("t"), out.anchor("l", i)
@@ -141,10 +153,11 @@ class TestForwardCutFvs:
         for i in range(1, mc.k + 1):
             hubs.add(out.anchor("u", i))
             hubs.add(out.anchor("l", i))
+        kind = vertex_kinds(out)
         gadget_edges = [
             e
             for e in cut
-            if not any(out.roles[v].startswith("ve:") for v in e)
+            if not any(kind[v] == "ve" for v in e)
         ]
         assert len(gadget_edges) == 2 * mc.k * (mc.nu - 1) * mc.graph.m
 

@@ -7,6 +7,7 @@ import pytest
 from lbcut.errors import InputError, InternalCheckError
 from lbcut.gadgets import GadgetBuilder
 from lbcut.graph import Graph, bfs_distances, edge, verify_cut
+from lbcut.reductions_fvs import MulticoloredCliqueInstance, gen_fvs
 from lbcut.reductions_pw import CliqueInstance, decode_pw, forward_cut_pw, gen_pw
 
 
@@ -85,10 +86,19 @@ class TestGenPw:
         assert out.params["eta"] == 24
         assert out.instance.lam == 8 * 24 + 2 * 4 + 1 == 201
 
-    def test_roles_cover_every_vertex(self):
-        out = gen_pw(k3_with_padding())
-        assert len(out.roles) == out.instance.graph.n
-        assert len(set(out.roles)) == out.instance.graph.n
+    @pytest.mark.parametrize("family", ["pw", "fvs"])
+    def test_anchors_and_interiors_partition_the_vertices(self, family):
+        if family == "pw":
+            out = gen_pw(k3_with_padding())
+        else:
+            mc = MulticoloredCliqueInstance(Graph(6, [(0, 3), (1, 4), (2, 5)]), 2, 3)
+            out = gen_fvs(mc)
+        anchors = set(out.vertex_by_role.values())
+        owned = sorted(anchors)
+        for seq in out.paths.values():
+            assert seq[0] in anchors and seq[-1] in anchors
+            owned += seq[1:-1]
+        assert sorted(owned) == list(range(out.instance.graph.n))
 
     @pytest.mark.parametrize("pairs", [[(0, 1), (1, 0)], [(1, 1)]], ids=["repeat", "loop"])
     def test_builder_edge_faults_are_internal(self, pairs):
@@ -99,6 +109,13 @@ class TestGenPw:
             b.edge(u, v)
         with pytest.raises(InternalCheckError):
             b.graph()
+
+    def test_builder_refuses_a_length_one_path(self):
+        # a length-1 path would be an edge with an empty interior
+        b = GadgetBuilder()
+        x, y = b.vertex("x"), b.vertex("y")
+        with pytest.raises(InternalCheckError, match="needs length at least 2"):
+            b.path(x, y, 1, "p")
 
     def test_empty_cut_admits_short_path(self):
         for cq, _ in CASES:

@@ -1,4 +1,3 @@
-import itertools
 from random import Random
 
 import pytest
@@ -12,11 +11,10 @@ from lbcut.witnesses import (
     PdVerdict,
     build_fvs_witness,
     build_pw_witness,
-    suppress_degree_two,
     verify_fvs,
     verify_path_decomposition,
 )
-from test_reductions_fvs import CASES as FVS_CASES
+from test_reductions_fvs import CASES as FVS_CASES, vertex_kinds
 from test_reductions_pw import CASES as PW_CASES
 
 
@@ -44,6 +42,7 @@ class TestFvsWitness:
         out = gen_fvs(mc)
         g = out.instance.graph
         w = build_fvs_witness(out)
+        kind = vertex_kinds(out)
         comp_of = {}
         for v in range(g.n):
             if v in w or v in comp_of:
@@ -58,8 +57,7 @@ class TestFvsWitness:
             kinds = set()
             for x in members:
                 comp_of[x] = v
-                base = out.roles[x].split("@")[0].split(":")[0]
-                kinds.add(base)
+                kinds.add(kind[x])
             if "ve" in kinds or "eu" in kinds or "el" in kinds:
                 assert kinds <= {"ve", "eu", "el"}
             else:
@@ -69,55 +67,6 @@ class TestFvsWitness:
         out = gen_pw(PW_CASES[0][0])
         with pytest.raises(InputError):
             build_fvs_witness(out)
-
-
-class TestSuppression:
-    def test_three_path_becomes_edge(self):
-        sup = suppress_degree_two(Graph(3, [(0, 1), (1, 2)]))
-        assert sup.graph.n == 2 and sup.graph.m == 1
-        assert sup.chains == {(0, 2): (1,)}
-
-    def test_cycle_stops_before_multigraph(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        sup = suppress_degree_two(g)
-        # a 4-cycle contracts down to a triangle, then stops
-        assert sup.graph.m == 3
-
-    def test_protected_vertices_survive(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        sup = suppress_degree_two(g, protected={1})
-        assert 1 in sup.old_of_new
-
-    def test_expansion_round_trip(self):
-        for seed in range(25):
-            rng = Random(seed)
-            base = Graph(
-                6,
-                [
-                    (u, v)
-                    for u in range(6)
-                    for v in range(u + 1, 6)
-                    if rng.random() < 0.5
-                ],
-            )
-            # subdivide some edges to create suppressible chains
-            edges = []
-            counter = [base.n]
-
-            def subdivide(u, v, times):
-                prev = u
-                for _ in range(times):
-                    w = counter[0]
-                    counter[0] += 1
-                    edges.append((prev, w))
-                    prev = w
-                edges.append((prev, v))
-
-            for u, v in base.edge_list():
-                subdivide(u, v, rng.randrange(0, 4))
-            g = Graph(counter[0], edges)
-            sup = suppress_degree_two(g)
-            assert sup.expand(g.n) == g
 
 
 class TestVerifyPathDecomposition:
@@ -274,13 +223,11 @@ class TestPwWitness:
         out = gen_pw(cq)
         pd = build_pw_witness(out)
         hubs = 2 * cq.k + 2
+        kind = vertex_kinds(out)
         ladder_bags = [
             b
             for b in pd.bags
-            if all(
-                out.roles[v].split("@")[0].split(":")[0] in ("u", "l", "U", "L", "rung", "s", "t", "su", "sl")
-                for v in b
-            )
+            if all(kind[v] in ("u", "l", "U", "L", "rung", "s", "t", "su", "sl") for v in b)
         ]
         assert ladder_bags and max(len(b) - hubs for b in ladder_bags) <= 6
 
