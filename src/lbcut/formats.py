@@ -18,7 +18,8 @@ Instance files (1-indexed vertex ids, whitespace separated):
                              interior the consecutive ids first..last
 
 Cut files are `e <u> <v>` lines, FVS witnesses `v <id>` lines, and path
-decompositions one `B <id> <id> ...` line per bag.  Serialization is
+decompositions one `B <id> <id> ...` line per bag (written in increasing
+id order, read in any order into a sorted tuple).  Serialization is
 deterministic, and parse(serialize(x)) round-trips exactly.
 
 Integer fields (ids, counts, beta, lambda) are plain ASCII `-?[0-9]+`;
@@ -32,8 +33,9 @@ from `Graph.adj`.
 A malformed record raises InputError naming its line, with ids 1-based as
 in the file: a bad field, an id outside 1..n, a negative p-line count, a
 self-loop or repeated edge, a cut edge the instance lacks, a vertex given
-twice in an FVS or in one bag, or a repeated p, s, t, b, l, i, role, param
-or path record.  `load_reduction_output` also names the line of a path
+twice in an FVS or in one bag, a role, param or path record with too few
+or too many fields, or a repeated p, s, t, b, l, i, role, param or path
+record.  `load_reduction_output` also names the line of a path
 record that does not match the graph.
 """
 
@@ -257,7 +259,7 @@ def parse_instance(text: str) -> ParsedInstance:
             ev.append(v)
             lines.append(ln)
         elif kind == "c":
-            record = tokens[1] if len(tokens) >= 4 else None  # shorter: a comment
+            record = tokens[1] if len(tokens) > 1 else None
             if record == "role":
                 if len(tokens) != 4:
                     raise InputError(f"line {ln}: expected `c role <id> <tag>`")
@@ -273,6 +275,8 @@ def parse_instance(text: str) -> ParsedInstance:
                 roles[v] = tag
                 carrier[tag] = v
             elif record == "param":
+                if len(tokens) < 4:
+                    raise InputError(f"line {ln}: expected `c param <key> <value>`")
                 if tokens[2] in params:
                     raise InputError(f"line {ln}: param {tokens[2]!r} given twice")
                 params[tokens[2]] = " ".join(tokens[3:])  # values may hold spaces
@@ -510,7 +514,7 @@ def parse_path_decomposition(text: str, g: Graph) -> PathDecomposition:
             if v in bag:
                 raise InputError(f"line {ln}: vertex {v + 1} given twice in one bag")
             bag.add(v)
-        bags.append(frozenset(bag))
+        bags.append(tuple(sorted(bag)))
     return PathDecomposition(tuple(bags))
 
 

@@ -10,15 +10,23 @@ subdivided path between its endpoints by bag doubling: the host bag is
 repeated with consecutive path vertices added, costing at most two extra
 slots.  Total width is (2k+2) + 9 = 2k + 11.
 
+A bag is a strictly increasing tuple of vertex ids, so it has one form:
+equal bags compare equal and files round-trip exactly.  A tuple of ints
+takes about a fifth of the memory of a frozenset of the same ids, and
+CPython's garbage collector stops tracking it after its first collection,
+which matters for the ~89k bags of a benchmark-size witness.
+
 `verify_path_decomposition` checks any decomposition in flat numpy passes:
-the bags are read once into one id array, per-vertex bag counts and first
-and last bags come from `bincount` and `minimum.at`/`maximum.at` (fast from
-numpy 1.25 on), and every edge of `g.adj` is tested for overlapping runs at
-once.  It allocates no container per vertex, bag or edge.
+the bags are read once into one id array, the order within each bag is one
+`diff` over it, per-vertex bag counts and first and last bags come from
+`bincount` and `minimum.at`/`maximum.at` (fast from numpy 1.25 on), and
+every edge of `g.adj` is tested for overlapping runs at once.  It allocates
+no container per vertex, bag or edge.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
@@ -72,7 +80,9 @@ def build_fvs_witness(out: ReductionOutput) -> frozenset:
 
 @dataclass(frozen=True)
 class PathDecomposition:
-    bags: tuple[frozenset, ...]
+    """Bags in path order, each a strictly increasing tuple of vertex ids."""
+
+    bags: tuple[tuple[int, ...], ...]
 
     @property
     def width(self) -> int:
@@ -91,11 +101,14 @@ class PdVerdict:
 
 
 def verify_path_decomposition(g: Graph, pd: PathDecomposition) -> PdVerdict:
-    """Check vertex coverage, contiguity of occurrences and edge coverage.
+    """Check bag order, vertex coverage, contiguity of occurrences and edge
+    coverage.
 
     The first fault found is reported: an id outside 0..n-1 (the first in
-    bag order), else the lowest vertex that is uncovered or whose bags are
-    not one run, else the first uncovered edge in `edge_list()` order.
+    bag order), else the first bag that is not strictly increasing (which
+    includes a bag holding an id twice), else the lowest vertex that is
+    uncovered or whose bags are not one run, else the first uncovered edge
+    in `edge_list()` order.
     """
     bags, n = pd.bags, g.n
     sizes = np.fromiter(map(len, bags), dtype=np.int64, count=len(bags))
@@ -106,8 +119,12 @@ def verify_path_decomposition(g: Graph, pd: PathDecomposition) -> PdVerdict:
     if flat is None or (flat.size and (flat.min() < 0 or flat.max() >= n)):
         v = next(v for v in chain.from_iterable(bags) if not 0 <= v < n)
         return PdVerdict(False, kind="unknown-vertex", witness=v)
-    # per vertex: how many bags hold it, and the first and last of them
     bag_of = np.repeat(np.arange(len(bags), dtype=np.int64), sizes)
+    # ids must rise between neighbours in the same bag
+    unordered = (np.diff(flat) <= 0) & (np.diff(bag_of) == 0)
+    if unordered.any():
+        return PdVerdict(False, kind="bag-order", witness=int(bag_of[unordered.argmax()]))
+    # per vertex: how many bags hold it, and the first and last of them
     count = np.bincount(flat, minlength=n)
     first = np.full(n, len(bags), dtype=np.int64)
     np.minimum.at(first, flat, bag_of)
@@ -169,16 +186,20 @@ def build_pw_witness(out: ReductionOutput) -> PathDecomposition:
             raise InternalCheckError(f"no skeleton bag hosts path {tag!r}")
         assignments[host].append(seq)
 
-    bags: list[frozenset] = []
+    bags: list[tuple[int, ...]] = []
     for idx, bag in enumerate(skeleton):
-        base = frozenset(bag | hubs)
+        base = tuple(sorted(bag | hubs))
         bags.append(base)
         for seq in assignments[idx]:
             inner = seq[1:-1]  # at least one vertex: every path has length >= 2
+            # the interior is a run of consecutive ids that holds no anchor,
+            # so all of it goes in at one place in the sorted base
+            i = bisect_left(base, inner[0])
+            head, tail = base[:i], base[i:]
             if len(inner) == 1:
-                bags.append(base | {inner[0]})
+                bags.append(head + inner + tail)
             for a, b in zip(inner, inner[1:]):
-                bags.append(base | {a, b})
+                bags.append(head + (a, b) + tail)
             bags.append(base)
     return PathDecomposition(tuple(bags))
 

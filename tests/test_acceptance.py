@@ -413,11 +413,9 @@ def test_table_branch_envelope_25600():
     table_branch_envelope(25600)
 
 
-# The pathwidth family at the benchmark's source size (n=8, m=16, k=3, so H
-# has 88,715 vertices for seed 0): generate, build and check the width-2k+11
-# witness, write the file and read it back, in a fresh interpreter so its
-# peak RSS is the round trip's own.
-PW_ROUND_TRIP_CHILD = """
+# A pathwidth-family source at the benchmark's size (n=8, m=16, k=3, so H
+# has 88,715 vertices for seed 0), for the child processes below.
+PW_SOURCE = """
 import itertools, json, resource, sys, time
 from random import Random
 from lbcut.formats import load_reduction_output, serialize_reduction_output
@@ -431,6 +429,11 @@ edges = set(itertools.combinations(clique, 2))
 rest = [e for e in itertools.combinations(range(8), 2) if e not in edges]
 edges.update(rng.sample(rest, 16 - len(edges)))
 cq = CliqueInstance(Graph(8, sorted(edges)), 3)
+"""
+
+# Generate, build and check the width-2k+11 witness, write the file and read
+# it back, in a fresh interpreter so its peak RSS is the round trip's own.
+PW_ROUND_TRIP_CHILD = PW_SOURCE + """
 started = time.perf_counter()
 out = gen_pw(cq)
 verdict = verify_path_decomposition(out.instance.graph, build_pw_witness(out))
@@ -448,7 +451,7 @@ print(json.dumps({
 
 
 def test_pw_round_trip_envelope():
-    # bounds are about 3x the time (0.75-1.2 s) and 3x the peak RSS (~175 MB)
+    # bounds are about 5x the time (0.5-0.6 s) and 5x the peak RSS (~94 MB)
     # measured on a 2-vCPU host
     out = run_child(PW_ROUND_TRIP_CHILD, 0)
     assert out["ok"] and out["width"] <= 2 * 3 + 11 and out["h_vertices"] > 80000
@@ -460,3 +463,24 @@ def test_pw_round_trip_envelope():
         f"H with {out['h_vertices']} vertices generated, certified and reloaded in "
         f"{out['seconds']:.1f}s at {out['maxrss_mb']:.0f} MB peak RSS",
     )
+
+
+# The memory the width-2k+11 witness holds once built, as tracemalloc counts
+# it: its bag tuples and the tuple of bags.
+PW_BAGS_CHILD = PW_SOURCE + """
+import gc, tracemalloc
+out = gen_pw(cq)
+gc.collect()
+tracemalloc.start()
+pd = build_pw_witness(out)
+gc.collect()
+print(json.dumps({"bags": len(pd.bags), "held_mb": tracemalloc.get_traced_memory()[0] / 2**20}))
+"""
+
+
+def test_pw_witness_memory():
+    # 88,615 bags of ~15 ids: 14.2 MB as sorted tuples (87.2 MB as frozensets)
+    out = run_child(PW_BAGS_CHILD, 0)
+    assert out["bags"] > 80000
+    assert out["held_mb"] < 30, f"PW witness holds {out['held_mb']:.1f} MB"
+    report("7 (PW witness memory)", f"{out['bags']} bags held in {out['held_mb']:.1f} MB")

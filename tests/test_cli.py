@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -93,6 +94,10 @@ PATH_3 = "p lbc 3 2\ns 1\nt 3\nb 1\nl 2\ne 1 2\ne 2 3\n"
         ("solve", PATH_3 + "i 1 0 " + "1" * 5000 + "\n", 8),
         ("solve", PATH_3.replace("e 2 3", "e 2 " + "1" * 5000), "7: bad vertex id"),
         ("solve", PATH_3 + "c role " + "1" * 5000 + " x\n", "8: bad vertex id"),
+        # a truncated generator record, not a free comment
+        ("solve", PATH_3 + "c path p\n", "8: expected `c path <tag>"),
+        ("solve", PATH_3 + "c role 3\n", "8: expected `c role <id> <tag>`"),
+        ("solve", PATH_3 + "c param k\n", "8: expected `c param <key> <value>`"),
         # the rest also check the message, whose ids are 1-based as in the file
         ("source", "p graph 2 2\ne 1 2\ne 2 1\n", "3: duplicate edge (1, 2)"),
         ("source", "p graph 2 1\ne 1 1\n", "2: self-loop at vertex 1"),
@@ -104,7 +109,7 @@ PATH_3 = "p lbc 3 2\ns 1\nt 3\nb 1\nl 2\ne 1 2\ne 2 3\n"
     ids=["b-zz", "p-lbc-x", "bare-s", "source-id", "cut-non-edge", "cut-id", "fvs-id",
          "not-utf-8", "source-repeated-edge", "source-self-loop", "solve-self-loop",
          "cut-self-loop", "p-graph-negative", "p-lbc-negative", "long-coordinate",
-         "long-edge-id", "long-role-id",
+         "long-edge-id", "long-role-id", "truncated-path", "truncated-role", "truncated-param",
          "source-repeated-edge-ids",
          "source-self-loop-ids", "solve-self-loop-ids", "cut-non-edge-ids",
          "cut-repeated-edge", "fvs-repeated-vertex"],
@@ -242,6 +247,12 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, command):
     assert f"cannot write {out}" in capsys.readouterr().err
 
 
+# SHA-256 of the path decomposition that README's `lbcut gen pw --source
+# src.gr -k 2 -o hard.gr --pd pd.txt` writes (`triangle_source` is its
+# src.gr), taken when bags were still frozensets: the file must not change
+README_PD_SHA256 = "db48ef5f28cdff6b047286df24cd5a34ada21d2dd323a17bc932f6a9fd489f18"
+
+
 class TestGenerateAndDecode:
     def test_pw_pipeline(self, tmp_path, capsys):
         src = triangle_source(tmp_path)
@@ -255,6 +266,7 @@ class TestGenerateAndDecode:
             )
             == 0
         )
+        assert hashlib.sha256(pd_file.read_bytes()).hexdigest() == README_PD_SHA256
         assert (
             main(
                 ["forward-cut", "pw", "--instance", str(inst_file), "--source",

@@ -25,7 +25,7 @@ from lbcut.intervals import IntervalModel
 from lbcut.oracles import random_proper_interval_instance
 from lbcut.reductions_fvs import decode_fvs, forward_cut_fvs, gen_fvs
 from lbcut.reductions_pw import decode_pw, forward_cut_pw, gen_pw
-from lbcut.witnesses import PathDecomposition
+from lbcut.witnesses import PathDecomposition, build_pw_witness
 from test_reductions_fvs import CASES as FVS_CASES
 from test_reductions_pw import CASES as PW_CASES
 
@@ -292,10 +292,17 @@ class TestAuxiliaryFormats:
 
     def test_pd_round_trip(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        pd = PathDecomposition(
-            tuple(frozenset(b) for b in [{0, 1}, {1, 2}, {2, 3}])
-        )
+        pd = PathDecomposition(((0, 1), (1, 2), (2, 3)))
         assert parse_path_decomposition(serialize_path_decomposition(pd), g) == pd
+
+    def test_pd_round_trip_of_a_built_witness(self):
+        out = gen_pw(PW_CASES[0][0])
+        pd = build_pw_witness(out)
+        assert parse_path_decomposition(serialize_path_decomposition(pd), out.instance.graph) == pd
+
+    def test_pd_bags_read_in_any_order(self):
+        pd = parse_path_decomposition("B 3 1 2\nB 2\n", Graph(3))
+        assert pd.bags == ((0, 1, 2), (1,))
 
 
 FUZZ_TOKENS = st.one_of(
@@ -354,7 +361,7 @@ def test_repeated_records_rejected(parse, text, message):
 
 def test_repeated_bags_allowed():
     pd = parse_path_decomposition("B 1 2\nB 1 2\nB 2 3\n", PATH_GRAPH)
-    assert pd.bags == (frozenset({0, 1}), frozenset({0, 1}), frozenset({1, 2}))
+    assert pd.bags == ((0, 1), (0, 1), (1, 2))
 
 
 @pytest.mark.parametrize(
@@ -418,12 +425,14 @@ PATHED = (
         ("c path q 3 4 4 5", "c path q 1 4 4 5", "line 14: path 'q': (1, 4) is not an edge"),
         ("c path q 3 4 4 5", "c path q 3 4 5",
          "line 14: expected `c path <tag> <u> <first> <last> <v>`"),
+        ("c path q 3 4 4 5", "c path q",
+         "line 14: expected `c path <tag> <u> <first> <last> <v>`"),
         ("c role 3 m", "c role 3 p@1", "line 11: role tag 'p@1' holds '@'"),
         ("c path q 3 4 4 5", "c ok", "vertex 4 is neither an anchor nor on a path"),
     ],
     ids=["id-out-of-range", "first-after-last", "repeated-tag", "interior-is-anchor",
          "interiors-overlap", "endpoint-not-anchor", "not-an-edge", "field-count",
-         "old-style-role", "uncovered-vertex"],
+         "truncated-to-tag", "old-style-role", "uncovered-vertex"],
 )
 def test_path_record_faults_name_their_line(old, new, message):
     assert load_reduction_output(PATHED).paths == {"p": (0, 1, 2), "q": (2, 3, 4)}
@@ -439,6 +448,12 @@ def test_path_record_faults_name_their_line(old, new, message):
         ("c param k 3\nc param k 3\n", "line 9: param 'k' given twice"),
         ("c role 2 x y z\n", "line 8: expected `c role <id> <tag>`"),
         ("c role 2 x\nc role 2 y\n", "line 9: role of vertex 2 given twice"),
+        ("c role 2\n", "line 8: expected `c role <id> <tag>`"),
+        ("c role\n", "line 8: expected `c role <id> <tag>`"),
+        ("c param k\n", "line 8: expected `c param <key> <value>`"),
+        ("c param\n", "line 8: expected `c param <key> <value>`"),
+        ("c path p\n", "line 8: expected `c path <tag> <u> <first> <last> <v>`"),
+        ("c path\n", "line 8: expected `c path <tag> <u> <first> <last> <v>`"),
         ("l 2\n", "line 8: 'l' record given twice"),
         ("s 1\n", "line 8: 's' record given twice"),
         ("t 1\n", "line 8: 't' record given twice"),
@@ -446,7 +461,9 @@ def test_path_record_faults_name_their_line(old, new, message):
         ("i 1 0 1\ni 2 0.5 1.5\ni 1 0 2\n", "line 10: interval of vertex 1 given twice"),
     ],
     ids=["param-changed", "param-repeated", "role-extra-fields", "role-repeated",
-         "l-repeated", "s-repeated", "t-repeated", "b-repeated", "interval-repeated"],
+         "role-truncated", "role-bare", "param-truncated", "param-bare", "path-truncated",
+         "path-bare", "l-repeated", "s-repeated", "t-repeated", "b-repeated",
+         "interval-repeated"],
 )
 def test_ambiguous_annotations_rejected(extra, message):
     with pytest.raises(InputError, match=re.escape(message)):

@@ -72,25 +72,19 @@ class TestFvsWitness:
 class TestVerifyPathDecomposition:
     def test_path_graph_width_one(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        pd = PathDecomposition(
-            tuple(frozenset(b) for b in [{0, 1}, {1, 2}, {2, 3}])
-        )
+        pd = PathDecomposition(((0, 1), (1, 2), (2, 3)))
         verdict = verify_path_decomposition(g, pd)
         assert verdict.ok and verdict.width == 1
 
     def test_gap_in_run_detected(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        pd = PathDecomposition(
-            tuple(frozenset(b) for b in [{0, 1}, {1, 2}, {0, 1}])
-        )
+        pd = PathDecomposition(((0, 1), (1, 2), (0, 1)))
         verdict = verify_path_decomposition(g, pd)
         assert not verdict.ok and verdict.kind == "contiguity" and verdict.witness == 0
 
     def test_uncovered_edge_detected(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        pd = PathDecomposition(
-            tuple(frozenset(b) for b in [{0, 1}, {1, 2}])
-        )
+        pd = PathDecomposition(((0, 1), (1, 2)))
         verdict = verify_path_decomposition(g, pd)
         assert not verdict.ok and verdict.kind == "edge-uncovered"
 
@@ -172,7 +166,7 @@ class TestVerifyPathDecompositionReference:
             g = Graph(n, [(u, w) for u in range(n) for w in range(u + 1, n)
                           if rng.random() < rng.choice([0.2, 0.4, 0.7])])
             for name, bags in mutated_decompositions(g, rng):
-                pd = PathDecomposition(tuple(frozenset(b) for b in bags))
+                pd = PathDecomposition(tuple(tuple(sorted(b)) for b in bags))
                 got = verify_path_decomposition(g, pd)
                 assert verdict_fields(got) == verdict_fields(
                     reference_verify_path_decomposition(g, pd)), (seed, name)
@@ -203,9 +197,28 @@ class TestVerifyPathDecompositionReference:
     )
     def test_fault_order(self, n, edges, bags, expected):
         g = Graph(n, edges)
-        pd = PathDecomposition(tuple(frozenset(b) for b in bags))
+        pd = PathDecomposition(tuple(tuple(sorted(b)) for b in bags))
         assert verdict_fields(verify_path_decomposition(g, pd)) == expected
         assert verdict_fields(reference_verify_path_decomposition(g, pd)) == expected
+
+
+@pytest.mark.parametrize(
+    "n, edges, bags, expected",
+    [
+        (2, [(0, 1)], [(0, 1), (0, 0, 1)], (False, "bag-order", 1, None)),
+        (2, [(0, 1)], [(0, 1), (1, 0)], (False, "bag-order", 1, None)),
+        # vertex 3 is uncovered, but the unordered bag 1 is reported first
+        (4, [(0, 1)], [(0, 1), (2, 1), (0, 2)], (False, "bag-order", 1, None)),
+        # an unknown id is still reported before an unordered bag
+        (2, [(0, 1)], [(1, 0), (0, 1, 5)], (False, "unknown-vertex", 5, None)),
+        (2, [(0, 1)], [(), (0, 1), (1,), ()], (True, None, None, 1)),
+    ],
+    ids=["repeated-id", "descending-pair", "before-coverage", "unknown-first",
+         "boundaries-skipped"],
+)
+def test_bag_order(n, edges, bags, expected):
+    pd = PathDecomposition(tuple(bags))
+    assert verdict_fields(verify_path_decomposition(Graph(n, edges), pd)) == expected
 
 
 class TestPwWitness:
