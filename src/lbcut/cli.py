@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / decision yes, 1 decision no, 2 usage or input
-error, 3 internal verification failure.
+error (an input too large for the memory available included), 3 internal
+verification failure.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InputError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    except MemoryError:
+        print("error: out of memory: the input is too large for this process", file=sys.stderr)
         return USAGE
     except InternalCheckError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)

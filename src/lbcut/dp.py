@@ -61,8 +61,11 @@ below the chosen rank follow from the two degrees alone.
 The table optimum is combined with the plain minimum s-t cut: a cheapest
 bounded-length cut either leaves s and t connected (then a monotone optimal
 solution exists and the table finds it) or disconnects them (then it is a
-plain minimum cut).  An edge {s,t}, if present, belongs to every cut once
-lam >= 1 and is accounted for separately; the tables never see it.
+plain minimum cut).  The max-flow runs after the fill and only until its
+value exceeds the table cost: that decides the branch, and the flow runs
+to its maximum (and yields the cut) only when the table does not win.  An
+edge {s,t}, if present, belongs to every cut once lam >= 1 and is
+accounted for separately; the tables never see it.
 
 Cut reconstruction walks the S backpointers and re-collects the same edge
 rectangles the recurrence counted; the result is verified before being
@@ -77,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .graph import Instance, _cut_edges, bfs_distances, edge, min_st_cut, verify_cut
+from .graph import Instance, _cut_edges, _dinic, bfs_distances, edge, min_st_cut, verify_cut
 from .intervals import IntervalModel, NormalizedInstance, _normalize_valid, validate_model
 
 BIG = np.int64(1) << 40
@@ -147,13 +150,19 @@ class DpTables:
     ties it can differ from the full q x (lam + 1) table's first minimizing
     rank, whose optimum may lie below the window; cost, table_cost and the
     cut size are the same either way.
+
+    flow_bound is an s-t flow value, exact exactly when mincut_edges holds a
+    minimum s-t cut (of that size).  After a fill the max-flow runs only
+    until its value exceeds table_cost, so on the table branch flow_bound is
+    a lower bound (table_cost + 1) and mincut_edges is None; the
+    no-short-path answer runs no flow (flow_bound 0, mincut_edges None).
     """
 
     cost: int
     decision: bool
     branch: str  # "no-short-path" | "all-paths" | "min-cut" | "table"
-    mincut_size: int
-    mincut_edges: frozenset
+    flow_bound: int
+    mincut_edges: frozenset | None
     st_edge: bool
     norm: NormalizedInstance | None = None
     T: np.ndarray | None = None
@@ -180,22 +189,23 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
     if dist > lam:
         return 0, DpTables(
             cost=0, decision=0 <= inst.beta, branch="no-short-path",
-            mincut_size=0, mincut_edges=frozenset(), st_edge=False,
+            flow_bound=0, mincut_edges=None, st_edge=False,
         )
 
-    mincut_size, mincut_edges = min_st_cut(g, s, t)
     if lam >= g.n - 1:
+        mincut_size, mincut_edges = min_st_cut(g, s, t)
         return mincut_size, DpTables(
             cost=mincut_size, decision=mincut_size <= inst.beta, branch="all-paths",
-            mincut_size=mincut_size, mincut_edges=mincut_edges, st_edge=st_edge,
+            flow_bound=mincut_size, mincut_edges=mincut_edges, st_edge=st_edge,
         )
     # here 1 <= dist(s,t) <= lam <= n-2
     base = 1 if st_edge else 0
     if lam <= 1:
         # dist(s,t) = lam = 1: the edge {s,t} exists and is the whole cut
+        mincut_size, mincut_edges = min_st_cut(g, s, t)
         return 1, DpTables(
             cost=1, decision=1 <= inst.beta, branch="table",
-            mincut_size=mincut_size, mincut_edges=mincut_edges, st_edge=True,
+            flow_bound=mincut_size, mincut_edges=mincut_edges, st_edge=True,
         )
 
     norm = _normalize_valid(inst, order)
@@ -217,9 +227,11 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
     # A cheapest cut that disconnects s and t costs at least the max-flow
     # value, and a cut that fails on the untrimmed graph costs at least
     # deg(t) >= max-flow (border argument), so the table branch is only
-    # taken when it is strictly cheaper.
-    cost = min(table_cost, mincut_size)
-    branch = "table" if table_cost < mincut_size else "min-cut"
+    # taken when it is strictly cheaper.  The flow stops once it exceeds
+    # table_cost, which decides that; otherwise it ran to the maximum.
+    flow_bound, mincut_edges = _dinic(g, s, t, table_cost)
+    cost = min(table_cost, flow_bound)
+    branch = "table" if table_cost < flow_bound else "min-cut"
     tables = DpTables(
         cost=cost,
         decision=cost <= inst.beta,
@@ -231,7 +243,7 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
         crossing=crossing,
         best_rank=best_rank,
         table_cost=table_cost,
-        mincut_size=mincut_size,
+        flow_bound=flow_bound,
         mincut_edges=mincut_edges,
         st_edge=st_edge,
     )

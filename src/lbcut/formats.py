@@ -25,10 +25,16 @@ deterministic, and parse(serialize(x)) round-trips exactly.
 Integer fields (ids, counts, beta, lambda) are plain ASCII `-?[0-9]+`;
 rationals hold neither `_` nor a non-ASCII character, although Python's
 int() and Fraction() would read `1_2` or fullwidth digits.
-`parse_instance` reads a file in one pass: well-formed `e` records go
-inline into flat integer lists, with no tuple per edge, and everything else
-goes through the per-record helpers.  Instance files are written straight
-from `Graph.adj`.
+`parse_instance` reads the edges into flat integer lists, with no tuple
+per edge.  The run of canonical lines `e <u> <v>` (ids of at most 18
+digits, one space each, every line ended by `\n`) that starts at the first
+such line is read in bulk once the p-line has been read: regex-checked,
+parsed by numpy in slices of at most 4 KiB cut at line ends, and
+range-checked per slice.  Every other line, a run before the p-line and
+the rest of a run from a slice holding an id outside 1..n go through the
+per-record helpers, so every message and line number is the one a
+line-by-line read gives.  Instance files are written straight from
+`Graph.adj`, their edges as one such run.
 
 A malformed record raises InputError naming its line, with ids 1-based as
 in the file: a bad field, an id outside 1..n, a negative p-line count, a
@@ -46,6 +52,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import length_hint
+
+import numpy as np
 
 from .errors import InputError
 from .gadgets import ReductionOutput
@@ -197,6 +205,42 @@ def _parse_rational(token: str, ln: int) -> Fraction:
         raise InputError(f"line {ln}: bad rational {token!r}") from None
 
 
+# canonical edge lines: no other character, ids of at most 18 digits (below
+# 2**63), each line ended by \n alone
+_E_CANONICAL = r"e [0-9]{1,18} [0-9]{1,18}\n"
+_E_LINE = re.compile(r"(?m)^" + _E_CANONICAL)
+_E_RUN = re.compile(f"(?:{_E_CANONICAL})+")
+_RUN_SLICE = 1 << 12  # characters of a run matched and read at once
+
+
+def _read_edge_run(text, start, first, n, eu, ev, lines) -> int:
+    """Append the pairs of the run of canonical edge lines at text[start:],
+    whose first line is line `first`, to eu, ev and lines, ids 0-based;
+    return where the run ends.
+
+    The run is matched and read in slices of at most _RUN_SLICE characters
+    cut at line ends: re keeps state per repeat of a group, and one match
+    over a long run would hold it for every line.  At a slice with an id
+    outside 1..n nothing more is read, and its start is returned: the
+    per-line reader then names the faulty line.
+    """
+    ln = first
+    while True:
+        run = _E_RUN.match(text, start, text.rfind("\n", start, start + _RUN_SLICE) + 1)
+        if run is None:
+            return start
+        stop = run.end()
+        ids = np.fromstring(text[start:stop].replace("e", " "), dtype=np.int64, sep=" ")
+        if int(ids.min()) < 1 or int(ids.max()) > n:
+            return start
+        ids -= 1
+        k = len(ids) // 2
+        eu += ids[0::2].tolist()
+        ev += ids[1::2].tolist()
+        lines += range(ln, ln + k)
+        start, ln = stop, ln + k
+
+
 @dataclass
 class ParsedInstance:
     """An instance with its model and generator records; ids are 0-based.
@@ -224,12 +268,11 @@ _SCALARS = {"s": "s <id>", "t": "t <id>", "b": "b <beta>", "l": "l <lambda>"}
 def parse_instance(text: str) -> ParsedInstance:
     """Parse an instance file; malformed lines raise InputError with location.
 
-    One pass over the lines.  Well-formed `e` records are read inline into
-    flat lists; every other record, and any fault in an `e` record, goes
-    through the per-record helpers, which name it.
+    The run of canonical `e` lines from the first one on is read in bulk
+    when the p-line precedes it (see _read_edge_run); every other line goes
+    through the per-record helpers, which name a fault.
     """
     n = m = None
-    top = 0  # ids 1..top are read inline; 0 until the p-line
     scalars: dict[str, int] = {}
     eu: list[int] = []  # 0-based edge ends, and the line of each pair
     ev: list[int] = []
@@ -241,82 +284,92 @@ def parse_instance(text: str) -> ParsedInstance:
     param_lines: dict[str, int] = {}
     paths: dict[str, tuple[int, int, int, int, int]] = {}
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        kind = tokens[0]
-        if kind == "e":
-            u = v = -1
-            if len(tokens) == 3 and raw.isascii() and tokens[1].isdigit() and tokens[2].isdigit():
-                try:
-                    u, v = int(tokens[1]) - 1, int(tokens[2]) - 1
-                except ValueError:  # past Python's int-string limit
-                    pass
-            if not (0 <= u < top and 0 <= v < top):
+    def read(part: str, ln0: int) -> None:
+        """Read the records of `part`, whose first line is line `ln0`."""
+        nonlocal n, m
+        for ln, raw in enumerate(part.splitlines(), start=ln0):
+            tokens = raw.split()
+            if not tokens:
+                continue
+            kind = tokens[0]
+            if kind == "e":
                 u, v = _edge_record(tokens[1:], ln, n)
-            eu.append(u)
-            ev.append(v)
-            lines.append(ln)
-        elif kind == "c":
-            record = tokens[1] if len(tokens) > 1 else None
-            if record == "role":
+                eu.append(u)
+                ev.append(v)
+                lines.append(ln)
+            elif kind == "c":
+                record = tokens[1] if len(tokens) > 1 else None
+                if record == "role":
+                    if len(tokens) != 4:
+                        raise InputError(f"line {ln}: expected `c role <id> <tag>`")
+                    v, tag = _vertex_id(tokens[2], ln, n), tokens[3]
+                    if v in roles:
+                        raise InputError(f"line {ln}: role of vertex {v + 1} given twice")
+                    if "@" in tag:  # paths are `c path` records, not per-vertex roles
+                        raise InputError(f"line {ln}: role tag {tag!r} holds '@'")
+                    if tag in carrier:
+                        raise InputError(
+                            f"line {ln}: role {tag!r} is already carried by vertex "
+                            f"{carrier[tag] + 1}"
+                        )
+                    roles[v] = tag
+                    carrier[tag] = v
+                elif record == "param":
+                    if len(tokens) < 4:
+                        raise InputError(f"line {ln}: expected `c param <key> <value>`")
+                    if tokens[2] in params:
+                        raise InputError(f"line {ln}: param {tokens[2]!r} given twice")
+                    params[tokens[2]] = " ".join(tokens[3:])  # values may hold spaces
+                    param_lines[tokens[2]] = ln
+                elif record == "path":
+                    if len(tokens) != 7:
+                        raise InputError(
+                            f"line {ln}: expected `c path <tag> <u> <first> <last> <v>`"
+                        )
+                    tag = tokens[2]
+                    if tag in paths:
+                        raise InputError(f"line {ln}: path {tag!r} given twice")
+                    u, first, last, v = (_vertex_id(x, ln, n) for x in tokens[3:])
+                    if first > last:
+                        raise InputError(
+                            f"line {ln}: path {tag!r}: first interior {first + 1} "
+                            f"after last {last + 1}"
+                        )
+                    paths[tag] = ln, u, first, last, v
+            elif kind == "p":
+                n, m = _p_line("lbc", tokens[1:], ln, n)
+            elif kind in _SCALARS:
+                if kind in scalars:
+                    raise InputError(f"line {ln}: {kind!r} record given twice")
+                if len(tokens) != 2:
+                    raise InputError(f"line {ln}: expected `{_SCALARS[kind]}`")
+                value = tokens[1]
+                scalars[kind] = _vertex_id(value, ln, n) if kind in "st" else _parse_int(value, ln)
+            elif kind == "i":
                 if len(tokens) != 4:
-                    raise InputError(f"line {ln}: expected `c role <id> <tag>`")
-                v, tag = _vertex_id(tokens[2], ln, n), tokens[3]
-                if v in roles:
-                    raise InputError(f"line {ln}: role of vertex {v + 1} given twice")
-                if "@" in tag:  # paths are `c path` records, not per-vertex roles
-                    raise InputError(f"line {ln}: role tag {tag!r} holds '@'")
-                if tag in carrier:
+                    raise InputError(f"line {ln}: expected `i <id> <start> <end>`")
+                v = _vertex_id(tokens[1], ln, n)
+                if v in intervals:
+                    raise InputError(f"line {ln}: interval of vertex {v + 1} given twice")
+                a, b = _parse_rational(tokens[2], ln), _parse_rational(tokens[3], ln)
+                if a > b:
                     raise InputError(
-                        f"line {ln}: role {tag!r} is already carried by vertex {carrier[tag] + 1}"
+                        f"line {ln}: vertex {v + 1}: empty interval [{_show(a)}, {_show(b)}]"
                     )
-                roles[v] = tag
-                carrier[tag] = v
-            elif record == "param":
-                if len(tokens) < 4:
-                    raise InputError(f"line {ln}: expected `c param <key> <value>`")
-                if tokens[2] in params:
-                    raise InputError(f"line {ln}: param {tokens[2]!r} given twice")
-                params[tokens[2]] = " ".join(tokens[3:])  # values may hold spaces
-                param_lines[tokens[2]] = ln
-            elif record == "path":
-                if len(tokens) != 7:
-                    raise InputError(f"line {ln}: expected `c path <tag> <u> <first> <last> <v>`")
-                tag = tokens[2]
-                if tag in paths:
-                    raise InputError(f"line {ln}: path {tag!r} given twice")
-                u, first, last, v = (_vertex_id(x, ln, n) for x in tokens[3:])
-                if first > last:
-                    raise InputError(
-                        f"line {ln}: path {tag!r}: first interior {first + 1} after last {last + 1}"
-                    )
-                paths[tag] = ln, u, first, last, v
-        elif kind == "p":
-            n, m = _p_line("lbc", tokens[1:], ln, n)
-            top = n
-        elif kind in _SCALARS:
-            if kind in scalars:
-                raise InputError(f"line {ln}: {kind!r} record given twice")
-            if len(tokens) != 2:
-                raise InputError(f"line {ln}: expected `{_SCALARS[kind]}`")
-            value = tokens[1]
-            scalars[kind] = _vertex_id(value, ln, n) if kind in "st" else _parse_int(value, ln)
-        elif kind == "i":
-            if len(tokens) != 4:
-                raise InputError(f"line {ln}: expected `i <id> <start> <end>`")
-            v = _vertex_id(tokens[1], ln, n)
-            if v in intervals:
-                raise InputError(f"line {ln}: interval of vertex {v + 1} given twice")
-            a, b = _parse_rational(tokens[2], ln), _parse_rational(tokens[3], ln)
-            if a > b:
-                raise InputError(
-                    f"line {ln}: vertex {v + 1}: empty interval [{_show(a)}, {_show(b)}]"
-                )
-            intervals[v] = a, b
-        else:
-            raise InputError(f"line {ln}: unknown record type {kind!r}")
+                intervals[v] = a, b
+            else:
+                raise InputError(f"line {ln}: unknown record type {kind!r}")
+
+    run = _E_LINE.search(text)
+    if run is None:
+        read(text, 1)
+    else:
+        start = run.start()
+        # splitlines, not count("\n"): \r, \x0c, \x85, \u2028 ... end lines too
+        first = len(text[:start].splitlines()) + 1
+        read(text[:start], 1)
+        done = start if n is None else _read_edge_run(text, start, first, n, eu, ev, lines)
+        read(text[done:], first + text.count("\n", start, done))
 
     if n is None:
         raise InputError("missing 'p' record")

@@ -13,7 +13,8 @@ Hop distances come from one bounded BFS, exposed as `bfs_distances` and
 building that graph.  `min_st_cut` searches the residual network instead,
 in Dinic phases: a BFS from t levels the residual arcs, and a depth-first
 search from s augments along the levels; the flow is kept as one set of
-saturated out-neighbours per vertex.
+saturated out-neighbours per vertex.  The DP runs the same phases only
+until the flow value exceeds its table cost (`_dinic`'s limit).
 """
 
 from __future__ import annotations
@@ -257,6 +258,13 @@ def min_st_cut(g: Graph, s: int, t: int) -> tuple[int, frozenset]:
         raise InputError(f"invalid terminals {s}, {t}")
     if s == t:
         raise InputError("min_st_cut needs s != t")
+    return _dinic(g, s, t)
+
+
+def _dinic(g: Graph, s: int, t: int, limit: float = INF) -> tuple[int, frozenset | None]:
+    """(flow value, minimum cut) of a maximum s-t flow, s != t; the augmenting
+    stops once the value exceeds `limit`, and then the cut is None and the
+    value only a lower bound on the maximum."""
     adj = g.adj
     # sat[u]: the w with one unit of net flow on u -> w.  Each undirected edge
     # is two unit arcs, so u -> w has residual capacity iff w not in sat[u].
@@ -290,6 +298,8 @@ def min_st_cut(g: Graph, s: int, t: int) -> tuple[int, frozenset]:
                     else:
                         sat[a].add(b)
                 value += 1
+                if value > limit:
+                    return value, None
                 path = [s]
                 continue
             arcs, i, below, su = adj[u], next_arc[u], level[u] - 1, sat[u]

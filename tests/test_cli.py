@@ -1,8 +1,13 @@
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lbcut
 from lbcut.cli import main
 from lbcut.formats import (
     parse_cut,
@@ -68,6 +73,27 @@ class TestSolve:
         bad = tmp_path / "bad.gr"
         bad.write_text("p lbc 2 1\nzz\n")
         assert main(["solve", str(bad)]) == 2
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux-only")
+    def test_out_of_memory_is_usage_error(self, tmp_path):
+        # 10^10 vertices need far more than the child's own 512 MB address
+        # space cap; exit 1 would read as the decision "no"
+        huge = tmp_path / "huge.gr"
+        huge.write_text("p lbc 10000000000 1\ns 1\nt 2\nb 1\nl 1\ne 1 2\n")
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from lbcut.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(lbcut.__file__).resolve().parents[1])
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", child, "solve", str(huge)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: out of memory"), proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 PATH_3 = "p lbc 3 2\ns 1\nt 3\nb 1\nl 2\ne 1 2\ne 2 3\n"

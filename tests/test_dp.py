@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -13,7 +14,7 @@ from lbcut.dp import (
     solve,
 )
 from lbcut.errors import BudgetExceeded, ModelError
-from lbcut.graph import Graph, Instance, bfs_distances, verify_cut
+from lbcut.graph import Graph, Instance, bfs_distances, min_st_cut, verify_cut
 from lbcut.intervals import IntervalModel, normalize
 from lbcut.oracles import (
     OracleBudget,
@@ -162,7 +163,7 @@ class TestDpSolveSmall:
             [0, Fraction(1, 2), 1, Fraction(3, 2)], s=0, t=3, lam=4
         )
         cost, tables = dp_solve(inst, model)
-        assert cost == tables.mincut_size == oracle_subset(inst)
+        assert cost == tables.flow_bound == oracle_subset(inst)
 
 
 class TestDpAgainstOracle:
@@ -212,6 +213,74 @@ class TestDpAgainstOracle:
             cost, cut, _ = solve(inst, model)
             assert len(cut) == cost and verify_cut(inst, cut).ok
             assert oracle_branch(inst) == cost, f"seed={seed}"
+
+
+def dp_pool(name, seed):
+    """The benchmark's DP pools: unit intervals with s and t at the 10% and
+    90% start ranks, lam = dist(s, t) + 1 and beta = m."""
+    instances = []
+    for i in range(6 if name == "dp-dense-ties" else 3):
+        rng = Random(f"{name}:{seed}:{i}")
+        if name == "dp-dense-ties":  # ~20 starts per unit length, ~60% tied
+            starts = [Fraction(rng.randint(0, 80), 8) for _ in range(200)]
+        else:  # gaps of 1..4 eighths, all starts distinct
+            pos, starts = 0, []
+            for _ in range(600):
+                starts.append(Fraction(pos, 8))
+                pos += rng.randint(1, 4)
+        model = IntervalModel.unit(starts)
+        g = model.induced_graph()
+        order = sorted(range(model.n), key=lambda v: (model.starts[v], v))
+        s, t = order[round(0.1 * (model.n - 1))], order[round(0.9 * (model.n - 1))]
+        dist = bfs_distances(g, s)[t]
+        instances.append((Instance(g, s, t, g.m, int(dist) + 1), model))
+    return instances
+
+
+def check_flow_bound(inst, model):
+    """dp_solve's cost and branch against a full min_st_cut; returns the branch."""
+    cost, tables = dp_solve(inst, model)
+    flow, mincut = min_st_cut(inst.graph, inst.s, inst.t)
+    cut = extract_cut(inst, model, tables)
+    assert len(cut) == cost and verify_cut(inst, cut).ok
+    if tables.table_cost is None:  # answered before any fill
+        assert tables.branch in ("no-short-path", "all-paths") or inst.lam <= 1
+        if tables.branch == "no-short-path":  # no flow was run
+            assert (tables.flow_bound, tables.mincut_edges) == (0, None)
+        else:
+            assert (tables.flow_bound, tables.mincut_edges) == (flow, mincut)
+        return tables.branch
+    assert cost == min(tables.table_cost, flow)
+    assert tables.branch == ("table" if tables.table_cost < flow else "min-cut")
+    if tables.branch == "table":
+        assert tables.flow_bound > tables.table_cost and tables.mincut_edges is None
+    else:
+        assert (tables.flow_bound, tables.mincut_edges) == (flow, mincut)
+    return tables.branch
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["dp-dense-ties", "dp-long"])
+def test_bounded_flow_on_dp_pools(name, seed):
+    for inst, model in dp_pool(name, seed):
+        assert check_flow_bound(inst, model) == "table"
+
+
+def test_bounded_flow_fuzz():
+    branches = Counter()
+    for seed in range(1000):
+        n = 9 + seed % 52
+        inst, model = random_proper_interval_instance(n, density=1, seed=seed)
+        g, s, t = inst.graph, inst.s, inst.t
+        dist = bfs_distances(g, s)[t]
+        if dist == float("inf"):
+            continue
+        # lam from dist(s, t) - 1 (no short path) to dist + 3, or n - 1
+        lam = n - 1 if seed % 7 == 0 else min(n, max(0, int(dist) + seed % 5 - 1))
+        inst = Instance(g, s, t, inst.beta, lam)
+        branches[check_flow_bound(inst, model)] += 1
+    assert branches["table"] >= 20 and branches["min-cut"] >= 20
+    assert branches["no-short-path"] and branches["all-paths"]
 
 
 def dense_fill(T, S, prefix, lam, delta=None, c=None):

@@ -1,9 +1,11 @@
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lbcut import formats
 from lbcut.errors import InputError
 from lbcut.formats import (
     _parse_rational,
@@ -546,3 +548,93 @@ class TestReductionRoundTrip:
         assert serialize_reduction_output(reloaded) == text
         cut = forward_cut_fvs(reloaded, clique)
         assert decode_fvs(reloaded, cut) == clique
+
+
+
+# The run reader against the per-line reader.  `e u  v` (two spaces) is a
+# well-formed edge record that only the per-line reader takes, so the same
+# file with every edge line written that way must parse alike: the same
+# ParsedInstance, or an InputError with the same message.
+
+
+def per_line_only(text: str) -> str:
+    return re.sub(r"(?m)^(e \S+) ", r"\1  ", text)
+
+
+def outcome(text: str):
+    try:
+        return parse_instance(text)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def _rewrite_mid(e: list[str], form: str) -> None:
+    """Rewrite the middle edge line `e u v` as form.format(u=u, v=v)."""
+    k = len(e) // 2
+    _, u, v = e[k].split()
+    e[k] = form.format(u=u, v=v)
+
+
+EDGE_FAULTS = {  # (edge lines, n, lines after them) -> None, in place
+    "none": lambda e, n, tail: None,
+    "id-0": lambda e, n, tail: _rewrite_mid(e, "e 0 {v}"),
+    "id-n+1": lambda e, n, tail: _rewrite_mid(e, f"e {{u}} {n + 1}"),
+    "leading-zeros": lambda e, n, tail: _rewrite_mid(e, "e 00{u} 0{v}"),
+    "19-digit-id": lambda e, n, tail: _rewrite_mid(e, "e {u:0>19} {v}"),
+    "19-digit-past-n": lambda e, n, tail: _rewrite_mid(e, "e 1000000000000000000 {v}"),
+    "repeat-in-run": lambda e, n, tail: e.insert(len(e) // 2, e[len(e) // 2]),
+    "repeat-run-and-tail": lambda e, n, tail: tail.append(e[0]),
+    "self-loop": lambda e, n, tail: _rewrite_mid(e, "e {u} {u}"),
+}
+LAYOUTS = {  # (header, edge lines, the rest) -> lines
+    "plain": lambda head, e, tail: head + e + tail,
+    "run-before-p-line": lambda head, e, tail: e + head + tail,
+    "crlf": lambda head, e, tail: [line + "\r" for line in head + e + tail],
+    # \x0c, \x85 and \u2028 end a line for splitlines, but not for re's ^
+    "ff-nel-ls-comment": lambda head, e, tail: (
+        head + ["c one\x0cc two\x85c three\u2028c four"] + e + tail),
+}
+
+
+@pytest.mark.parametrize("slice_chars", [64, None], ids=["64-char-slices", "default-slices"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("fault", EDGE_FAULTS)
+def test_edge_run_reader_matches_per_line_reader(monkeypatch, slice_chars, layout, fault):
+    if slice_chars is not None:  # runs of several slices, faults past the first
+        monkeypatch.setattr(formats, "_RUN_SLICE", slice_chars)
+    for seed in range(3):
+        inst, model = random_proper_interval_instance(12, seed=seed)
+        n, m = inst.graph.n, inst.graph.m
+        lines = serialize_instance(inst, model).splitlines()
+        head, e, tail = lines[:5], lines[5:5 + m], lines[5 + m:]
+        EDGE_FAULTS[fault](e, n, tail)
+        text = "".join(line + "\n" for line in LAYOUTS[layout](head, e, tail))
+        assert (formats._E_LINE.search(text) is None) == (layout == "crlf"), seed
+        assert outcome(text) == outcome(per_line_only(text)), seed
+
+
+def test_edge_run_reader_on_a_reduction_file():
+    # a run of many default slices, then param, role and path records
+    out = gen_pw(PW_CASES[0][0])
+    text = serialize_reduction_output(out)
+    assert text.index("\nc ") > 2 * formats._RUN_SLICE
+    assert outcome(text) == outcome(per_line_only(text)) == parse_instance(text)
+    e_line = text.splitlines()[5]
+    repeated = text.replace("c role", f"{e_line}\nc role", 1)
+    assert outcome(repeated) == outcome(per_line_only(repeated))
+    assert "duplicate edge" in outcome(repeated)
+
+
+def test_edge_run_reader_holds_one_slice_at_a_time():
+    text = "e 1 2\n" * 100_000  # about 150 default slices
+    eu, ev, lines = [], [], []
+    tracemalloc.start()
+    try:
+        assert formats._read_edge_run(text, 0, 1, 2, eu, ev, lines) == len(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (eu[-1], ev[-1], lines[-1], len(lines)) == (0, 1, 100_000, 100_000)
+    # beyond the lists it fills, about one slice's worth; one match over
+    # the whole run would hold re's per-repeat state for every line
+    assert peak - held < 2 << 20
