@@ -36,6 +36,18 @@ per-record helpers, so every message and line number is the one a
 line-by-line read gives.  Instance files are written straight from
 `Graph.adj`, their edges as one such run.
 
+The run of canonical lines `i <id> <dec> <dec>` that starts at the first
+such line after the edge run, <dec> being `-?[0-9]{1,18}(.[0-9]{1,18})?`
+as written for a 2**a 5**b denominator, is read the same way into integer
+endpoint keys at one scale 10**k, and the model is built from the keys:
+no Fraction per endpoint.  The run is read line by line instead, which
+names the fault, when it holds an id outside 1..n, a vertex twice or an
+empty interval, when it leaves a vertex out, when it comes before the
+p-line, and when an `i` record read line by line (a p/q or exponent
+endpoint, other spacing) precedes it; one that follows it is checked
+against the run's intervals.  An exponent of 10**6 or more in absolute
+value is a bad rational, and is never written.
+
 A malformed record raises InputError naming its line, with ids 1-based as
 in the file: a bad field, an id outside 1..n, a negative p-line count, a
 self-loop or repeated edge, a cut edge the instance lacks, a vertex given
@@ -51,7 +63,8 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import length_hint
+from itertools import repeat
+from operator import add, gt, length_hint, mul
 
 import numpy as np
 
@@ -88,6 +101,12 @@ def _fmt_rational(x: Fraction, v: int) -> str:
             return f"{x.numerator}/{x.denominator}"
         digits = max(twos, fives)
         mantissa = str(x.numerator * 2 ** (digits - twos) * 5 ** (digits - fives))
+        body = mantissa.lstrip("-")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if digits and limit and max(len(body), digits + 1) > limit:
+            if digits >= _EXPONENT_LIMIT:  # a token _parse_rational refuses
+                raise ValueError(digits)
+            return f"{mantissa}e-{digits}"
     except ValueError:
         raise InputError(
             f"vertex {v + 1}: coordinate exceeds Python's int-string limit"
@@ -95,10 +114,6 @@ def _fmt_rational(x: Fraction, v: int) -> str:
     if digits == 0:
         return mantissa
     sign = "-" if mantissa.startswith("-") else ""
-    body = mantissa.lstrip("-")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit and max(len(body), digits + 1) > limit:
-        return f"{mantissa}e-{digits}"
     body = body.rjust(digits + 1, "0")
     return f"{sign}{body[:-digits]}.{body[-digits:]}"
 
@@ -183,6 +198,9 @@ def _graph(n: int, eu: list[int], ev: list[int], lines: list[int]) -> Graph:
 
 
 _PLAIN_RATIONAL = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+_EXPONENT = re.compile(r"[eE][-+]?([0-9]+)\Z")
+# Fraction('1e<k>') builds 10**k, in time growing faster than k
+_EXPONENT_LIMIT = 10**6
 
 
 def _parse_rational(token: str, ln: int) -> Fraction:
@@ -191,7 +209,8 @@ def _parse_rational(token: str, ln: int) -> Fraction:
     Plain decimals and integers (ASCII digits, an optional minus sign) are
     built from their digits; past Python's int-string limit both refuse.
     Tokens holding `_` or a non-ASCII character are refused too, although
-    Fraction would read `1_0` and non-ASCII digits."""
+    Fraction would read `1_0` and non-ASCII digits, and so is an exponent
+    of _EXPONENT_LIMIT or more in absolute value."""
     try:
         if not token.isascii() or "_" in token:
             raise ValueError(token)
@@ -200,6 +219,9 @@ def _parse_rational(token: str, ln: int) -> Fraction:
             if not digits:
                 return Fraction(int(whole))
             return Fraction(int(whole + digits), 10 ** len(digits))
+        exponent = _EXPONENT.search(token)
+        if exponent and int(exponent[1]) >= _EXPONENT_LIMIT:
+            raise ValueError(token)
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"line {ln}: bad rational {token!r}") from None
@@ -241,6 +263,86 @@ def _read_edge_run(text, start, first, n, eu, ev, lines) -> int:
         start, ln = stop, ln + k
 
 
+# canonical interval lines: an id as above, and endpoints as _fmt_rational
+# writes them for a 2**a 5**b denominator, with at most 18 digits on each
+# side of the point; the groups are the id, then the whole and fraction
+# digits of each endpoint
+_DECIMAL = r"(-?[0-9]{1,18})(?:\.([0-9]{1,18}))?"
+_I_CANONICAL = rf"i ([0-9]{{1,18}}) {_DECIMAL} {_DECIMAL}\n"
+_I_LINE = re.compile(r"(?m)^" + _I_CANONICAL)
+_I_RUN = re.compile(f"(?:{_I_CANONICAL})+")
+
+
+def _scaled(wholes, digits, k: int) -> list[int]:
+    """int(whole + fraction digits padded to k) for each endpoint."""
+    return [*map(int, map(add, wholes, map(str.ljust, digits, repeat(k), repeat("0"))))]
+
+
+def _read_interval_run(text, start, n, ids, a, b) -> tuple[int, int] | None:
+    """Append the ids, start keys and end keys of the run of canonical
+    interval lines at text[start:] to ids (1-based, a numpy array per
+    slice), a and b; return where the run ends and its scale, or None at a
+    slice with an id outside 1..n or an empty interval.
+
+    Slices of at most _RUN_SLICE characters cut at line ends are read in
+    turn, as in _read_edge_run.  An endpoint `<whole>.<digits>` becomes the
+    integer key int(whole + digits padded to k), at one scale 10**k for the
+    run, k the most fraction digits seen; no Fraction is built.
+    """
+    k = 0
+    while True:
+        end = text.rfind("\n", start, start + _RUN_SLICE) + 1
+        rows = _I_LINE.findall(text, start, end)
+        whole = len(rows) == text.count("\n", start, end)  # each line a run line
+        if not whole:  # the run ends in this slice
+            run = _I_RUN.match(text, start, end)
+            end = run.end() if run else start
+            rows = rows[:text.count("\n", start, end)]
+        if not rows:
+            return start, 10**k
+        vs, sw, sd, ew, ed = zip(*rows)
+        vs = np.fromstring(" ".join(vs), dtype=np.int64, sep=" ")
+        if int(vs.min()) < 1 or int(vs.max()) > n:
+            return None
+        digits = max(k, *map(len, sd + ed))
+        if digits > k:  # rescale the keys read so far
+            scale, k = 10 ** (digits - k), digits
+            a[:] = map(mul, a, repeat(scale))
+            b[:] = map(mul, b, repeat(scale))
+        sk, ek = _scaled(sw, sd, k), _scaled(ew, ed, k)
+        if any(map(gt, sk, ek)):
+            return None
+        ids.append(vs)
+        a += sk
+        b += ek
+        start = end
+        if not whole:
+            return start, 10**k
+
+
+def _interval_run(text, start, n) -> tuple[int, IntervalModel] | None:
+    """(where the run ends, its model) for the run of canonical interval
+    lines at text[start:] (see _read_interval_run); None unless it gives
+    each of the n vertices one interval, nonempty and no other.  On None
+    the caller reads the run line by line, which names the fault."""
+    ids: list[np.ndarray] = []
+    a: list[int] = []
+    b: list[int] = []
+    got = _read_interval_run(text, start, n, ids, a, b)
+    if got is None or not a or len(a) != n:
+        return None
+    stop, scale = got
+    ids = np.concatenate(ids) - 1
+    if not np.array_equal(ids, np.arange(n)):  # not in vertex order
+        seen = np.zeros(n, bool)
+        seen[ids] = True
+        if not seen.all():  # a vertex twice, so another one missing
+            return None
+        pick = np.argsort(ids).tolist()
+        a, b = [*map(a.__getitem__, pick)], [*map(b.__getitem__, pick)]
+    return stop, IntervalModel._from_keys(a, b, scale)
+
+
 @dataclass
 class ParsedInstance:
     """An instance with its model and generator records; ids are 0-based.
@@ -268,26 +370,32 @@ _SCALARS = {"s": "s <id>", "t": "t <id>", "b": "b <beta>", "l": "l <lambda>"}
 def parse_instance(text: str) -> ParsedInstance:
     """Parse an instance file; malformed lines raise InputError with location.
 
-    The run of canonical `e` lines from the first one on is read in bulk
-    when the p-line precedes it (see _read_edge_run); every other line goes
-    through the per-record helpers, which name a fault.
+    The run of canonical `e` lines from the first one on, and then the run
+    of canonical `i` lines from the first one after it, are read in bulk
+    when the p-line precedes them (see _read_edge_run and _interval_run);
+    every other line goes through the per-record helpers, which name a
+    fault.  A faulty `i` run is read line by line from its start; a good
+    one joins any other `i` record read per line.
     """
     n = m = None
     scalars: dict[str, int] = {}
     eu: list[int] = []  # 0-based edge ends, and the line of each pair
     ev: list[int] = []
     lines: list[int] = []
-    intervals: dict[int, tuple[Fraction, Fraction]] = {}
+    intervals: dict[int, tuple[Fraction, Fraction]] = {}  # read per line
+    bulk: IntervalModel | None = None  # of an `i` run read in bulk
     roles: dict[int, str] = {}
     carrier: dict[str, int] = {}  # the vertex of each role tag
     params: dict[str, str] = {}
     param_lines: dict[str, int] = {}
     paths: dict[str, tuple[int, int, int, int, int]] = {}
 
-    def read(part: str, ln0: int) -> None:
-        """Read the records of `part`, whose first line is line `ln0`."""
-        nonlocal n, m
-        for ln, raw in enumerate(part.splitlines(), start=ln0):
+    def read(part: str, ln0: int) -> int:
+        """Read the records of `part`, whose first line is line `ln0`;
+        return the number of the line after it."""
+        nonlocal n, m, bulk
+        records = part.splitlines()
+        for ln, raw in enumerate(records, start=ln0):
             tokens = raw.split()
             if not tokens:
                 continue
@@ -346,6 +454,9 @@ def parse_instance(text: str) -> ParsedInstance:
                 value = tokens[1]
                 scalars[kind] = _vertex_id(value, ln, n) if kind in "st" else _parse_int(value, ln)
             elif kind == "i":
+                if bulk is not None:  # the run joins the records read per line
+                    intervals.update(enumerate(zip(bulk.starts, bulk.ends)))
+                    bulk = None
                 if len(tokens) != 4:
                     raise InputError(f"line {ln}: expected `i <id> <start> <end>`")
                 v = _vertex_id(tokens[1], ln, n)
@@ -359,17 +470,26 @@ def parse_instance(text: str) -> ParsedInstance:
                 intervals[v] = a, b
             else:
                 raise InputError(f"line {ln}: unknown record type {kind!r}")
+        return ln0 + len(records)
 
-    run = _E_LINE.search(text)
-    if run is None:
-        read(text, 1)
-    else:
+    pos, ln = 0, 1  # read up to text[pos], which starts line ln
+    for pattern in _E_LINE, _I_LINE:
+        run = pattern.search(text, pos)
+        if run is None:
+            continue
         start = run.start()
-        # splitlines, not count("\n"): \r, \x0c, \x85, \u2028 ... end lines too
-        first = len(text[:start].splitlines()) + 1
-        read(text[:start], 1)
-        done = start if n is None else _read_edge_run(text, start, first, n, eu, ev, lines)
-        read(text[done:], first + text.count("\n", start, done))
+        # read counts lines as splitlines does, not as count("\n"): \r,
+        # \x0c, \x85, \u2028 ... end lines too
+        ln = read(text[pos:start], ln)
+        if n is not None and pattern is _E_LINE:
+            done = _read_edge_run(text, start, ln, n, eu, ev, lines)
+        elif n is not None and not intervals and (got := _interval_run(text, start, n)):
+            done, bulk = got
+        else:  # read per line: a run before the p-line, a faulty `i` run, or one
+            # after an `i` record read per line
+            done = start
+        pos, ln = done, ln + text.count("\n", start, done)
+    read(text[pos:], ln)
 
     if n is None:
         raise InputError("missing 'p' record")
@@ -380,7 +500,7 @@ def parse_instance(text: str) -> ParsedInstance:
     if m != graph.m:
         raise InputError(f"p-line promises {m} edges, file has {len(eu)}")
     inst = Instance(graph, scalars["s"], scalars["t"], scalars["b"], scalars["l"])
-    model = None
+    model = bulk
     if intervals:
         missing = [v for v in range(n) if v not in intervals]
         if missing:

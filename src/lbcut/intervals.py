@@ -10,11 +10,14 @@ sorted by (start, -id) is an umbrella ordering of its graph: every closed
 neighbourhood is a contiguous run of ranks (Roberts 1969; Looges & Olariu,
 "Optimal greedy algorithms for indifference graphs", 1993).
 
-A model compares its endpoints through integer keys, made once when it is
-built: each endpoint times the least common denominator of all of them.
-Past a denominator of 2**64 the keys are the Fractions themselves, since a
-coordinate like 1e-99999 would make every key 100,000 digits long; the code
-that reads keys is the same either way.  A solve sorts the keys once, in
+A model's data are integer keys and one denominator: each endpoint times
+the least common denominator of all of them.  Past a denominator of 2**64
+the keys are the Fractions themselves (denominator 1), since a coordinate
+like 1e-99999 would make every key 100,000 digits long; the code that reads
+keys is the same either way.  The endpoints as Fractions (`starts`, `ends`)
+are kept when the model is built from them, and otherwise built on first
+read, for messages and serialization: `parse_instance` builds its models
+from keys, and a solve reads only keys.  A solve sorts the keys once, in
 `validate_model`, and reuses that order:
   check  - properness on consecutive vertices of the order; adjacency one
            rank run at a time, each closed neighbourhood against the run of
@@ -35,10 +38,12 @@ comes after normalization (the solver, cut reconstruction and
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import gt, le, lt
+from functools import cached_property
+from itertools import repeat
+from math import gcd, lcm
+from operator import floordiv, gt, le, lt
 
 from .errors import ModelError
 from .graph import Graph, Instance
@@ -49,19 +54,19 @@ from .graph import Graph, Instance
 KEY_DENOMINATOR_LIMIT = 2**64
 
 
-def _endpoint_keys(values: tuple) -> tuple:
-    """Exact keys for `values`, in order: each value times one common
+def _endpoint_keys(values: tuple) -> tuple[tuple, int]:
+    """(keys, denominator) for `values`: each value times one common
     denominator, an int, while that denominator stays within
-    KEY_DENOMINATOR_LIMIT; otherwise the values themselves.  Keys compare
-    as their values do."""
+    KEY_DENOMINATOR_LIMIT; otherwise the values themselves and 1.  Keys
+    compare as their values do."""
     ratios = [x.as_integer_ratio() for x in values]
     den = 1
     for _, d in ratios:
         if den % d:
             den = lcm(den, d)
             if den > KEY_DENOMINATOR_LIMIT:
-                return values
-    return tuple([p * (den // d) for p, d in ratios])
+                return values, 1
+    return tuple([p * (den // d) for p, d in ratios]), den
 
 
 def _show(x) -> str:
@@ -73,36 +78,65 @@ def _show(x) -> str:
     return f"~{'-' if p < 0 else ''}2^{abs(p).bit_length() - q.bit_length()}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntervalModel:
     """Per-vertex closed intervals [start, end] with rational endpoints.
 
-    start_keys and end_keys are exact stand-ins for the endpoints, computed
-    once here (see `_endpoint_keys`).  The sweep and `validate_model`
-    compare keys; messages print the endpoints themselves.
+    The data are exact stand-ins for the endpoints: vertex v spans
+    [start_keys[v], end_keys[v]] / denominator (see `_endpoint_keys`), and
+    two models are equal when their keys and denominators are.  The sweep
+    and `validate_model` compare keys; messages print the endpoints
+    themselves, `starts` and `ends`, which are built on first read unless
+    the model was made from them.
     """
 
-    starts: tuple[Fraction, ...]
-    ends: tuple[Fraction, ...]
-    start_keys: tuple = field(init=False, repr=False, compare=False)
-    end_keys: tuple = field(init=False, repr=False, compare=False)
+    start_keys: tuple
+    end_keys: tuple
+    denominator: int
 
-    def __post_init__(self):
-        n = len(self.starts)
-        if len(self.ends) != n:
+    def __init__(self, starts, ends):
+        starts, ends = tuple(starts), tuple(ends)
+        n = len(starts)
+        if len(ends) != n:
             raise ModelError("starts and ends differ in length")
-        keys = _endpoint_keys((*self.starts, *self.ends))
-        a, b = keys[:n], keys[n:]
+        self.__dict__.update(starts=starts, ends=ends)  # the cached properties
+        keys, den = _endpoint_keys((*starts, *ends))
+        self._set_keys(keys[:n], keys[n:], den)
+
+    @classmethod
+    def _from_keys(cls, start_keys: list[int], end_keys: list[int], scale: int) -> IntervalModel:
+        """The model with endpoints key / scale, for int keys and a scale
+        within KEY_DENOMINATOR_LIMIT.  Keys and scale are divided by their
+        gcd, so they equal what the constructor computes from the same
+        endpoints."""
+        g = gcd(scale, *start_keys, *end_keys)
+        if g > 1:
+            start_keys = map(floordiv, start_keys, repeat(g))
+            end_keys = map(floordiv, end_keys, repeat(g))
+        model = cls.__new__(cls)
+        model._set_keys(tuple(start_keys), tuple(end_keys), scale // g)
+        return model
+
+    def _set_keys(self, a: tuple, b: tuple, den: int) -> None:
         object.__setattr__(self, "start_keys", a)
         object.__setattr__(self, "end_keys", b)
+        object.__setattr__(self, "denominator", den)
         if any(map(gt, a, b)):
-            v = next(v for v in range(n) if a[v] > b[v])
+            v = next(v for v in range(len(a)) if a[v] > b[v])
             start, end = _show(self.starts[v]), _show(self.ends[v])
             raise ModelError(f"vertex {{0}}: empty interval [{start}, {end}]", v)
 
+    @cached_property
+    def starts(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(k, self.denominator) for k in self.start_keys)
+
+    @cached_property
+    def ends(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(k, self.denominator) for k in self.end_keys)
+
     @property
     def n(self) -> int:
-        return len(self.starts)
+        return len(self.start_keys)
 
     @staticmethod
     def unit(starts) -> "IntervalModel":
@@ -111,7 +145,8 @@ class IntervalModel:
         return IntervalModel(ss, tuple(a + 1 for a in ss))
 
     def intersects(self, u: int, v: int) -> bool:
-        return self.starts[u] <= self.ends[v] and self.starts[v] <= self.ends[u]
+        s, e = self.start_keys, self.end_keys
+        return s[u] <= e[v] and s[v] <= e[u]
 
     def intersecting_pairs(self, order=None) -> list[tuple[int, int]]:
         """Every intersecting pair (u, v), u < v, in O(n log n + m).

@@ -130,7 +130,7 @@ def random_proper_interval_instance(
     model = IntervalModel.unit(starts)
     g = model.induced_graph()
     s, t = rng.sample(range(n), 2)
-    if model.starts[s] > model.starts[t]:
+    if model.start_keys[s] > model.start_keys[t]:
         s, t = t, s
     beta = rng.randint(*beta_range)
     lam = rng.randint(*lambda_range)

@@ -1,13 +1,16 @@
 import re
 import tracemalloc
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lbcut import formats
 from lbcut.errors import InputError
+from lbcut.dp import solve
 from lbcut.formats import (
+    ParsedInstance,
     _parse_rational,
     load_reduction_output,
     parse_cut,
@@ -22,12 +25,13 @@ from lbcut.formats import (
     serialize_reduction_output,
     serialize_source_graph,
 )
-from lbcut.graph import Graph, Instance
+from lbcut.graph import Graph, Instance, bfs_distances
 from lbcut.intervals import IntervalModel
 from lbcut.oracles import random_proper_interval_instance
 from lbcut.reductions_fvs import decode_fvs, forward_cut_fvs, gen_fvs
 from lbcut.reductions_pw import decode_pw, forward_cut_pw, gen_pw
 from lbcut.witnesses import PathDecomposition, build_pw_witness
+from test_dp import dp_pool
 from test_reductions_fvs import CASES as FVS_CASES
 from test_reductions_pw import CASES as PW_CASES
 
@@ -638,3 +642,195 @@ def test_edge_run_reader_holds_one_slice_at_a_time():
     # beyond the lists it fills, about one slice's worth; one match over
     # the whole run would hold re's per-repeat state for every line
     assert peak - held < 2 << 20
+
+
+# The interval run reader against the per-line reader: `i v  a b` (two
+# spaces) is a well-formed interval record that only the per-line reader
+# takes, so the same file with every interval line written that way must
+# parse alike.
+
+
+def per_line_intervals(text: str) -> str:
+    return re.sub(r"(?m)^(i \S+) ", r"\1  ", text)
+
+
+def _rewrite_interval(i: list[str], start=None, end=None, v=None) -> None:
+    """Rewrite the middle interval line, each field by a function of its token."""
+    k = len(i) // 2
+    fields = i[k].split()[1:]
+    for x, rewrite in enumerate((v, start, end)):
+        if rewrite is not None:
+            fields[x] = rewrite(fields[x])
+    i[k] = "i " + " ".join(fields)
+
+
+def _as_fraction(token: str) -> str:
+    x = Fraction(token)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _as_exponent(token: str) -> str:
+    whole, _, digits = token.partition(".")
+    return f"{whole}{digits}e-{len(digits)}"
+
+
+def _shift_left(i: list[str]) -> None:
+    """Move every interval 10 to the left, to negative endpoints."""
+    for k, line in enumerate(i):
+        _, v, *ends = line.split()
+        a, b = (formats._fmt_rational(Fraction(x) - 10, 0) for x in ends)
+        i[k] = f"i {v} {a} {b}"
+
+
+def _padded(width: int):
+    def pad(token: str) -> str:
+        whole, _, digits = token.partition(".")
+        return f"{whole}.{digits.ljust(width, '0')}"
+    return pad
+
+
+INTERVAL_FAULTS = {  # (interval lines, n, lines after them) -> None, in place
+    "none": lambda i, n, tail: None,
+    "id-0": lambda i, n, tail: _rewrite_interval(i, v=lambda _: "0"),
+    "id-n+1": lambda i, n, tail: _rewrite_interval(i, v=lambda _: str(n + 1)),
+    "repeat-in-run": lambda i, n, tail: i.insert(len(i) // 2, i[len(i) // 2]),
+    "repeat-for-missing": lambda i, n, tail: _rewrite_interval(i, v=lambda _: "1"),
+    # the run is whole; the repeat after a comment is read per line
+    "repeat-run-and-tail": lambda i, n, tail: tail.extend(["c between", i[0]]),
+    "empty-interval": lambda i, n, tail: _rewrite_interval(i, start=lambda _: "99"),
+    "missing": lambda i, n, tail: i.pop(len(i) // 2),
+    "comment-mid-run": lambda i, n, tail: i.insert(len(i) // 2, "c between"),
+    "bad-record-mid-run": lambda i, n, tail: i.insert(len(i) // 2, "q 1"),
+    "p/q-mid-run": lambda i, n, tail: _rewrite_interval(i, start=_as_fraction),
+    "exponent-mid-run": lambda i, n, tail: _rewrite_interval(i, end=_as_exponent),
+    "negative": lambda i, n, tail: _shift_left(i),
+    "out-of-order": lambda i, n, tail: i.reverse(),
+    "18-fraction-digits": lambda i, n, tail: _rewrite_interval(i, start=_padded(18)),
+    "19-fraction-digits": lambda i, n, tail: _rewrite_interval(i, start=_padded(19)),
+}
+# faults the run reader takes in bulk, in the layouts where it reads the run
+READ_IN_BULK = {"none", "negative", "out-of-order", "18-fraction-digits"}
+INTERVAL_LAYOUTS = {  # (header, edge lines, interval lines, the rest) -> lines
+    "plain": lambda head, e, i, tail: head + e + i + tail,
+    "run-before-p-line": lambda head, e, i, tail: i + head + e + tail,
+    "run-before-edges": lambda head, e, i, tail: head + i + e + tail,
+    "ff-nel-ls-comment": lambda head, e, i, tail: (
+        head + e + ["c one\x0cc two\x85c three\u2028c four"] + i + tail),
+}
+
+
+@pytest.mark.parametrize("slice_chars", [64, None], ids=["64-char-slices", "default-slices"])
+@pytest.mark.parametrize("layout", INTERVAL_LAYOUTS)
+@pytest.mark.parametrize("fault", INTERVAL_FAULTS)
+def test_interval_run_reader_matches_per_line_reader(monkeypatch, slice_chars, layout, fault):
+    if slice_chars is not None:  # runs of several slices, faults past the first
+        monkeypatch.setattr(formats, "_RUN_SLICE", slice_chars)
+    for seed in range(3):
+        inst, model = random_proper_interval_instance(12, seed=seed)
+        m = inst.graph.m
+        lines = serialize_instance(inst, model).splitlines()
+        head, e, i = lines[:5], lines[5:5 + m], lines[5 + m:]
+        tail = []
+        INTERVAL_FAULTS[fault](i, inst.graph.n, tail)
+        text = "".join(line + "\n" for line in INTERVAL_LAYOUTS[layout](head, e, i, tail))
+        got = outcome(text)
+        assert got == outcome(per_line_intervals(text)), seed
+        bulk = fault in READ_IN_BULK and layout in ("plain", "ff-nel-ls-comment")
+        if isinstance(got, ParsedInstance):  # Fractions are built only for a per-line read
+            assert ("starts" in got.model.__dict__) != bulk, seed
+
+
+def test_interval_run_reader_holds_one_slice_at_a_time():
+    n = 100_000
+    text = "".join(f"i {v} {v} {v}.5\n" for v in range(1, n + 1))  # ~500 default slices
+    ids, a, b = [], [], []
+    tracemalloc.start()
+    try:
+        assert formats._read_interval_run(text, 0, n, ids, a, b) == (len(text), 10)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(a), a[-1], b[-1], int(ids[-1][-1])) == (n, 10 * n, 10 * n + 5, n)
+    # beyond the lists it fills, about one slice's worth; one findall over
+    # the whole run would hold some 24 MB of field strings
+    assert peak - held < 2 << 20
+
+
+def xval_pool(seed):
+    """The benchmark's xval pool: per item an n=30 and an n=8 unit-interval
+    instance, starts 3..5 grid steps apart (1/16 and 1/8), lam = dist + 1."""
+    for item in range(256):
+        rng = Random(f"xval:{seed}:{item}")
+        for n, grid, lo, hi in ((30, 16, 0.25, 0.75), (8, 8, 0.0, 1.0)):
+            pos, starts = 0, []
+            for _ in range(n):
+                starts.append(Fraction(pos, grid))
+                pos += rng.randint(3, 5)
+            model = IntervalModel.unit(starts)
+            g = model.induced_graph()
+            order = sorted(range(n), key=lambda v: (model.starts[v], v))
+            s, t = order[round(lo * (n - 1))], order[round(hi * (n - 1))]
+            yield Instance(g, s, t, g.m, int(bfs_distances(g, s)[t]) + 1), model
+
+
+def assert_same_keys(got: IntervalModel, model: IntervalModel) -> None:
+    """got has the keys IntervalModel(starts, ends) computes, and equals model."""
+    built = IntervalModel(got.starts, got.ends)
+    assert (got.start_keys, got.end_keys, got.denominator) == (
+        built.start_keys, built.end_keys, built.denominator)
+    assert [type(x) for x in got.start_keys + got.end_keys] == [
+        type(x) for x in built.start_keys + built.end_keys]
+    assert got == model and (got.starts, got.ends) == (model.starts, model.ends)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["dp-dense-ties", "dp-long", "xval"])
+def test_pool_models_read_as_keys(name, seed):
+    pool = xval_pool(seed) if name == "xval" else dp_pool(name, seed)
+    for inst, model in pool:
+        parsed = parse_instance(serialize_instance(inst, model))
+        got = parsed.model
+        assert got == model
+        cost, cut, _ = solve(parsed.instance, got)  # reads keys only
+        assert len(cut) == cost
+        assert "starts" not in got.__dict__ and "ends" not in got.__dict__
+        assert_same_keys(got, model)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_models_with_p_q_endpoints_round_trip(seed):
+    rng = Random(seed)
+    n = rng.randint(2, 30)
+    # denominators with and without a factor other than 2 and 5; every
+    # tenth model has pairwise coprime ones past KEY_DENOMINATOR_LIMIT
+    dens = [1, 2, 3, 4, 5, 7, 8, 10, 12, 16, 125]
+    if seed % 10 == 9:
+        dens = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    starts = [Fraction(rng.randint(-40, 40), rng.choice(dens)) for _ in range(n)]
+    model = IntervalModel.unit(starts)
+    inst = Instance(model.induced_graph(), 0, 1, 1, 1)
+    text = serialize_instance(inst, model)
+    got = parse_instance(text).model
+    assert_same_keys(got, model)
+    assert serialize_instance(inst, got) == text
+
+
+@pytest.mark.parametrize("token", ["1e99999999", "1e1000000", "-2.5E+1000000",
+                                   "1e-0001000000", "3e" + "9" * 5000])
+def test_huge_exponent_is_a_bad_rational(token):
+    # Fraction would build 10**k, in time that grows faster than k
+    with pytest.raises(InputError) as err:
+        parse_instance(MINIMAL + f"i 1 0 {token}\ni 2 0 1\n")
+    assert str(err.value) == f"line 8: bad rational {token!r}"
+
+
+def test_huge_exponent_is_not_written(monkeypatch):
+    # the limit lowered to just past the int-string limit (4300 digits), so
+    # that the tokens are written in e-form and the powers of 10 stay small
+    monkeypatch.setattr(formats, "_EXPONENT_LIMIT", 5000)
+    assert formats._fmt_rational(Fraction(3, 10**4999), 0) == "3e-4999"
+    assert _parse_rational("3e-4999", 1) == Fraction(3, 10**4999)
+    with pytest.raises(InputError, match="^vertex 2: coordinate exceeds"):
+        formats._fmt_rational(Fraction(3, 10**5000), 1)
+    with pytest.raises(InputError, match="^line 1: bad rational '3e-5000'$"):
+        _parse_rational("3e-5000", 1)
