@@ -25,9 +25,9 @@ print(f"interval of s: [{model.starts[inst.s]}, {model.ends[inst.s]}]")
 print(f"plain distance s->t: {bfs_distances(g, inst.s)[inst.t]}")
 
 norm = normalize(inst, model)
-first = "s" if norm.kept[norm.s] == inst.s else "t"
+first = "s" if norm.s == inst.s else "t"
 print(f"\nnormalized: {first} is ranked first, "
-      f"{g.n - norm.graph.n} vertices trimmed away, "
+      f"{g.n - len(norm.ranked)} vertices trimmed away, "
       f"{len(norm.order)} interior vertices ranked by start value")
 
 cost, tables = dp_solve(inst, model)

@@ -4,7 +4,7 @@ A length-bounded cut instance asks for at most beta edges whose removal
 leaves no s-t path of length at most lambda.  The package provides:
 
 - an exact polynomial solver for proper interval graphs (`dp.solve`)
-  with verified cut reconstruction and a monotone cut repair operation,
+  with verified cut reconstruction,
 - exhaustive and bounded-search oracles for cross-validation (`oracles`),
 - generators for two hard-instance families with planted solutions,
   forward cuts, and decoders (`reductions_pw`, `reductions_fvs`),
@@ -42,7 +42,6 @@ from .dp import (
     compute_crossing_counts,
     dp_solve,
     extract_cut,
-    monotonize_cut,
     solve,
 )
 from .oracles import (

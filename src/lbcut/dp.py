@@ -3,12 +3,12 @@
 The solver normalizes the instance on ranks alone: one sort of the
 validated model gives an umbrella ordering, the terminal ranked first is
 called s, and the vertices outside the s..t span are trimmed away (see
-intervals; no tie split, no mirror, no coordinate model).  It then fills a
-table T[r, d] = minimum number of edge deletions in G - {t} making every
-interior vertex of rank >= r lie at distance >= d from s, under the
-constraint that distances from s are non-decreasing along the ranking.  A
-companion table S[r, d] records the cut frontier: the smallest rank j such
-that every edge from ranks < j to ranks >= r is already deleted.
+intervals).  It then fills a table T[r, d] = minimum number of edge
+deletions in G - {t} making every interior vertex of rank >= r lie at
+distance >= d from s, under the constraint that distances from s are
+non-decreasing along the ranking.  A companion table S[r, d] records the
+cut frontier: the smallest rank j such that every edge from ranks < j to
+ranks >= r is already deleted.
 
 The recurrence charges crossing edges through
 
@@ -79,8 +79,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InternalCheckError
-from .graph import Instance, _cut_edges, _dinic, bfs_distances, edge, min_st_cut, verify_cut
+from .errors import InternalCheckError
+from .graph import Instance, _dinic, bfs_distances, edge, min_st_cut, verify_cut
 from .intervals import IntervalModel, NormalizedInstance, _normalize_valid, validate_model
 
 BIG = np.int64(1) << 40
@@ -136,15 +136,17 @@ def compute_crossing_counts(norm: NormalizedInstance) -> CrossingCounts:
 class DpTables:
     """Everything dp_solve computed, enough to reconstruct and audit a cut.
 
-    The fields from norm on are filled by the table fill only; they stay
-    None when dp_solve answers before it.
+    The fields from norm to best_rank are filled by the table fill only;
+    they stay None when dp_solve answers before it.  table_cost is also set
+    when lam = 1, where the edge {s,t} alone is the table's answer.
 
     T and S are q x c arrays holding the window of each rank (see the module
     docstring): the cell of rank i and distance d, delta[i] < d <=
     delta[i] + c, sits in column d - delta[i] - 1, with delta = dist(s, .)
-    in the trimmed G - t, capped at lam.  The other cells are implicit:
-    cost 0 with frontier z(i) (see CrossingCounts) for d <= delta[i], and
-    BIG for d > delta[i] + c.  Window cells with d > lam hold BIG.
+    in G - t trimmed to norm.ranked, capped at lam.  The other cells are
+    implicit: cost 0 with frontier z(i) (see CrossingCounts) for
+    d <= delta[i], and BIG for d > delta[i] + c.  Window cells with d > lam
+    hold BIG.
 
     best_rank is the first rank minimizing the window fill's totals.  On
     ties it can differ from the full q x (lam + 1) table's first minimizing
@@ -152,10 +154,10 @@ class DpTables:
     cut size are the same either way.
 
     flow_bound is an s-t flow value, exact exactly when mincut_edges holds a
-    minimum s-t cut (of that size).  After a fill the max-flow runs only
-    until its value exceeds table_cost, so on the table branch flow_bound is
-    a lower bound (table_cost + 1) and mincut_edges is None; the
-    no-short-path answer runs no flow (flow_bound 0, mincut_edges None).
+    minimum s-t cut (of that size).  Once table_cost is set the max-flow
+    runs only until its value exceeds it, so on the table branch
+    flow_bound is a lower bound (table_cost + 1) and mincut_edges is None;
+    the no-short-path answer runs no flow (flow_bound 0, mincut_edges None).
     """
 
     cost: int
@@ -201,11 +203,14 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
     # here 1 <= dist(s,t) <= lam <= n-2
     base = 1 if st_edge else 0
     if lam <= 1:
-        # dist(s,t) = lam = 1: the edge {s,t} exists and is the whole cut
-        mincut_size, mincut_edges = min_st_cut(g, s, t)
+        # dist(s,t) = lam = 1: the edge {s,t} exists and is the whole table
+        # answer; as below, the flow decides whether it is strictly cheaper
+        flow_bound, mincut_edges = _dinic(g, s, t, 1)
         return 1, DpTables(
-            cost=1, decision=1 <= inst.beta, branch="table",
-            flow_bound=mincut_size, mincut_edges=mincut_edges, st_edge=True,
+            cost=1, decision=1 <= inst.beta,
+            branch="table" if flow_bound > 1 else "min-cut",
+            flow_bound=flow_bound, mincut_edges=mincut_edges, st_edge=True,
+            table_cost=1,
         )
 
     norm = _normalize_valid(inst, order)
@@ -348,16 +353,16 @@ def _reconstruct(inst, tables):
         return frozenset([edge(inst.s, inst.t)])
     norm = tables.norm
     g, s, t = norm.graph, norm.s, norm.t
-    pos, order, kept = norm.pos, norm.order, norm.kept
+    pos, order = norm.pos, norm.order
     cut: set[tuple[int, int]] = set()
     if tables.st_edge:
-        cut.add(edge(inst.s, inst.t))
+        cut.add(edge(s, t))
     best = tables.best_rank
     if best is None:  # no interior vertices survived trimming
         return frozenset(cut)
     for w in g.adj[t]:
         if w != s and pos[w] < best:
-            cut.add(edge(kept[t], kept[w]))
+            cut.add(edge(t, w))
 
     S, delta, z = tables.S, tables.delta.tolist(), tables.crossing.z
     i, d = best, inst.lam
@@ -366,7 +371,7 @@ def _reconstruct(inst, tables):
             # initialization cuts: s-edges to ranks >= i (all of them at rank 0)
             for w in g.adj[s]:
                 if w != t and (i == 0 or pos[w] >= i):
-                    cut.add(edge(kept[s], kept[w]))
+                    cut.add(edge(s, w))
             break
         j = int(S[i, d - delta[i] - 1])
         h = int(S[j, d - delta[j] - 2] if d - 1 > delta[j] else z[j])
@@ -374,7 +379,7 @@ def _reconstruct(inst, tables):
             vl = order[l]
             for w in g.adj[vl]:
                 if w != s and w != t and pos[w] >= i:
-                    cut.add(edge(kept[vl], kept[w]))
+                    cut.add(edge(vl, w))
         i, d = j, d - 1
     return frozenset(cut)
 
@@ -384,133 +389,3 @@ def solve(inst: Instance, model: IntervalModel):
     cost, tables = dp_solve(inst, model)
     cut = extract_cut(inst, model, tables)
     return cost, cut, tables
-
-
-def monotonize_cut(norm: NormalizedInstance, f, d: int) -> frozenset:
-    """Repair a d-cut so distances from s are monotone in the rank order.
-
-    Requires a `normalize` output and a cut `f` of its trimmed graph with
-    dist(norm.s, norm.t) >= d in G-F.  Returns F' with |F'| <= |F|, dist >= d,
-    and dist(s, v_i) <= dist(s, v_j) for interior ranks i < j
-    (norm.order).
-
-    Implementation follows the exchange argument: while some consecutive
-    pair v_j, v_{j+1} has a monotone-path distance inversion, swap cut
-    edges between the two vertices (sets X and Y below); each swap never
-    grows the cut and never shortens the monotone distance of t.
-
-    The exchange loop alone controls distances in G - {t}; paths routed
-    through t could still undercut later vertices.  A final normalization
-    re-points the cut's t-edges at the lowest-rank neighbors of t, which
-    provably removes such shortcuts: t's neighborhood is a rank suffix, so
-    any vertex beyond the first kept t-neighbor keeps its own t-edge and
-    sits within dist(t)+1 of s.
-    """
-    g, s, t = norm.graph, norm.s, norm.t
-    f = _cut_edges(g, f)
-    if bfs_distances(g, s, f)[t] < d:
-        raise InputError(f"given edge set is not a {d}-cut")
-
-    order = norm.order
-    rank = {v: r for r, v in enumerate(norm.ranked)}
-    adj = g.adj
-    current = set(f)
-    max_iters = max(1, g.m) * g.n * g.n + 10
-
-    for _ in range(max_iters):
-        dvec = _monotone_distances(g, s, t, current, order)
-        j = next(
-            (
-                jj
-                for jj in range(len(order) - 1)
-                if dvec[order[jj]] > dvec[order[jj + 1]]
-            ),
-            None,
-        )
-        if j is None:
-            _normalize_t_edges(g, s, t, current, order)
-            result = frozenset(current)
-            if d <= 1 and not _bfs_monotone(g, s, t, result, order):
-                # a kept {s,t} edge can pin dist(t)=1 and defeat the t-edge
-                # normalization; any edge set is a 1-cut, and the untouched
-                # graph itself has monotone distances after trimming
-                result = frozenset()
-            if len(result) > len(f):
-                raise InternalCheckError("monotonize grew the cut")
-            if bfs_distances(g, s, result)[t] < d:
-                raise InternalCheckError("monotonize broke the distance bound")
-            if not _bfs_monotone(g, s, t, result, order):
-                raise InternalCheckError("monotonize left a distance inversion")
-            return result
-        vj, vj1 = order[j], order[j + 1]
-        X = [
-            x
-            for x in adj[vj1]
-            if (rank[x] < rank[vj] or x == s)
-            and edge(vj, x) in current
-            and edge(vj1, x) not in current
-        ]
-        Y = [
-            y
-            for y in adj[vj]
-            if (rank[y] > rank[vj1] or y == t)
-            and edge(vj1, y) in current
-            and edge(vj, y) not in current
-        ]
-        if len(X) >= len(Y):
-            for x in X:
-                current.discard(edge(vj, x))
-            for y in Y:
-                current.add(edge(vj, y))
-        else:
-            for y in Y:
-                current.discard(edge(vj1, y))
-            for x in X:
-                current.add(edge(vj1, x))
-    raise InternalCheckError("monotonize did not converge within its iteration cap")
-
-
-def _bfs_monotone(g, s, t, cut, order) -> bool:
-    dist = bfs_distances(g, s, cut)
-    vals = [dist[v] for v in order]
-    return all(a <= b for a, b in zip(vals, vals[1:]))
-
-
-def _normalize_t_edges(g, s, t, current, order):
-    """Shift the cut t-edges onto the lowest-rank interior neighbors of t."""
-    tn = [v for v in order if g.has_edge(v, t)]
-    cut_tn = [v for v in tn if edge(v, t) in current]
-    for v in cut_tn:
-        current.discard(edge(v, t))
-    for v in tn[: len(cut_tn)]:
-        current.add(edge(v, t))
-
-
-def _monotone_distances(g, s, t, cut, order):
-    """Shortest monotone-path distances from s in G-cut.
-
-    A monotone path may start with any edge at s, then must strictly
-    increase in rank; the final step into t is unconstrained.  t is
-    never an interior vertex.
-    """
-    INF = float("inf")
-    dvec = {v: INF for v in range(g.n)}
-    dvec[s] = 0
-    posn = {v: i for i, v in enumerate(order)}
-    for idx, v in enumerate(order):
-        best = INF
-        for w in g.adj[v]:
-            if edge(v, w) in cut or w == t:
-                continue
-            if w == s:
-                best = min(best, 1)
-            elif posn[w] < idx:
-                best = min(best, dvec[w] + 1)
-        dvec[v] = best
-    dt = INF
-    for w in g.adj[t]:
-        if edge(t, w) in cut:
-            continue
-        dt = min(dt, 1 if w == s else dvec[w] + 1)
-    dvec[t] = dt
-    return dvec

@@ -96,27 +96,6 @@ class Graph:
         """The pairs (u, w) with u < w, in sorted order."""
         return [(u, w) for u, a in enumerate(self.adj) for w in a if u < w]
 
-    def without_edges(self, cut) -> "Graph":
-        removed = _cut_edges(self, cut)
-        return Graph(self.n, [e for e in self.edge_list() if e not in removed])
-
-    def subgraph(self, keep) -> tuple["Graph", dict[int, int]]:
-        """Induced subgraph on `keep` with dense relabeling.
-
-        Returns the new graph and a map old-id -> new-id.  The relabeling
-        preserves order, so each adjacency stays sorted without a re-sort.
-        """
-        keep = sorted(set(keep))
-        new = [-1] * self.n
-        for i, v in enumerate(keep):
-            new[v] = i
-        adj = tuple(
-            tuple(x for x in map(new.__getitem__, self.adj[v]) if x >= 0) for v in keep
-        )
-        g = Graph.__new__(Graph)
-        g.n, g.m, g.adj = len(keep), sum(map(len, adj)) // 2, adj
-        return g, {v: i for i, v in enumerate(keep)}
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

@@ -27,12 +27,13 @@ from keys, and a solve reads only keys.  A solve sorts the keys once, in
            terminal names swap (Length-Bounded Cut is symmetric in s and
            t), so s is the terminal ranked first
   trim   - keep v when (rank v >= rank s or v ~ s) and
-           (rank v <= rank t or v ~ t)
+           (rank v <= rank t or v ~ t): one run of ranks, since the closed
+           neighbourhoods of s and t are runs that meet the ranks s..t
 A solve validates its model once, on entry to `dp_solve`; the public
 `normalize` validates its own input, and `induced_graph` sorts for itself.
 This module is the only place that turns coordinates into an order: what
-comes after normalization (the solver, cut reconstruction and
-`monotonize_cut`) reads ranks alone.
+comes after normalization (the solver and cut reconstruction) reads ranks
+alone, in the instance's own vertex ids.
 """
 
 from __future__ import annotations
@@ -144,10 +145,6 @@ class IntervalModel:
         ss = tuple(Fraction(a) for a in starts)
         return IntervalModel(ss, tuple(a + 1 for a in ss))
 
-    def intersects(self, u: int, v: int) -> bool:
-        s, e = self.start_keys, self.end_keys
-        return s[u] <= e[v] and s[v] <= e[u]
-
     def intersecting_pairs(self, order=None) -> list[tuple[int, int]]:
         """Every intersecting pair (u, v), u < v, in O(n log n + m).
 
@@ -234,21 +231,21 @@ def _mismatch_error(g: Graph, model: IntervalModel, order) -> ModelError:
 
 @dataclass(frozen=True)
 class NormalizedInstance:
-    """Trimmed graph and terminals, ranked, plus rank bookkeeping.
+    """The instance's graph and terminals, ranked and trimmed by rank.
 
-    s and t are the caller's terminals in trimmed ids, swapped when the
-    model ranks t first; beta and lam stay with the caller's instance.
-    ranked lists every vertex of graph, terminals included, in umbrella
-    order; order is ranked without s and t, so order[r] is the vertex (in
-    trimmed ids) of interior rank r, counting from 0.  pos[v] is the rank
-    of vertex v, or -1 for the terminals.  kept maps trimmed ids back to
-    the original instance.
+    s and t are the caller's terminals, swapped when the model ranks t
+    first; beta and lam stay with the caller's instance.  ranked is the run
+    of umbrella ranks the trim keeps, terminals included: every vertex of
+    graph outside it is dropped from the solve.  order is ranked without s
+    and t, so order[r] is the vertex of interior rank r, counting from 0.
+    pos[v] is the interior rank of vertex v, or -1 for the terminals and
+    the vertices outside ranked.
 
     The interior neighbours of s are a prefix of order, and those of t a
-    suffix: s is ranked before t, every kept vertex ranked before s meets
-    s and every one ranked after t meets t, and closed neighbourhoods are
-    contiguous runs of ranks.  Every consumer (`dp_solve`, `extract_cut`,
-    `monotonize_cut`) reads these ranks, never the interval coordinates.
+    suffix: s is ranked before t, every vertex of ranked before s meets s
+    and every one after t meets t, and closed neighbourhoods are contiguous
+    runs of ranks.  The solver and cut reconstruction read these ranks,
+    never the interval coordinates.
     """
 
     graph: Graph
@@ -256,7 +253,6 @@ class NormalizedInstance:
     t: int
     order: tuple[int, ...]
     pos: tuple[int, ...]
-    kept: tuple[int, ...]
     ranked: tuple[int, ...]
 
 
@@ -272,18 +268,18 @@ def _normalize_valid(inst: Instance, order) -> NormalizedInstance:
     rs, rt = order.index(s), order.index(t)
     if rs > rt:
         s, t, rs, rt = t, s, rt, rs
-    # the trim rule keeps the ranks from s to t and the neighbours of s and
-    # t: in an umbrella order a neighbour of s ranked after t meets t too,
-    # and a neighbour of t ranked before s meets s
-    keep = set(order[rs : rt + 1]).union(g.adj[s], g.adj[t])
-    kept, ranked = tuple(range(g.n)), order
-    if len(keep) < g.n:
-        g, new_of_old = g.subgraph(keep)
-        s, t = new_of_old[s], new_of_old[t]
-        kept = tuple(new_of_old)
-        ranked = [new_of_old[v] for v in ranked if v in new_of_old]
-    order = tuple(v for v in ranked if v != s and v != t)
-    pos = [-1] * len(ranked)
-    for r, v in enumerate(order):
+    # the trim keeps the ranks from s to t and the neighbours of s and t.
+    # A neighbour of t ranked before s meets s too, and a neighbour of s
+    # ranked after t meets t, so the kept run reaches down as far as the
+    # run of s and up as far as the run of t
+    lo, hi, has_edge = rs, rt, g.has_edge
+    while lo and has_edge(s, order[lo - 1]):
+        lo -= 1
+    while hi + 1 < g.n and has_edge(t, order[hi + 1]):
+        hi += 1
+    ranked = tuple(order[lo : hi + 1])
+    interior = tuple(v for v in ranked if v != s and v != t)
+    pos = [-1] * g.n
+    for r, v in enumerate(interior):
         pos[v] = r
-    return NormalizedInstance(g, s, t, order, tuple(pos), kept, tuple(ranked))
+    return NormalizedInstance(g, s, t, interior, tuple(pos), ranked)

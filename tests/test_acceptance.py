@@ -17,7 +17,7 @@ from random import Random
 import pytest
 
 import lbcut
-from lbcut.dp import dp_solve, extract_cut, monotonize_cut
+from lbcut.dp import dp_solve, extract_cut
 from lbcut.errors import BudgetExceeded
 from lbcut.graph import Instance, bfs_distances, verify_cut
 from lbcut.intervals import IntervalModel, normalize
@@ -35,6 +35,8 @@ from lbcut.witnesses import (
     verify_fvs,
     verify_path_decomposition,
 )
+from test_intervals import trimmed
+from test_monotonize import monotonize_cut
 from test_reductions_fvs import planted_mc_instance
 from test_reductions_pw import planted_clique_instance
 
@@ -149,11 +151,11 @@ def test_criterion_3_trim_equivalence():
         ]
         if not outside:
             continue
-        norm = normalize(inst, model)
-        if norm.graph.m > 14:
+        trim = trimmed(normalize(inst, model))[0]
+        if trim.graph.m > 14:
             continue
-        trimmed = Instance(norm.graph, norm.s, norm.t, inst.beta, inst.lam)
-        assert oracle_subset(trimmed) == oracle_subset(inst), f"seed {seed}"
+        trimmed_inst = Instance(trim.graph, trim.s, trim.t, inst.beta, inst.lam)
+        assert oracle_subset(trimmed_inst) == oracle_subset(inst), f"seed {seed}"
         checked += 1
     report(3, f"trimming preserved the optimum on {checked} instances with outliers")
 
@@ -166,15 +168,15 @@ def test_criterion_4_monotonization():
         inst, model = random_proper_interval_instance(
             5 + seed % 6, density=(0.4, 0.7, 0.95)[seed % 3], seed=seed * 17
         )
-        norm = normalize(inst, model)
+        norm = trimmed(normalize(inst, model))[0]
         g, s, t = norm.graph, norm.s, norm.t
         rng = Random(seed)
         f = frozenset(e for e in g.edge_list() if rng.random() < 0.4)
-        dist = bfs_distances(g.without_edges(f), s)[t]
+        dist = bfs_distances(g, s, f)[t]
         d = g.n + 2 if dist == math.inf else int(dist)
         out = monotonize_cut(norm, f, d)
         assert len(out) <= len(f)
-        after = bfs_distances(g.without_edges(out), s)
+        after = bfs_distances(g, s, out)
         assert after[t] >= d
         vals = [after[v] for v in norm.order]
         assert all(a <= b for a, b in zip(vals, vals[1:])), f"seed {seed}"

@@ -22,7 +22,7 @@ from lbcut.oracles import (
     oracle_subset,
     random_proper_interval_instance,
 )
-from test_intervals import proper_instances, twins
+from test_intervals import kept_model, proper_instances, trimmed, twins
 
 
 def unit_instance(starts, s, t, beta=3, lam=3):
@@ -66,9 +66,9 @@ class TestCrossingCounts:
             norm = normalize(inst, model)
             if len(set(model.starts)) < model.n:
                 seen.add("tied starts")
-            if norm.kept[norm.s] != inst.s:
+            if norm.s != inst.s:
                 seen.add("swapped terminals")
-            if len(norm.kept) < model.n:
+            if len(norm.ranked) < model.n:
                 seen.add("trimmed")
             if twins(model, inst.s, inst.t):
                 seen.add("twin terminals")
@@ -244,7 +244,7 @@ def check_flow_bound(inst, model):
     cut = extract_cut(inst, model, tables)
     assert len(cut) == cost and verify_cut(inst, cut).ok
     if tables.table_cost is None:  # answered before any fill
-        assert tables.branch in ("no-short-path", "all-paths") or inst.lam <= 1
+        assert tables.branch in ("no-short-path", "all-paths")
         if tables.branch == "no-short-path":  # no flow was run
             assert (tables.flow_bound, tables.mincut_edges) == (0, None)
         else:
@@ -257,6 +257,23 @@ def check_flow_bound(inst, model):
     else:
         assert (tables.flow_bound, tables.mincut_edges) == (flow, mincut)
     return tables.branch
+
+
+@pytest.mark.parametrize(
+    "starts, branch, flow_bound, mincut_edges",
+    [
+        ([0, Fraction(1, 2), 1], "table", 2, None),  # a second path via 2
+        ([0, Fraction(1, 2), 3], "min-cut", 1, frozenset([(0, 1)])),  # {s,t} only
+    ],
+)
+def test_bounded_flow_at_lambda_one(starts, branch, flow_bound, mincut_edges):
+    """dist = lam = 1: the edge {s,t} is the table's answer, and the flow
+    decides the branch as it does after a fill."""
+    inst, model = unit_instance(starts, s=0, t=1, lam=1)
+    assert check_flow_bound(inst, model) == branch
+    tables = dp_solve(inst, model)[1]
+    assert (tables.cost, tables.table_cost, tables.norm) == (1, 1, None)
+    assert (tables.flow_bound, tables.mincut_edges) == (flow_bound, mincut_edges)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -367,9 +384,10 @@ def test_banded_fill_matches_dense_reference():
             q = len(norm.order)
             assert T.shape == S.shape == (q, c)
             # delta is dist(s, .) in the trimmed G - t, capped at lam
-            h, order = norm.graph, norm.order
+            h, order, kept = norm.graph, norm.order, set(norm.ranked)
             near = bfs_distances(h, norm.s, frozenset(
-                tuple(sorted((norm.t, w))) for w in h.adj[norm.t]))
+                (u, w) for u, w in h.edge_list()
+                if norm.t in (u, w) or u not in kept or w not in kept))
             assert delta.tolist() == [min(near[v], lam) for v in order]
             # the dense (q+1) x q matrix of P[x, i]; dense_fill reads x <= i only
             dense = np.array(
@@ -468,11 +486,38 @@ class TestTrimEquivalence:
                 continue
             full = oracle_subset(inst)
             norm = normalize(inst, model)
-            trimmed_inst = Instance(norm.graph, norm.s, norm.t, inst.beta, inst.lam)
+            trim = trimmed(norm)[0]
+            trimmed_inst = Instance(trim.graph, trim.s, trim.t, inst.beta, inst.lam)
             if trimmed_inst.graph.m <= 14:
                 assert oracle_subset(trimmed_inst) == full, f"seed={seed}"
                 found += 1
         assert found >= 40
+
+    def test_table_cut_matches_the_relabeled_trimmed_instance(self):
+        """A table answer in the instance's own ids is the table answer of
+        the trimmed subgraph as an instance of its own, mapped back."""
+        compared = 0
+        cases = [random_proper_interval_instance(9 + seed % 32, density=1, seed=seed)
+                 for seed in range(1000)]
+        for inst, model in [*cases, *proper_instances(1500)]:  # the latter with ties
+            dist = bfs_distances(inst.graph, inst.s)[inst.t]
+            if dist == float("inf"):
+                continue
+            for lam in range(max(2, int(dist)), int(dist) + 3):
+                inst = Instance(inst.graph, inst.s, inst.t, inst.beta, lam)
+                cost, cut, tables = solve(inst, model)
+                if tables.branch != "table" or len(tables.norm.ranked) == model.n:
+                    continue
+                trim, kept = trimmed(tables.norm)
+                small = Instance(trim.graph, trim.s, trim.t, inst.beta, lam)
+                small_cost, small_cut, small_tables = solve(small, kept_model(model, kept))
+                assert small_cost == cost
+                if small_tables.branch == "table":
+                    assert small_tables.best_rank == tables.best_rank
+                    assert np.array_equal(small_tables.T, tables.T)
+                    assert {tuple(sorted((kept[u], kept[w]))) for u, w in small_cut} == cut
+                    compared += 1
+        assert compared >= 100, compared
 
 
 class TestSolveWrapper:

@@ -6,12 +6,12 @@ from random import Random
 
 import pytest
 
-from lbcut.dp import monotonize_cut
 from lbcut.errors import ModelError
-from lbcut.graph import Graph, Instance, edge
+from lbcut.graph import Graph, Instance
 from lbcut.intervals import (
     KEY_DENOMINATOR_LIMIT,
     IntervalModel,
+    NormalizedInstance,
     _show,
     normalize,
     validate_model,
@@ -65,10 +65,11 @@ class TestValidation:
 
 def brute_pairs(model):
     """O(n^2) reference for IntervalModel.intersecting_pairs."""
+    s, e = model.starts, model.ends
     return {
         (u, v)
         for u, v in itertools.combinations(range(model.n), 2)
-        if model.intersects(u, v)
+        if s[u] <= e[v] and s[v] <= e[u]
     }
 
 
@@ -320,11 +321,30 @@ def kept_model(model, kept):
     )
 
 
+def trimmed(norm):
+    """(trimmed norm, kept): `norm` on the subgraph that norm.ranked
+    induces, relabeled densely in id order, and kept[v] the instance id of
+    trimmed vertex v.  The trimmed instance as a graph of its own, for the
+    checks that solve or repair it apart from the rest of the graph."""
+    kept = sorted(norm.ranked)
+    new = {v: i for i, v in enumerate(kept)}
+    g = Graph(len(kept), [
+        (new[u], new[w]) for u, w in norm.graph.edge_list() if u in new and w in new
+    ])
+    order = tuple(new[v] for v in norm.order)
+    pos = [-1] * len(kept)
+    for r, v in enumerate(order):
+        pos[v] = r
+    ranked = tuple(new[v] for v in norm.ranked)
+    return NormalizedInstance(g, new[norm.s], new[norm.t], order, tuple(pos), ranked), kept
+
+
 def is_umbrella(norm):
-    """Every closed neighbourhood of norm.graph is a run of consecutive ranks."""
+    """Every closed neighbourhood within norm.ranked is a run of
+    consecutive ranks."""
     g, rank = norm.graph, {v: r for r, v in enumerate(norm.ranked)}
-    for v in range(g.n):
-        ranks = sorted(rank[w] for w in (v, *g.adj[v]))
+    for v in norm.ranked:
+        ranks = sorted(rank[w] for w in (v, *g.adj[v]) if w in rank)
         if ranks != list(range(ranks[0], ranks[-1] + 1)):
             return False
     return True
@@ -353,7 +373,7 @@ class TestMirror:
             flipped = Instance(inst.graph, inst.t, inst.s, inst.beta, inst.lam)
             norm, out = normalize(inst, model), normalize(flipped, model)
             assert out.graph == norm.graph and out.ranked == norm.ranked
-            assert {out.kept[out.s], out.kept[out.t]} == {inst.s, inst.t}
+            assert {out.s, out.t} == {inst.s, inst.t}
 
 
 class TestCanonicalize:
@@ -380,7 +400,7 @@ class TestCanonicalize:
         for seed in range(20):
             inst, model = random_proper_interval_instance(10, seed=seed)
             norm = normalize(inst, model)
-            starts = [model.starts[norm.kept[v]] for v in norm.order]
+            starts = [model.starts[v] for v in norm.order]
             assert all(a < b for a, b in zip(starts, starts[1:]))
 
 
@@ -388,19 +408,21 @@ class TestTrim:
     def test_identity_without_outliers(self):
         inst, model = unit_instance([0, Fraction(1, 2), 1], s=0, t=2)
         norm = normalize(inst, model)
-        assert norm.graph == inst.graph and norm.kept == (0, 1, 2)
+        assert norm.graph == inst.graph and norm.ranked == (0, 1, 2)
 
     def test_left_outlier_removed(self):
         inst, model = unit_instance([-3, 0, Fraction(1, 2)], s=1, t=2)
         norm = normalize(inst, model)
-        assert norm.kept == (1, 2) and norm.graph.n == 2
+        assert norm.ranked == (1, 2) and norm.pos == (-1, -1, -1)
+        assert trimmed(norm)[0].graph.n == 2
 
     def test_terminals_never_trimmed(self):
         for seed in range(30):
             inst, model = random_proper_interval_instance(8, seed=seed)
             norm = normalize(inst, model)
-            assert inst.s in norm.kept and inst.t in norm.kept
-            validate_model(norm.graph, kept_model(model, norm.kept))
+            assert inst.s in norm.ranked and inst.t in norm.ranked
+            trim, kept = trimmed(norm)
+            validate_model(trim.graph, kept_model(model, kept))
 
 
 class TestNormalize:
@@ -411,13 +433,13 @@ class TestNormalize:
             for r, v in enumerate(norm.order):
                 assert norm.pos[v] == r
             assert norm.pos[norm.s] == -1 and norm.pos[norm.t] == -1
-            se = kept_model(model, norm.kept)
-            starts = [se.starts[v] for v in norm.order]
+            assert norm.pos.count(-1) == model.n - len(norm.order)
+            starts = [model.starts[v] for v in norm.order]
             assert starts == sorted(starts)
             # nothing outside the s..t span remains
-            for v in range(se.n):
-                assert se.ends[v] >= se.starts[norm.s]
-                assert se.starts[v] <= se.ends[norm.t]
+            for v in norm.ranked:
+                assert model.ends[v] >= model.starts[norm.s]
+                assert model.starts[v] <= model.ends[norm.t]
 
 
 class TestTieSplitContract:
@@ -444,17 +466,15 @@ class TestTieSplitContract:
                 seen.add("point twins")
 
             norm = normalize(Instance(g, s, t, 1, 2), model)
-            kept = norm.kept
-            validate_model(norm.graph, kept_model(model, kept))
+            trim, kept = trimmed(norm)
+            validate_model(trim.graph, kept_model(model, kept))
             assert is_umbrella(norm)
             umbrella = validate_model(g, model)
-            ranked = tuple(kept[v] for v in norm.ranked)
-            assert ranked == tuple(v for v in umbrella if v in kept)
-            assert {kept[norm.s], kept[norm.t]} == {s, t}
-            assert ranked.index(kept[norm.s]) < ranked.index(kept[norm.t])
+            assert norm.ranked == tuple(v for v in umbrella if v in kept)
+            assert {norm.s, norm.t} == {s, t}
+            assert norm.ranked.index(norm.s) < norm.ranked.index(norm.t)
             interior = [v for v in kept if v not in (s, t)]
-            order = tuple(kept[v] for v in norm.order)
-            assert order == tuple(sorted(interior, key=lambda v: (starts[v], -v)))
+            assert norm.order == tuple(sorted(interior, key=lambda v: (starts[v], -v)))
         assert seen == {"tied starts", "touching ends", "point twins"}
 
 
@@ -466,7 +486,8 @@ def coordinate_normalize(inst, model):
     names when start(s) > start(t); drop the vertices ending before s starts
     or starting after t ends.
 
-    Returns (graph, s, t, order, pos, kept) like `NormalizedInstance`.
+    Returns (s, t, order, pos, kept), the first four like the fields of
+    `NormalizedInstance`, and kept the sorted ids of the kept vertices.
     """
     s, t = inst.s, inst.t
     starts, ends = model.starts, model.ends
@@ -483,14 +504,11 @@ def coordinate_normalize(inst, model):
     if starts[s] > starts[t]:
         s, t = t, s
     keep = [v for v in range(model.n) if not (ends[v] < starts[s] or starts[v] > ends[t])]
-    g2, new_of_old = inst.graph.subgraph(keep)
-    order = tuple(
-        new_of_old[v] for v in sorted(keep, key=starts.__getitem__) if v not in (s, t)
-    )
-    pos = [-1] * len(keep)
+    order = tuple(v for v in sorted(keep, key=starts.__getitem__) if v not in (s, t))
+    pos = [-1] * model.n
     for r, v in enumerate(order):
         pos[v] = r
-    return g2, new_of_old[s], new_of_old[t], order, tuple(pos), tuple(keep)
+    return s, t, order, tuple(pos), keep
 
 
 def proper_instances(count):
@@ -515,14 +533,15 @@ def test_rank_normalize_matches_coordinate_reference():
     for inst, model in proper_instances(3000):
         norm = normalize(inst, model)
         ref = coordinate_normalize(inst, model)
-        assert (norm.graph, norm.s, norm.t, norm.order, norm.pos, norm.kept) == ref
+        assert norm.graph is inst.graph
+        assert (norm.s, norm.t, norm.order, norm.pos, sorted(norm.ranked)) == ref
         if len(set(model.starts)) < model.n:
             seen.add("tied starts")
         if twins(model, inst.s, inst.t):
             seen.add("twin terminals")
-        if len(norm.kept) < model.n:
+        if len(norm.ranked) < model.n:
             seen.add("trimmed")
-        if norm.kept[norm.s] != inst.s:
+        if norm.s != inst.s:
             seen.add("swapped terminals")
     assert seen == {"tied starts", "twin terminals", "trimmed", "swapped terminals"}
 
@@ -537,42 +556,50 @@ def test_normalize_is_symmetric_in_the_terminals():
         assert normalize(flipped, model) == norm
         if twins(model, inst.s, inst.t):
             seen.add("twin terminals")
-        if len(norm.kept) < model.n:
+        if len(norm.ranked) < model.n:
             seen.add("trimmed")
-        if norm.kept[norm.s] != inst.s:
+        if norm.s != inst.s:
             seen.add("swapped terminals")
     assert seen == {"twin terminals", "trimmed", "swapped terminals"}
 
 
-class TestOrderingModel:
-    def test_twin_terminals_stay_mirrored(self):
-        """s and t identical: the one with the larger id is ranked first
-        and named s, so `monotonize_cut` takes `normalize`'s output."""
-        cases = [unit_instance([0, 0, 1], s=0, t=1, lam=2)]
-        cases += [
-            (inst, model)
-            for inst, model in proper_instances(1500)
-            if twins(model, inst.s, inst.t)
-        ]
-        assert len(cases) > 50
-        for inst, model in cases:
-            norm = normalize(inst, model)
-            g, s, t = norm.graph, norm.s, norm.t
-            assert norm.ranked.index(s) < norm.ranked.index(t)
-            star = frozenset(edge(s, w) for w in g.adj[s])
-            out = monotonize_cut(norm, star, g.n)
-            assert len(out) <= len(star)
+def test_trim_is_a_rank_span():
+    """norm.ranked is one run of validate_model's order, and it holds
+    exactly the vertices the trim rule keeps: the ranks from s to t and the
+    neighbours of s and t."""
+    seen = set()
+    for inst, model in proper_instances(1500):
+        norm = normalize(inst, model)
+        g, s, t = inst.graph, norm.s, norm.t
+        umbrella = validate_model(g, model)
+        rs, rt = umbrella.index(s), umbrella.index(t)
+        keep = set(umbrella[rs : rt + 1]).union(g.adj[s], g.adj[t])
+        assert set(norm.ranked) == keep
+        lo = umbrella.index(norm.ranked[0])
+        assert norm.ranked == tuple(umbrella[lo : lo + len(norm.ranked)])
+        if lo > 0:
+            seen.add("trimmed below s")
+        if lo + len(norm.ranked) < model.n:
+            seen.add("trimmed above t")
+        if umbrella[lo] != s:
+            seen.add("neighbours below s")
+        if norm.ranked[-1] != t:
+            seen.add("neighbours above t")
+    assert seen == {"trimmed below s", "trimmed above t",
+                    "neighbours below s", "neighbours above t"}
 
+
+class TestOrderingModel:
     def test_model_of_the_ranking(self):
-        """norm.ranked: every closed neighbourhood a run of consecutive
-        ranks, s before t, order the interior of ranked, and nothing
-        outside the s..t span (a vertex ranked before s meets s, one ranked
-        after t meets t)."""
+        """norm.ranked: distinct vertices, every closed neighbourhood a run
+        of consecutive ranks, s before t, order the interior of ranked, and
+        nothing outside the s..t span (a vertex ranked before s meets s,
+        one ranked after t meets t)."""
         for inst, model in proper_instances(600):
             norm = normalize(inst, model)
             g, s, t = norm.graph, norm.s, norm.t
             assert is_umbrella(norm)
-            assert sorted(norm.ranked) == list(range(g.n))
+            assert len(set(norm.ranked)) == len(norm.ranked) <= g.n
             assert norm.order == tuple(v for v in norm.ranked if v not in (s, t))
             rs, rt = norm.ranked.index(s), norm.ranked.index(t)
             assert rs < rt
@@ -586,8 +613,9 @@ def test_trim_reads_an_unmirrored_model_as_its_mirror():
     # beyond the new t
     inst, model = unit_instance([5, 0, Fraction(5, 2), 7], s=0, t=1)
     norm = normalize(inst, model)
-    assert norm.kept == (0, 1, 2) and (norm.s, norm.t) == (1, 0)
-    assert norm.ranked == (1, 2, 0)
-    model2 = kept_model(model, norm.kept)
+    assert (norm.s, norm.t) == (1, 0) and norm.ranked == (1, 2, 0)
+    trim, kept = trimmed(norm)
+    assert kept == [0, 1, 2]
+    model2 = kept_model(model, kept)
     assert model2 == IntervalModel.unit([5, 0, Fraction(5, 2)])
-    validate_model(norm.graph, model2)
+    validate_model(trim.graph, model2)
