@@ -24,37 +24,30 @@ deterministic, and parse(serialize(x)) round-trips exactly.
 
 Integer fields (ids, counts, beta, lambda) are plain ASCII `-?[0-9]+`;
 rationals hold neither `_` nor a non-ASCII character, although Python's
-int() and Fraction() would read `1_2` or fullwidth digits.
-`parse_instance` reads the edges into flat integer lists, with no tuple
-per edge.  The run of canonical lines `e <u> <v>` (ids of at most 18
-digits, one space each, every line ended by `\n`) that starts at the first
-such line is read in bulk once the p-line has been read: regex-checked,
-parsed by numpy in slices of at most 4 KiB cut at line ends, and
-range-checked per slice.  Every other line, a run before the p-line and
-the rest of a run from a slice holding an id outside 1..n go through the
-per-record helpers, so every message and line number is the one a
-line-by-line read gives.  Instance files are written straight from
-`Graph.adj`, their edges as one such run.
+int() and Fraction() would read `1_2` or fullwidth digits.  An exponent of
+10**6 or more in absolute value is a bad rational, and is never written.
 
-The run of canonical lines `i <id> <dec> <dec>` that starts at the first
-such line after the edge run, <dec> being `-?[0-9]{1,18}(.[0-9]{1,18})?`
-as written for a 2**a 5**b denominator, is read the same way into integer
-endpoint keys at one scale 10**k, and the model is built from the keys:
-no Fraction per endpoint.  The run is read line by line instead, which
-names the fault, when it holds an id outside 1..n, a vertex twice or an
-empty interval, when it leaves a vertex out, when it comes before the
-p-line, and when an `i` record read line by line (a p/q or exponent
-endpoint, other spacing) precedes it; one that follows it is checked
-against the run's intervals.  An exponent of 10**6 or more in absolute
-value is a bad rational, and is never written.
+`parse_instance` reads a file in one of two reads.  The bulk read takes
+every run of canonical lines after the p-line, `e <u> <v>` and
+`i <id> <dec> <dec>`: ids of at most 18 digits, <dec> being
+`-?[0-9]{1,18}(.[0-9]{1,18})?` as written for a 2**a 5**b denominator,
+one space each, every line ended by `\n`.  Runs are regex-checked, parsed
+by numpy in slices of at most 4 KiB cut at line ends, and range-checked
+per slice: the edges go into flat integer lists with no tuple per edge,
+and interval endpoints become integer keys at one scale 10**k, the model
+built from the keys with no Fraction per endpoint.  The records between
+runs go through the per-record helpers.  The bulk read names no fault: on
+any InputError the file is read again line by line, and that read's error,
+naming the first faulty line, stands.  Instance files are written straight
+from `Graph.adj`, their edges as one run.
 
 A malformed record raises InputError naming its line, with ids 1-based as
-in the file: a bad field, an id outside 1..n, a negative p-line count, a
-self-loop or repeated edge, a cut edge the instance lacks, a vertex given
-twice in an FVS or in one bag, a role, param or path record with too few
-or too many fields, or a repeated p, s, t, b, l, i, role, param or path
-record.  `load_reduction_output` also names the line of a path
-record that does not match the graph.
+in the file: a bad field, an id outside 1..n, a negative p-line count,
+beta or lambda, a self-loop or repeated edge, a cut edge the instance
+lacks, a vertex given twice in an FVS or in one bag, a role, param or path
+record with too few or too many fields, or a repeated p, s, t, b, l, i,
+role, param or path record.  `load_reduction_output` also names the line
+of a path record that does not match the graph.
 """
 
 from __future__ import annotations
@@ -64,14 +57,14 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from operator import add, gt, length_hint, mul
+from operator import add, gt, mul
 
 import numpy as np
 
 from .errors import InputError
 from .gadgets import ReductionOutput
-from .graph import Graph, Instance, edge
-from .intervals import IntervalModel, _show
+from .graph import Graph, Instance
+from .intervals import IntervalModel, _show, _check_model_size
 from .witnesses import PathDecomposition
 
 
@@ -172,29 +165,20 @@ def _p_line(kind: str, rest: list[str], ln: int, n: int | None) -> tuple[int, in
     return n, m
 
 
-def _edge_record(rest: list[str], ln: int, n: int | None) -> tuple[int, int]:
-    """(u, v) of an `e <u> <v>` record, ids 0-based."""
+def _edge_record(rest: list[str], ln: int, n: int | None, seen: set) -> tuple[int, int]:
+    """The edge (u, v), u < v, ids 0-based, of an `e <u> <v>` record; it
+    joins `seen`, and a self-loop or an edge already in `seen` names line
+    `ln` with 1-based ids."""
     if len(rest) != 2:
         raise InputError(f"line {ln}: expected `e <u> <v>`")
-    return _vertex_id(rest[0], ln, n), _vertex_id(rest[1], ln, n)
-
-
-def _graph(n: int, eu: list[int], ev: list[int], lines: list[int]) -> Graph:
-    """Graph(n, zip(eu, ev)) over pairs in file order, pair i read on lines[i].
-
-    The ids are already checked against 1..n, so Graph can only reject the
-    pair it was reading as a self-loop or a repeat.  Graph reads no pair
-    past that one, so what is left of `ends` tells which pair it was, and
-    the error names its line and its 1-based ids.
-    """
-    ends = iter(eu)
-    try:
-        return Graph(n, zip(ends, ev))
-    except InputError:
-        i = len(eu) - length_hint(ends) - 1
-        u, v = eu[i] + 1, ev[i] + 1
-        what = f"self-loop at vertex {u}" if u == v else f"duplicate edge {edge(u, v)}"
-        raise InputError(f"line {lines[i]}: {what}") from None
+    u, v = _vertex_id(rest[0], ln, n), _vertex_id(rest[1], ln, n)
+    if u == v:
+        raise InputError(f"line {ln}: self-loop at vertex {u + 1}")
+    e = (u, v) if u < v else (v, u)
+    if e in seen:
+        raise InputError(f"line {ln}: duplicate edge {(e[0] + 1, e[1] + 1)}")
+    seen.add(e)
+    return e
 
 
 _PLAIN_RATIONAL = re.compile(r"-?[0-9]+(\.[0-9]+)?")
@@ -230,23 +214,19 @@ def _parse_rational(token: str, ln: int) -> Fraction:
 # canonical edge lines: no other character, ids of at most 18 digits (below
 # 2**63), each line ended by \n alone
 _E_CANONICAL = r"e [0-9]{1,18} [0-9]{1,18}\n"
-_E_LINE = re.compile(r"(?m)^" + _E_CANONICAL)
 _E_RUN = re.compile(f"(?:{_E_CANONICAL})+")
 _RUN_SLICE = 1 << 12  # characters of a run matched and read at once
 
 
-def _read_edge_run(text, start, first, n, eu, ev, lines) -> int:
-    """Append the pairs of the run of canonical edge lines at text[start:],
-    whose first line is line `first`, to eu, ev and lines, ids 0-based;
-    return where the run ends.
+def _read_edge_run(text, start, n, eu, ev) -> int:
+    """Append the pairs of the run of canonical edge lines at text[start:]
+    to eu and ev, ids 0-based; return where the run ends.  An id outside
+    1..n raises a bare InputError.
 
     The run is matched and read in slices of at most _RUN_SLICE characters
     cut at line ends: re keeps state per repeat of a group, and one match
-    over a long run would hold it for every line.  At a slice with an id
-    outside 1..n nothing more is read, and its start is returned: the
-    per-line reader then names the faulty line.
+    over a long run would hold it for every line.
     """
-    ln = first
     while True:
         run = _E_RUN.match(text, start, text.rfind("\n", start, start + _RUN_SLICE) + 1)
         if run is None:
@@ -254,13 +234,11 @@ def _read_edge_run(text, start, first, n, eu, ev, lines) -> int:
         stop = run.end()
         ids = np.fromstring(text[start:stop].replace("e", " "), dtype=np.int64, sep=" ")
         if int(ids.min()) < 1 or int(ids.max()) > n:
-            return start
+            raise InputError
         ids -= 1
-        k = len(ids) // 2
         eu += ids[0::2].tolist()
         ev += ids[1::2].tolist()
-        lines += range(ln, ln + k)
-        start, ln = stop, ln + k
+        start = stop
 
 
 # canonical interval lines: an id as above, and endpoints as _fmt_rational
@@ -271,6 +249,8 @@ _DECIMAL = r"(-?[0-9]{1,18})(?:\.([0-9]{1,18}))?"
 _I_CANONICAL = rf"i ([0-9]{{1,18}}) {_DECIMAL} {_DECIMAL}\n"
 _I_LINE = re.compile(r"(?m)^" + _I_CANONICAL)
 _I_RUN = re.compile(f"(?:{_I_CANONICAL})+")
+# the first line of the next run of either kind
+_RUN_START = re.compile(f"(?m)^(?:{_E_CANONICAL}|{_I_CANONICAL})")
 
 
 def _scaled(wholes, digits, k: int) -> list[int]:
@@ -278,18 +258,19 @@ def _scaled(wholes, digits, k: int) -> list[int]:
     return [*map(int, map(add, wholes, map(str.ljust, digits, repeat(k), repeat("0"))))]
 
 
-def _read_interval_run(text, start, n, ids, a, b) -> tuple[int, int] | None:
+def _read_interval_run(text, start, n, ids, a, b, k) -> tuple[int, int]:
     """Append the ids, start keys and end keys of the run of canonical
     interval lines at text[start:] to ids (1-based, a numpy array per
-    slice), a and b; return where the run ends and its scale, or None at a
-    slice with an id outside 1..n or an empty interval.
+    slice), a and b, whose keys are at scale 10**k; return where the run
+    ends and the k of the keys then.  An id outside 1..n or an empty
+    interval raises a bare InputError.
 
     Slices of at most _RUN_SLICE characters cut at line ends are read in
     turn, as in _read_edge_run.  An endpoint `<whole>.<digits>` becomes the
-    integer key int(whole + digits padded to k), at one scale 10**k for the
-    run, k the most fraction digits seen; no Fraction is built.
+    integer key int(whole + digits padded to k), k the most fraction digits
+    seen, and the keys read before are rescaled when k grows; no Fraction
+    is built.
     """
-    k = 0
     while True:
         end = text.rfind("\n", start, start + _RUN_SLICE) + 1
         rows = _I_LINE.findall(text, start, end)
@@ -299,11 +280,11 @@ def _read_interval_run(text, start, n, ids, a, b) -> tuple[int, int] | None:
             end = run.end() if run else start
             rows = rows[:text.count("\n", start, end)]
         if not rows:
-            return start, 10**k
+            return start, k
         vs, sw, sd, ew, ed = zip(*rows)
         vs = np.fromstring(" ".join(vs), dtype=np.int64, sep=" ")
         if int(vs.min()) < 1 or int(vs.max()) > n:
-            return None
+            raise InputError
         digits = max(k, *map(len, sd + ed))
         if digits > k:  # rescale the keys read so far
             scale, k = 10 ** (digits - k), digits
@@ -311,36 +292,27 @@ def _read_interval_run(text, start, n, ids, a, b) -> tuple[int, int] | None:
             b[:] = map(mul, b, repeat(scale))
         sk, ek = _scaled(sw, sd, k), _scaled(ew, ed, k)
         if any(map(gt, sk, ek)):
-            return None
+            raise InputError
         ids.append(vs)
         a += sk
         b += ek
         start = end
         if not whole:
-            return start, 10**k
+            return start, k
 
 
-def _interval_run(text, start, n) -> tuple[int, IntervalModel] | None:
-    """(where the run ends, its model) for the run of canonical interval
-    lines at text[start:] (see _read_interval_run); None unless it gives
-    each of the n vertices one interval, nonempty and no other.  On None
-    the caller reads the run line by line, which names the fault."""
-    ids: list[np.ndarray] = []
-    a: list[int] = []
-    b: list[int] = []
-    got = _read_interval_run(text, start, n, ids, a, b)
-    if got is None or not a or len(a) != n:
-        return None
-    stop, scale = got
+def _keyed_model(n, ids, a, b, k) -> IntervalModel:
+    """The model of the ids and keys the `i` runs gave (see
+    _read_interval_run); a bare InputError unless they give each of the n
+    vertices one interval."""
     ids = np.concatenate(ids) - 1
     if not np.array_equal(ids, np.arange(n)):  # not in vertex order
-        seen = np.zeros(n, bool)
-        seen[ids] = True
-        if not seen.all():  # a vertex twice, so another one missing
-            return None
-        pick = np.argsort(ids).tolist()
+        pick = np.argsort(ids)
+        if not np.array_equal(ids[pick], np.arange(n)):  # a vertex missing or twice
+            raise InputError
+        pick = pick.tolist()
         a, b = [*map(a.__getitem__, pick)], [*map(b.__getitem__, pick)]
-    return stop, IntervalModel._from_keys(a, b, scale)
+    return IntervalModel._from_keys(a, b, 10**k)
 
 
 @dataclass
@@ -364,26 +336,36 @@ class ParsedInstance:
         return self.instance.notes
 
 
-_SCALARS = {"s": "s <id>", "t": "t <id>", "b": "b <beta>", "l": "l <lambda>"}
+_SCALARS = {"s": "id", "t": "id", "b": "beta", "l": "lambda"}  # the field of each
 
 
 def parse_instance(text: str) -> ParsedInstance:
     """Parse an instance file; malformed lines raise InputError with location.
 
-    The run of canonical `e` lines from the first one on, and then the run
-    of canonical `i` lines from the first one after it, are read in bulk
-    when the p-line precedes them (see _read_edge_run and _interval_run);
-    every other line goes through the per-record helpers, which name a
-    fault.  A faulty `i` run is read line by line from its start; a good
-    one joins any other `i` record read per line.
+    The bulk read comes first.  On any InputError the file is read again
+    line by line, and that read names the fault.
+    """
+    try:
+        return _read_instance(text, bulk=True)
+    except InputError:
+        return _read_instance(text, bulk=False)
+
+
+def _read_instance(text: str, bulk: bool) -> ParsedInstance:
+    """The bulk read (`bulk`) or the line read of an instance file.
+
+    The bulk read takes every run of canonical `e` and `i` lines after the
+    p-line with _read_edge_run and _read_interval_run, in any order, and
+    the records between runs one by one.  A run before the p-line, an `i`
+    record read alone next to an `i` run, and a faulty id, interval or pair
+    in a run raise a bare InputError.  The line read names the first fault.
     """
     n = m = None
     scalars: dict[str, int] = {}
-    eu: list[int] = []  # 0-based edge ends, and the line of each pair
-    ev: list[int] = []
-    lines: list[int] = []
-    intervals: dict[int, tuple[Fraction, Fraction]] = {}  # read per line
-    bulk: IntervalModel | None = None  # of an `i` run read in bulk
+    eu, ev = [], []  # 0-based edge ends
+    seen: set[tuple[int, int]] = set()  # the edges of `e` records read per record
+    intervals: dict[int, tuple[Fraction, Fraction]] = {}  # read per record
+    ids, a, b, k = [], [], [], 0  # of the `i` runs: ids per slice, keys at scale 10**k
     roles: dict[int, str] = {}
     carrier: dict[str, int] = {}  # the vertex of each role tag
     params: dict[str, str] = {}
@@ -393,7 +375,7 @@ def parse_instance(text: str) -> ParsedInstance:
     def read(part: str, ln0: int) -> int:
         """Read the records of `part`, whose first line is line `ln0`;
         return the number of the line after it."""
-        nonlocal n, m, bulk
+        nonlocal n, m
         records = part.splitlines()
         for ln, raw in enumerate(records, start=ln0):
             tokens = raw.split()
@@ -401,10 +383,9 @@ def parse_instance(text: str) -> ParsedInstance:
                 continue
             kind = tokens[0]
             if kind == "e":
-                u, v = _edge_record(tokens[1:], ln, n)
+                u, v = _edge_record(tokens[1:], ln, n, seen)
                 eu.append(u)
                 ev.append(v)
-                lines.append(ln)
             elif kind == "c":
                 record = tokens[1] if len(tokens) > 1 else None
                 if record == "role":
@@ -450,13 +431,13 @@ def parse_instance(text: str) -> ParsedInstance:
                 if kind in scalars:
                     raise InputError(f"line {ln}: {kind!r} record given twice")
                 if len(tokens) != 2:
-                    raise InputError(f"line {ln}: expected `{_SCALARS[kind]}`")
+                    raise InputError(f"line {ln}: expected `{kind} <{_SCALARS[kind]}>`")
                 value = tokens[1]
-                scalars[kind] = _vertex_id(value, ln, n) if kind in "st" else _parse_int(value, ln)
+                x = _vertex_id(value, ln, n) if kind in "st" else _parse_int(value, ln)
+                if x < 0:
+                    raise InputError(f"line {ln}: negative {_SCALARS[kind]} {x}")
+                scalars[kind] = x
             elif kind == "i":
-                if bulk is not None:  # the run joins the records read per line
-                    intervals.update(enumerate(zip(bulk.starts, bulk.ends)))
-                    bulk = None
                 if len(tokens) != 4:
                     raise InputError(f"line {ln}: expected `i <id> <start> <end>`")
                 v = _vertex_id(tokens[1], ln, n)
@@ -473,22 +454,20 @@ def parse_instance(text: str) -> ParsedInstance:
         return ln0 + len(records)
 
     pos, ln = 0, 1  # read up to text[pos], which starts line ln
-    for pattern in _E_LINE, _I_LINE:
-        run = pattern.search(text, pos)
-        if run is None:
-            continue
+    while bulk and (run := _RUN_START.search(text, pos)):
         start = run.start()
         # read counts lines as splitlines does, not as count("\n"): \r,
         # \x0c, \x85, \u2028 ... end lines too
         ln = read(text[pos:start], ln)
-        if n is not None and pattern is _E_LINE:
-            done = _read_edge_run(text, start, ln, n, eu, ev, lines)
-        elif n is not None and not intervals and (got := _interval_run(text, start, n)):
-            done, bulk = got
-        else:  # read per line: a run before the p-line, a faulty `i` run, or one
-            # after an `i` record read per line
-            done = start
-        pos, ln = done, ln + text.count("\n", start, done)
+        if n is None:  # a run before the p-line
+            raise InputError
+        if text[start] == "e":
+            pos = _read_edge_run(text, start, n, eu, ev)
+        else:
+            pos, k = _read_interval_run(text, start, n, ids, a, b, k)
+        if pos == start:  # a line longer than a slice
+            raise InputError
+        ln += text.count("\n", start, pos)
     read(text[pos:], ln)
 
     if n is None:
@@ -496,36 +475,33 @@ def parse_instance(text: str) -> ParsedInstance:
     for name in _SCALARS:
         if name not in scalars:
             raise InputError(f"missing {name!r} record")
-    graph = _graph(n, eu, ev, lines)
+    graph = Graph(n, zip(eu, ev))  # in a bulk read, a self-loop or repeat raises here
     if m != graph.m:
         raise InputError(f"p-line promises {m} edges, file has {len(eu)}")
     inst = Instance(graph, scalars["s"], scalars["t"], scalars["b"], scalars["l"])
-    model = bulk
-    if intervals:
+    model = None
+    if ids:
+        if intervals:  # `i` records read per record next to an `i` run
+            raise InputError
+        model = _keyed_model(n, ids, a, b, k)
+    elif intervals:
         missing = [v for v in range(n) if v not in intervals]
         if missing:
             raise InputError(f"interval lines missing for vertices {missing[:5]}")
-        model = IntervalModel(
-            tuple(intervals[v][0] for v in range(n)),
-            tuple(intervals[v][1] for v in range(n)),
-        )
+        model = IntervalModel(*zip(*(intervals[v] for v in range(n))))
     return ParsedInstance(inst, model, roles, params, paths, param_lines)
 
 
 def serialize_instance(inst: Instance, model: IntervalModel | None = None) -> str:
+    """The instance file of `inst` and `model`; ModelError, before anything is
+    written, for a model whose size is not the graph's."""
     g = inst.graph
-    lines = [f"p lbc {g.n} {g.m}"]
-    lines.append(f"s {inst.s + 1}")
-    lines.append(f"t {inst.t + 1}")
-    lines.append(f"b {inst.beta}")
-    lines.append(f"l {inst.lam}")
-    lines += _edge_lines(g)
+    lines = [f"p lbc {g.n} {g.m}", f"s {inst.s + 1}", f"t {inst.t + 1}",
+             f"b {inst.beta}", f"l {inst.lam}", *_edge_lines(g)]
     if model is not None:
-        for v in range(g.n):
-            lines.append(
-                f"i {v + 1} {_fmt_rational(model.starts[v], v)} "
-                f"{_fmt_rational(model.ends[v], v)}"
-            )
+        _check_model_size(g, model)
+        lines += [f"i {v + 1} {_fmt_rational(a, v)} {_fmt_rational(b, v)}"
+                  for v, (a, b) in enumerate(zip(model.starts, model.ends))]
     return "\n".join(lines) + "\n"
 
 
@@ -606,27 +582,21 @@ def load_reduction_output(text: str, source=None) -> ReductionOutput:
 def parse_source_graph(text: str) -> Graph:
     """`p graph <n> <m>` header plus `e <u> <v>` lines (1-indexed)."""
     n = m = None
-    eu: list[int] = []
-    ev: list[int] = []
-    lines: list[int] = []
+    edges: set[tuple[int, int]] = set()
     for ln, kind, rest in _records(text):
         if kind == "c":
             continue
         if kind == "p":
             n, m = _p_line("graph", rest, ln, n)
         elif kind == "e":
-            u, v = _edge_record(rest, ln, n)
-            eu.append(u)
-            ev.append(v)
-            lines.append(ln)
+            _edge_record(rest, ln, n, edges)
         else:
             raise InputError(f"line {ln}: unknown record type {kind!r}")
     if n is None:
         raise InputError("missing `p graph` record")
-    g = _graph(n, eu, ev, lines)
-    if m != g.m:
-        raise InputError(f"p-line promises {m} edges, file has {len(eu)}")
-    return g
+    if m != len(edges):
+        raise InputError(f"p-line promises {m} edges, file has {len(edges)}")
+    return Graph(n, edges)
 
 
 def serialize_source_graph(g: Graph) -> str:
@@ -634,21 +604,15 @@ def serialize_source_graph(g: Graph) -> str:
 
 
 def parse_cut(text: str, g: Graph) -> frozenset:
-    cut = set()
+    cut: set[tuple[int, int]] = set()
     for ln, kind, rest in _records(text):
         if kind == "c":
             continue
         if kind != "e":
             raise InputError(f"line {ln}: expected `e <u> <v>`")
-        u, v = _edge_record(rest, ln, g.n)
-        if u == v:
-            raise InputError(f"line {ln}: self-loop at vertex {u + 1}")
-        e = edge(u, v)
-        if not g.has_edge(*e):
-            raise InputError(f"line {ln}: {edge(u + 1, v + 1)} is not an edge of the instance")
-        if e in cut:
-            raise InputError(f"line {ln}: duplicate edge {edge(u + 1, v + 1)}")
-        cut.add(e)
+        u, v = _edge_record(rest, ln, g.n, cut)
+        if not g.has_edge(u, v):
+            raise InputError(f"line {ln}: {(u + 1, v + 1)} is not an edge of the instance")
     return frozenset(cut)
 
 

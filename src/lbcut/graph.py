@@ -57,9 +57,8 @@ class Graph:
     __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int, edges=()):
-        """Build from (u, v) pairs in one pass; the first self-loop, id
-        outside 0..n-1 or repeated pair raises InputError, and no pair after
-        it is read."""
+        """Build from (u, v) pairs in one pass; a self-loop, an id outside
+        0..n-1 or a repeated pair raises InputError."""
         if n < 0:
             raise InputError(f"negative vertex count {n}")
         seen: set[int] = set()  # u * n + w for each pair with u < w
@@ -86,8 +85,9 @@ class Graph:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Whether u-v is an edge; False for ids outside 0..n-1."""
-        u, v = edge(u, v)
+        """Whether u-v is an edge; False for u == v and for ids outside 0..n-1."""
+        if u > v:
+            u, v = v, u
         a = self.adj[u] if 0 <= u and v < self.n else ()
         i = bisect_left(a, v)
         return i < len(a) and a[i] == v

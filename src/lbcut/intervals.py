@@ -166,6 +166,12 @@ class IntervalModel:
         return Graph(self.n, self.intersecting_pairs())
 
 
+def _check_model_size(g: Graph, model: IntervalModel) -> None:
+    """Raise ModelError unless `model` has one interval per vertex of `g`."""
+    if model.n != g.n:
+        raise ModelError(f"model has {model.n} intervals, graph has {g.n} vertices")
+
+
 def validate_model(g: Graph, model: IntervalModel) -> list[int]:
     """Return the umbrella order of `model`; raise ModelError unless it is
     a proper interval model of `g`.
@@ -181,8 +187,7 @@ def validate_model(g: Graph, model: IntervalModel) -> list[int]:
     above its own hi.  A mismatch names the smallest pair on which graph and
     model disagree.
     """
-    if model.n != g.n:
-        raise ModelError(f"model has {model.n} intervals, graph has {g.n} vertices")
+    _check_model_size(g, model)
     s, e = model.start_keys, model.end_keys
     order = sorted(range(g.n - 1, -1, -1), key=s.__getitem__)  # stable: ties by -id
     ss, es = [s[v] for v in order], [e[v] for v in order]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lbcut import formats
-from lbcut.errors import InputError
+from lbcut.errors import InputError, ModelError
 from lbcut.dp import solve
 from lbcut.formats import (
     ParsedInstance,
@@ -79,11 +79,17 @@ class TestParseInstance:
             ("e 1 2 2", "line 8: expected `e <u> <v>`"),
             ("e 0 1", "line 8: vertex id 0 out of range 1..2"),
             ("e 1 x\ne 1 1", "line 8: bad vertex id 'x'"),  # the first malformed line
+            (("b 1", "b -1"), "line 5: negative beta -1"),  # a record rewritten
+            (("l 1", "l -1"), "line 6: negative lambda -1"),
         ],
     )
     def test_diagnostics_carry_line_numbers(self, mutation, message):
+        if isinstance(mutation, tuple):
+            text = MINIMAL.replace(*mutation, 1)
+        else:
+            text = MINIMAL + mutation + "\n"
         with pytest.raises(InputError) as err:
-            parse_instance(MINIMAL + mutation + "\n")
+            parse_instance(text)
         assert message in str(err.value) and "line" in str(err.value)
 
     def test_edge_before_p_line(self):
@@ -257,6 +263,43 @@ def test_graph_faults_name_their_own_line(parse, text, message):
     with pytest.raises(InputError) as err:
         parse(text)
     assert str(err.value) == message
+
+
+# a repeated edge at line 8, then a second `l` record at line 10
+REPEAT_THEN_FAULT = "p lbc 4 3\ns 1\nt 4\nb 1\nl 3\ne 1 2\ne 2 3\ne 2 1\ne 3 4\nl 3\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, bulk, message",
+    [
+        (parse_instance, REPEAT_THEN_FAULT, True, "line 8: duplicate edge (1, 2)"),
+        (parse_instance, REPEAT_THEN_FAULT.replace("\n", "\r\n"), False,
+         "line 8: duplicate edge (1, 2)"),
+        (parse_instance, REPEAT_THEN_FAULT.replace("b 1\n", "c no b record\n"), True,
+         "line 8: duplicate edge (1, 2)"),
+        (parse_source_graph, "p graph 4 3\ne 1 2\ne 2 3\ne 2 1\ne 3 4\nq 1\n", None,
+         "line 4: duplicate edge (1, 2)"),
+    ],
+    ids=["instance-bulk", "instance-crlf", "instance-missing-b", "source"],
+)
+def test_a_repeated_edge_is_named_before_later_faults(parse, text, bulk, message):
+    # the first faulty line in file order, as the line read meets it; a
+    # bulk read hands the file to the line read (a source graph has none)
+    if bulk is not None:
+        assert (formats._RUN_START.search(text) is not None) == bulk
+    with pytest.raises(InputError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_serialize_refuses_a_model_of_another_size(count):
+    # a 3-vertex path; a short model used to raise IndexError, and a long
+    # one was cut to 3 `i` lines that read back as another valid model
+    inst = Instance(Graph(3, [(0, 1), (1, 2)]), 0, 2, 1, 2)
+    with pytest.raises(ModelError) as err:
+        serialize_instance(inst, IntervalModel.unit(range(count)))
+    assert str(err.value) == f"model has {count} intervals, graph has 3 vertices"
 
 
 class TestAuxiliaryFormats:
@@ -613,7 +656,7 @@ def test_edge_run_reader_matches_per_line_reader(monkeypatch, slice_chars, layou
         head, e, tail = lines[:5], lines[5:5 + m], lines[5 + m:]
         EDGE_FAULTS[fault](e, n, tail)
         text = "".join(line + "\n" for line in LAYOUTS[layout](head, e, tail))
-        assert (formats._E_LINE.search(text) is None) == (layout == "crlf"), seed
+        assert (formats._RUN_START.search(text) is None) == (layout == "crlf"), seed
         assert outcome(text) == outcome(per_line_only(text)), seed
 
 
@@ -631,14 +674,14 @@ def test_edge_run_reader_on_a_reduction_file():
 
 def test_edge_run_reader_holds_one_slice_at_a_time():
     text = "e 1 2\n" * 100_000  # about 150 default slices
-    eu, ev, lines = [], [], []
+    eu, ev = [], []
     tracemalloc.start()
     try:
-        assert formats._read_edge_run(text, 0, 1, 2, eu, ev, lines) == len(text)
+        assert formats._read_edge_run(text, 0, 2, eu, ev) == len(text)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (eu[-1], ev[-1], lines[-1], len(lines)) == (0, 1, 100_000, 100_000)
+    assert (eu[-1], ev[-1], len(eu), len(ev)) == (0, 1, 100_000, 100_000)
     # beyond the lists it fills, about one slice's worth; one match over
     # the whole run would hold re's per-repeat state for every line
     assert peak - held < 2 << 20
@@ -708,8 +751,9 @@ INTERVAL_FAULTS = {  # (interval lines, n, lines after them) -> None, in place
     "18-fraction-digits": lambda i, n, tail: _rewrite_interval(i, start=_padded(18)),
     "19-fraction-digits": lambda i, n, tail: _rewrite_interval(i, start=_padded(19)),
 }
-# faults the run reader takes in bulk, in the layouts where it reads the run
-READ_IN_BULK = {"none", "negative", "out-of-order", "18-fraction-digits"}
+# faults the run reader takes in bulk, in every layout where the p-line
+# comes first
+READ_IN_BULK = {"none", "negative", "out-of-order", "18-fraction-digits", "comment-mid-run"}
 INTERVAL_LAYOUTS = {  # (header, edge lines, interval lines, the rest) -> lines
     "plain": lambda head, e, i, tail: head + e + i + tail,
     "run-before-p-line": lambda head, e, i, tail: i + head + e + tail,
@@ -735,7 +779,7 @@ def test_interval_run_reader_matches_per_line_reader(monkeypatch, slice_chars, l
         text = "".join(line + "\n" for line in INTERVAL_LAYOUTS[layout](head, e, i, tail))
         got = outcome(text)
         assert got == outcome(per_line_intervals(text)), seed
-        bulk = fault in READ_IN_BULK and layout in ("plain", "ff-nel-ls-comment")
+        bulk = fault in READ_IN_BULK and layout != "run-before-p-line"
         if isinstance(got, ParsedInstance):  # Fractions are built only for a per-line read
             assert ("starts" in got.model.__dict__) != bulk, seed
 
@@ -746,7 +790,7 @@ def test_interval_run_reader_holds_one_slice_at_a_time():
     ids, a, b = [], [], []
     tracemalloc.start()
     try:
-        assert formats._read_interval_run(text, 0, n, ids, a, b) == (len(text), 10)
+        assert formats._read_interval_run(text, 0, n, ids, a, b, 0) == (len(text), 1)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -77,8 +77,12 @@ class TestGraphBasics:
         assert g.has_edge(0, 2) and g.has_edge(2, 0) and not g.has_edge(0, 1)
         for u, v in ((-1, 0), (0, 3), (3, 4), (-1, 2), (2, -1)):
             assert not g.has_edge(u, v) and not g.has_edge(v, u)
-        with pytest.raises(InputError, match="self-loop"):
-            g.has_edge(1, 1)
+
+    def test_has_edge_is_false_for_equal_ids(self):
+        # a yes/no answer, as for any other pair that is not an edge
+        g = Graph(3, [(0, 1), (0, 2), (1, 2)])
+        for v in range(-1, 4):
+            assert g.has_edge(v, v) is False
 
     @pytest.mark.parametrize(
         "pairs, message",
