@@ -1,14 +1,16 @@
 """Exact length-bounded cut solver for proper interval graphs.
 
-The solver normalizes the instance on ranks alone: one sort of the
-validated model gives an umbrella ordering, the terminal ranked first is
-called s, and the vertices outside the s..t span are trimmed away (see
-intervals).  It then fills a table T[r, d] = minimum number of edge
-deletions in G - {t} making every interior vertex of rank >= r lie at
-distance >= d from s, under the constraint that distances from s are
-non-decreasing along the ranking.  A companion table S[r, d] records the
-cut frontier: the smallest rank j such that every edge from ranks < j to
-ranks >= r is already deleted.
+The solver normalizes the instance on ranks alone: validation sorts the
+model into an umbrella ordering once and finds the run of ranks lo..hi
+that each closed neighbourhood forms, which every later stage reads.
+dist(s, t) comes from hi (see _hop_distance), the terminal ranked first is
+called s, and the vertices outside the s..t span are trimmed away.
+It then fills a table T[r, d] = minimum number of edge deletions in
+G - {t} making every interior vertex of rank >= r lie at distance >= d
+from s, under the constraint that distances from s are non-decreasing
+along the ranking.  A companion table S[r, d] records the cut frontier:
+the smallest rank j such that every edge from ranks < j to ranks >= r is
+already deleted.
 
 The recurrence charges crossing edges through
 
@@ -18,7 +20,7 @@ which we evaluate in O(1) from prefix sums instead of the naive per-triple
 edge scan (same values, needed for the n=200 runtime target).  Per rank i
 only the at most W + 1 prefix sums the fill can read are stored (see
 CrossingCounts), so the counts take O(q * W) memory, not O(q^2).  They are
-read off the runs of ranks that closed neighbourhoods form, with no edge
+read off the runs validation computed, with no adjacency walk, no edge
 list and no sort (see compute_crossing_counts).
 
 Column d of the tables takes, for each rank i, a minimum over the rows
@@ -74,14 +76,13 @@ returned.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalCheckError
-from .graph import Instance, _dinic, bfs_distances, edge, min_st_cut, verify_cut
-from .intervals import IntervalModel, NormalizedInstance, _normalize_valid, validate_model
+from .graph import INF, Instance, _dinic, edge, min_st_cut, verify_cut
+from .intervals import IntervalModel, NormalizedInstance, _normalize_valid, _umbrella_runs
 
 BIG = np.int64(1) << 40
 
@@ -108,17 +109,16 @@ class CrossingCounts:
 
 def compute_crossing_counts(norm: NormalizedInstance) -> CrossingCounts:
     """Crossing-edge band for a normalized instance (edges at s, t excluded),
-    built in O(m + q * W) time and O(q * W) memory.
+    built in O(q * W) time and memory.
 
     The band is read off the runs of the umbrella order: closed
     neighbourhoods are runs of ranks, so the interior neighbours of rank l
-    above l are the ranks l+1 .. hi[l], and hi is non-decreasing.  No edge
-    list is built and nothing is sorted.
+    above l are the ranks l+1 .. hi[l], and hi (norm.hi, from validation)
+    is non-decreasing.  No adjacency is read and nothing is sorted.
     """
-    q, pos, adj = len(norm.order), norm.pos, norm.graph.adj
+    hi = np.array(norm.hi, dtype=np.int64)
+    q = len(hi)
     cols = np.arange(q)
-    # hi[l]: the highest interior rank meeting rank l, l itself included
-    hi = np.maximum(cols, [max(map(pos.__getitem__, adj[v]), default=-1) for v in norm.order])
     # z(i) = min(i, L(i)): the first rank l with hi[l] >= i is L(i) if l < i,
     # else i itself
     z = np.searchsorted(hi, cols)
@@ -183,11 +183,11 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
     lam >= n-1 every cut must be a full s-t cut, so the max-flow answer is
     returned directly.
     """
-    order = validate_model(inst.graph, model)
+    _, rank, _, hi = runs = _umbrella_runs(inst.graph, model)
     g, s, t, lam = inst.graph, inst.s, inst.t, inst.lam
     st_edge = g.has_edge(s, t)
 
-    dist = bfs_distances(g, s)[t]
+    dist = _hop_distance(hi, *sorted((int(rank[s]), int(rank[t]))))
     if dist > lam:
         return 0, DpTables(
             cost=0, decision=0 <= inst.beta, branch="no-short-path",
@@ -213,7 +213,7 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
             table_cost=1,
         )
 
-    norm = _normalize_valid(inst, order)
+    norm = _normalize_valid(inst, runs)
     crossing = compute_crossing_counts(norm)
     T, S, delta, last = _fill_tables(norm, crossing, lam, lam + 1 - dist)
     q = len(norm.order)
@@ -255,6 +255,18 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
     return cost, tables
 
 
+def _hop_distance(hi, a: int, b: int):
+    """dist between ranks a <= b of an umbrella order: the jumps r -> hi[r]
+    from a to b, inf if one stalls.  The ranks within k hops of a reach up
+    to the k-th jump, as closed neighbourhoods are runs and hi never falls."""
+    hi, hops = hi.tolist(), 0
+    while a < b:
+        if hi[a] == a:
+            return INF
+        a, hops = hi[a], hops + 1
+    return hops
+
+
 def _fill_tables(norm, crossing, lam, c):
     """The window of T and S (see DpTables), delta, and column lam of T
     over every rank, implicit cells included."""
@@ -263,12 +275,11 @@ def _fill_tables(norm, crossing, lam, c):
     g, s, t = norm.graph, norm.s, norm.t
     deg_s = g.degree(s) - g.has_edge(s, t)
     # first[k]: the first rank with delta >= k.  The interior neighbours of s
-    # are the first deg_s ranks; past them a rank lies one BFS layer beyond
-    # its lowest neighbour z(i) < i (it has none: unreachable), and z is
-    # non-decreasing, so each layer ends where z reaches the layer's start
-    first, z_list = [0, 0, deg_s], z.tolist()
+    # are the first deg_s ranks, and each later BFS layer ends where the run
+    # of the last rank before it ends (hi never falls)
+    first, hi = [0, 0, deg_s], norm.hi
     while len(first) <= lam and first[-1] > first[-2]:
-        first.append(bisect_left(z_list, first[-1]))
+        first.append(hi[first[-1] - 1] + 1)
     first += [first[-1]] * (lam + 1 - len(first))
     cols = np.arange(q)
     delta = np.array(first[1:]).searchsorted(cols, side="right")  # capped at lam

@@ -18,17 +18,18 @@ keys is the same either way.  The endpoints as Fractions (`starts`, `ends`)
 are kept when the model is built from them, and otherwise built on first
 read, for messages and serialization: `parse_instance` builds its models
 from keys, and a solve reads only keys.  A solve sorts the keys once, in
-`validate_model`, and reuses that order:
-  check  - properness on consecutive vertices of the order; adjacency one
-           rank run at a time, each closed neighbourhood against the run of
-           ranks its interval meets, in O(n log n + m); `validate_model`
-           returns the order it proved
+one numpy pass that also finds the run lo[r]..hi[r] of ranks each interval
+meets; every later stage reuses the order and the runs:
+  check  - properness on consecutive vertices of the order; adjacency as
+           whole arrays, each degree against its run's length and each
+           neighbour's rank against its owner's hi, in O(n log n + m)
   rank   - the order is the ranking; when t is ranked before s the two
            terminal names swap (Length-Bounded Cut is symmetric in s and
            t), so s is the terminal ranked first
   trim   - keep v when (rank v >= rank s or v ~ s) and
-           (rank v <= rank t or v ~ t): one run of ranks, since the closed
-           neighbourhoods of s and t are runs that meet the ranks s..t
+           (rank v <= rank t or v ~ t): the ranks lo[rank s]..hi[rank t],
+           since the closed neighbourhoods of s and t are runs that meet
+           the ranks s..t
 A solve validates its model once, on entry to `dp_solve`; the public
 `normalize` validates its own input, and `induced_graph` sorts for itself.
 This module is the only place that turns coordinates into an order: what
@@ -38,13 +39,15 @@ alone, in the instance's own vertex ids.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import floordiv, gt, le, lt
+from operator import floordiv, gt
+
+import numpy as np
 
 from .errors import ModelError
 from .graph import Graph, Instance
@@ -173,37 +176,42 @@ def _check_model_size(g: Graph, model: IntervalModel) -> None:
 
 
 def validate_model(g: Graph, model: IntervalModel) -> list[int]:
-    """Return the umbrella order of `model`; raise ModelError unless it is
-    a proper interval model of `g`.
+    """Return the umbrella order of `model`, every vertex by (start, -id);
+    raise ModelError unless it is a proper interval model of `g`."""
+    return _umbrella_runs(g, model)[0].tolist()
 
-    Returns every vertex by (start, -id), from the one key sort of a solve.
-    Properness is checked on consecutive vertices of that order: tied starts
-    must have equal ends, otherwise both start and end must grow strictly.
-    Adjacency is then checked one rank run at a time.  The intervals meeting
-    the vertex at rank r are the ranks lo..hi around it: lo the first rank
-    ending at or after its start, hi the last starting at or before its end.
-    So it needs hi - lo neighbours, none ranked above hi.  No neighbour can
-    then rank below lo either: that neighbour would have this vertex ranked
-    above its own hi.  A mismatch names the smallest pair on which graph and
-    model disagree.
+
+def _umbrella_runs(g: Graph, model: IntervalModel):
+    """`validate_model` as arrays (order, rank, lo, hi): rank[v] is the rank
+    of v, and lo[r]..hi[r] the run of ranks the interval of rank r meets.
+
+    The keys are sorted once, stably, as int64 when they all fit and as
+    objects otherwise.  Properness is checked on consecutive ranks: tied
+    starts must have equal ends, otherwise both start and end must grow
+    strictly.  lo[r] is then the first rank ending at or after the start of
+    rank r, and hi[r] the last starting at or before its end, so rank r
+    needs hi - lo neighbours, none ranked above hi.  None can then rank
+    below lo either: it would have rank r above its own hi.  A mismatch
+    names the smallest pair on which graph and model disagree.
     """
     _check_model_size(g, model)
-    s, e = model.start_keys, model.end_keys
-    order = sorted(range(g.n - 1, -1, -1), key=s.__getitem__)  # stable: ties by -id
-    ss, es = [s[v] for v in order], [e[v] for v in order]
+    n, keys = g.n, model.start_keys + model.end_keys
+    k = np.array(keys)
+    if k.dtype != np.int64:  # ints past int64, Fractions or floats: compare exactly
+        k = np.array(keys, dtype=object)
+    order = n - 1 - np.argsort(k[n - 1 :: -1], kind="stable")  # ties by -id
+    ss, es = k[order], k[n:][order]
     # along the order, ends never fall and grow exactly where starts do
-    if not (all(map(le, es, es[1:])) and list(map(lt, ss, ss[1:])) == list(map(lt, es, es[1:]))):
-        raise _containment_error(model, order)
-    pos = [0] * g.n
-    for r, v in enumerate(order):
-        pos[v] = r
-    rank, adj = pos.__getitem__, g.adj
-    for r, u in enumerate(order):
-        a = adj[u]
-        hi = bisect_right(ss, e[u], r) - 1
-        if len(a) != hi - bisect_left(es, s[u], 0, r) or max(map(rank, a), default=-1) > hi:
-            raise _mismatch_error(g, model, order)
-    return order
+    if not (es[:-1] <= es[1:]).all() or ((ss[:-1] < ss[1:]) != (es[:-1] < es[1:])).any():
+        raise _containment_error(model, order.tolist())
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    lo, hi = es.searchsorted(ss), ss.searchsorted(es, side="right") - 1
+    deg = np.fromiter(map(len, g.adj), np.int64, n)
+    nbrs = np.fromiter(chain.from_iterable(g.adj), np.int64, 2 * g.m)
+    if (deg[order] != hi - lo).any() or (rank[nbrs] > np.repeat(hi[rank], deg)).any():
+        raise _mismatch_error(g, model, order.tolist())
+    return order, rank, lo, hi
 
 
 def _containment_error(model: IntervalModel, order) -> ModelError:
@@ -244,7 +252,8 @@ class NormalizedInstance:
     graph outside it is dropped from the solve.  order is ranked without s
     and t, so order[r] is the vertex of interior rank r, counting from 0.
     pos[v] is the interior rank of vertex v, or -1 for the terminals and
-    the vertices outside ranked.
+    the vertices outside ranked.  hi[r] is the last interior rank that
+    interior rank r meets or r itself, the end of its run, from validation.
 
     The interior neighbours of s are a prefix of order, and those of t a
     suffix: s is ranked before t, every vertex of ranked before s meets s
@@ -259,32 +268,33 @@ class NormalizedInstance:
     order: tuple[int, ...]
     pos: tuple[int, ...]
     ranked: tuple[int, ...]
+    hi: tuple[int, ...]
 
 
 def normalize(inst: Instance, model: IntervalModel) -> NormalizedInstance:
     """Validate, then rank and trim, and package the result."""
-    return _normalize_valid(inst, validate_model(inst.graph, model))
+    return _normalize_valid(inst, _umbrella_runs(inst.graph, model))
 
 
-def _normalize_valid(inst: Instance, order) -> NormalizedInstance:
-    """`normalize` for a validated model; `order` is what `validate_model`
-    returned, and the ranking (see the module docstring)."""
+def _normalize_valid(inst: Instance, runs) -> NormalizedInstance:
+    """`normalize` for a validated model; `runs` is what `_umbrella_runs`
+    returned, and its order the ranking (see the module docstring)."""
+    order, rank, lo, hi = runs
     g, s, t = inst.graph, inst.s, inst.t
-    rs, rt = order.index(s), order.index(t)
+    rs, rt = int(rank[s]), int(rank[t])
     if rs > rt:
         s, t, rs, rt = t, s, rt, rs
     # the trim keeps the ranks from s to t and the neighbours of s and t.
     # A neighbour of t ranked before s meets s too, and a neighbour of s
-    # ranked after t meets t, so the kept run reaches down as far as the
-    # run of s and up as far as the run of t
-    lo, hi, has_edge = rs, rt, g.has_edge
-    while lo and has_edge(s, order[lo - 1]):
-        lo -= 1
-    while hi + 1 < g.n and has_edge(t, order[hi + 1]):
-        hi += 1
-    ranked = tuple(order[lo : hi + 1])
-    interior = tuple(v for v in ranked if v != s and v != t)
-    pos = [-1] * g.n
-    for r, v in enumerate(interior):
-        pos[v] = r
-    return NormalizedInstance(g, s, t, interior, tuple(pos), ranked)
+    # ranked after t meets t: the kept run is the run of s up to that of t
+    first, last = int(lo[rs]), int(hi[rt])
+    ranked = order[first : last + 1]
+    inner = (ranked != s) & (ranked != t)
+    interior = ranked[inner]
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[interior] = np.arange(len(interior))
+    # an interior run ends at the last interior rank up to its own end
+    # within ranked: the ranks from first, less the terminals among them
+    end = np.minimum(hi[first : last + 1][inner], last)
+    fields = interior, pos, ranked, end - first - (end >= rs) - (end >= rt)
+    return NormalizedInstance(g, s, t, *(tuple(a.tolist()) for a in fields))

@@ -158,6 +158,17 @@ class TestDpSolveSmall:
         assert cost == oracle_branch(inst) == len(cut)
         assert verify_cut(inst, cut).ok
 
+    @pytest.mark.parametrize("lam, branch, cost", [(1, "no-short-path", 0), (4, "all-paths", 2)])
+    def test_decision_at_beta_equal_to_cost(self, lam, branch, cost):
+        """cost <= beta is a yes at equality too, on both fast paths: lam = 1
+        is below dist(s, t) = 2, and lam = 4 >= n - 1 asks for the min cut."""
+        starts = [0, Fraction(1, 2), 1, Fraction(3, 2)]
+        tables = dp_solve(*unit_instance(starts, s=0, t=3, beta=cost, lam=lam))[1]
+        assert (tables.branch, tables.cost, tables.decision) == (branch, cost, True)
+        if cost:
+            below = dp_solve(*unit_instance(starts, s=0, t=3, beta=cost - 1, lam=lam))[1]
+            assert below.decision is False
+
     def test_lambda_covers_all_paths(self):
         inst, model = unit_instance(
             [0, Fraction(1, 2), 1, Fraction(3, 2)], s=0, t=3, lam=4

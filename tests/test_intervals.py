@@ -7,12 +7,14 @@ from random import Random
 import pytest
 
 from lbcut.errors import ModelError
-from lbcut.graph import Graph, Instance
+from lbcut.dp import _hop_distance
+from lbcut.graph import INF, Graph, Instance, bfs_distances
 from lbcut.intervals import (
     KEY_DENOMINATOR_LIMIT,
     IntervalModel,
     NormalizedInstance,
     _show,
+    _umbrella_runs,
     normalize,
     validate_model,
 )
@@ -36,6 +38,11 @@ class TestValidation:
         )
         with pytest.raises(ModelError):
             validate_model(model.induced_graph(), model)
+
+    def test_empty_interval_named_after_a_point(self):
+        # vertex 0 is the point [0, 0], which is not empty; vertex 1 is
+        with pytest.raises(ModelError, match=re.escape("vertex 1: empty interval [2, 1]")):
+            IntervalModel((Fraction(0), Fraction(2)), (Fraction(0), Fraction(1)))
 
     def test_equal_intervals_are_fine(self):
         model = IntervalModel.unit([0, 0, 2])
@@ -305,6 +312,13 @@ class TestAgainstFractionReference:
         ends[1] = model.ends[0]  # [start 1, end 0] lies inside interval 0
         assert same_as_reference(g, IntervalModel(model.starts, tuple(ends))) == "contains"
 
+    def test_float_keys_past_the_limit_compare_exactly(self):
+        # 1e-30 puts the common denominator past the limit, so the keys are
+        # the values themselves; as float64, 2**60 + 1 would tie with 2**60
+        model = IntervalModel((2**60 + 1, 2**60, 1e-30), (2**60 + 1, 2**60, 1e-30))
+        assert model.start_keys == (2**60 + 1, 2**60, 1e-30)
+        assert same_as_reference(Graph(3), model) == "order"
+
     def test_keys_scale_to_a_common_denominator(self):
         model = IntervalModel.unit([0, Fraction(1, 2), Fraction(-1, 3)])
         assert model.start_keys == (0, 3, -2) and model.end_keys == (6, 9, 4)
@@ -312,6 +326,57 @@ class TestAgainstFractionReference:
         assert at.start_keys == (KEY_DENOMINATOR_LIMIT // 2, 1)
         past = IntervalModel.unit([Fraction(1, 3), Fraction(1, KEY_DENOMINATOR_LIMIT)])
         assert past.start_keys == past.starts
+
+
+def huge_keys(model, kind):
+    """`model` moved by 2**70 (int keys past int64) or by 1/(2**64 + 1)
+    (Fraction keys: a common denominator past KEY_DENOMINATOR_LIMIT)."""
+    shift = 2**70 if kind == "int" else Fraction(1, 2**64 + 1)
+    return IntervalModel(tuple(a + shift for a in model.starts), tuple(b + shift for b in model.ends))
+
+
+def test_umbrella_runs_against_brute_force():
+    """The runs validation hands to the solver: lo[r] and hi[r] are the
+    lowest and highest rank of the closed neighbourhood of rank r, the hi
+    jumps from rank a to rank b >= a count dist(a, b) (inf when apart), and
+    a corrupted model gets the reference's message, on small keys, int keys
+    past int64 and Fraction keys alike."""
+    seen = set()
+    for seed in range(900):
+        rng = Random(seed)
+        kind = ("small", "int", "fraction")[seed % 3]
+        model = random_proper_model(rng) if seed >= 3 else IntervalModel((), ())
+        if kind != "small":
+            model = huge_keys(model, kind)
+        g = Graph(model.n, brute_pairs(model))
+        order, rank, lo, hi = _umbrella_runs(g, model)
+        s = model.starts
+        assert order.tolist() == validate_model(g, model)
+        assert order.tolist() == sorted(range(g.n), key=lambda v: (s[v], -v))
+        for a, u in enumerate(order.tolist()):
+            ranks = [rank[w] for w in (u, *g.adj[u])]
+            assert (lo[a], hi[a]) == (min(ranks), max(ranks))
+            dist = bfs_distances(g, u)
+            for b in range(a, g.n):
+                assert _hop_distance(hi, a, b) == dist[order[b]]
+            if INF in dist:
+                seen.add("apart")
+        seen.add(f"n={g.n}" if g.n <= 2 else "n>2")
+        if len(set(s)) < g.n:
+            seen.add("tied starts")
+        if len(set(zip(s, model.ends))) < g.n:
+            seen.add("twins")
+        if g.n and type(model.start_keys[0]) is Fraction:
+            seen.add("Fraction keys")
+        if g.n and max(map(abs, model.end_keys)) >= 2**63:
+            seen.add("int keys past int64")
+        if g.n >= 2:
+            seen.add((kind, same_as_reference(*broken(rng, model))))
+    assert seen == {
+        "n=0", "n=1", "n=2", "n>2", "apart", "tied starts", "twins",
+        "Fraction keys", "int keys past int64",
+        *itertools.product(("small", "int", "fraction"), ("order", "contains", "mismatch")),
+    }
 
 
 def kept_model(model, kept):
@@ -336,7 +401,8 @@ def trimmed(norm):
     for r, v in enumerate(order):
         pos[v] = r
     ranked = tuple(new[v] for v in norm.ranked)
-    return NormalizedInstance(g, new[norm.s], new[norm.t], order, tuple(pos), ranked), kept
+    trim = NormalizedInstance(g, new[norm.s], new[norm.t], order, tuple(pos), ranked, norm.hi)
+    return trim, kept
 
 
 def is_umbrella(norm):
