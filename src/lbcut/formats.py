@@ -33,13 +33,16 @@ every run of canonical lines after the p-line, `e <u> <v>` and
 `-?[0-9]{1,18}(.[0-9]{1,18})?` as written for a 2**a 5**b denominator,
 one space each, every line ended by `\n`.  Runs are regex-checked, parsed
 by numpy in slices of at most 4 KiB cut at line ends, and range-checked
-per slice: the edges go into flat integer lists with no tuple per edge,
-and interval endpoints become integer keys at one scale 10**k, the model
-built from the keys with no Fraction per endpoint.  The records between
-runs go through the per-record helpers.  The bulk read names no fault: on
-any InputError the file is read again line by line, and that read's error,
-naming the first faulty line, stands.  Instance files are written straight
-from `Graph.adj`, their edges as one run.
+per slice: the edge ends stay one int64 array per slice, and interval
+endpoints become integer keys at one scale 10**k, the model built from
+the keys with no Fraction per endpoint.  The records between runs go
+through the per-record helpers.  Every edge's ends, of runs and records
+alike, then build the graph in one numpy sort (`Graph._from_ends`), which
+also finds repeats and self-loops; a graph built in memory from pairs
+keeps `Graph(n, pairs)`.  The bulk read names no fault: on any InputError
+the file is read again line by line, and that read's error, naming the
+first faulty line, stands.  Instance files are written straight from
+`Graph.adj`, their edges as one run.
 
 A malformed record raises InputError naming its line, with ids 1-based as
 in the file: a bad field, an id outside 1..n, a negative p-line count,
@@ -165,19 +168,20 @@ def _p_line(kind: str, rest: list[str], ln: int, n: int | None) -> tuple[int, in
     return n, m
 
 
-def _edge_record(rest: list[str], ln: int, n: int | None, seen: set) -> tuple[int, int]:
-    """The edge (u, v), u < v, ids 0-based, of an `e <u> <v>` record; it
-    joins `seen`, and a self-loop or an edge already in `seen` names line
-    `ln` with 1-based ids."""
+def _edge_record(rest: list[str], ln: int, n: int | None, seen: set | None) -> tuple[int, int]:
+    """The edge (u, v), u < v, ids 0-based, of an `e <u> <v>` record; a
+    self-loop names line `ln` with 1-based ids.  Unless `seen` is None, the
+    edge joins it, and an edge already in it names line `ln` too."""
     if len(rest) != 2:
         raise InputError(f"line {ln}: expected `e <u> <v>`")
     u, v = _vertex_id(rest[0], ln, n), _vertex_id(rest[1], ln, n)
     if u == v:
         raise InputError(f"line {ln}: self-loop at vertex {u + 1}")
     e = (u, v) if u < v else (v, u)
-    if e in seen:
-        raise InputError(f"line {ln}: duplicate edge {(e[0] + 1, e[1] + 1)}")
-    seen.add(e)
+    if seen is not None:
+        if e in seen:
+            raise InputError(f"line {ln}: duplicate edge {(e[0] + 1, e[1] + 1)}")
+        seen.add(e)
     return e
 
 
@@ -218,10 +222,11 @@ _E_RUN = re.compile(f"(?:{_E_CANONICAL})+")
 _RUN_SLICE = 1 << 12  # characters of a run matched and read at once
 
 
-def _read_edge_run(text, start, n, eu, ev) -> int:
-    """Append the pairs of the run of canonical edge lines at text[start:]
-    to eu and ev, ids 0-based; return where the run ends.  An id outside
-    1..n raises a bare InputError.
+def _read_edge_run(text, start, n, ends) -> int:
+    """Append the ends of the run of canonical edge lines at text[start:]
+    to `ends`, as one int64 array per slice, ids 0-based and each pair's two
+    ends side by side; return where the run ends.  An id outside 1..n
+    raises a bare InputError.
 
     The run is matched and read in slices of at most _RUN_SLICE characters
     cut at line ends: re keeps state per repeat of a group, and one match
@@ -236,8 +241,7 @@ def _read_edge_run(text, start, n, eu, ev) -> int:
         if int(ids.min()) < 1 or int(ids.max()) > n:
             raise InputError
         ids -= 1
-        eu += ids[0::2].tolist()
-        ev += ids[1::2].tolist()
+        ends.append(ids)
         start = stop
 
 
@@ -358,12 +362,16 @@ def _read_instance(text: str, bulk: bool) -> ParsedInstance:
     p-line with _read_edge_run and _read_interval_run, in any order, and
     the records between runs one by one.  A run before the p-line, an `i`
     record read alone next to an `i` run, and a faulty id, interval or pair
-    in a run raise a bare InputError.  The line read names the first fault.
+    in a run raise a bare InputError.  The line read names the first fault:
+    it keeps the set of edges read so far, and the bulk read keeps none.
+    Both hand every edge's ends to Graph._from_ends as one array, whose
+    repeat test alone catches a repeat in a bulk read.
     """
     n = m = None
     scalars: dict[str, int] = {}
-    eu, ev = [], []  # 0-based edge ends
-    seen: set[tuple[int, int]] = set()  # the edges of `e` records read per record
+    ends = []  # 0-based edge ends, an int64 array per run slice
+    loose = []  # the ends of `e` records read per record
+    seen = None if bulk else set()  # the edges read so far, in a line read
     intervals: dict[int, tuple[Fraction, Fraction]] = {}  # read per record
     ids, a, b, k = [], [], [], 0  # of the `i` runs: ids per slice, keys at scale 10**k
     roles: dict[int, str] = {}
@@ -383,9 +391,7 @@ def _read_instance(text: str, bulk: bool) -> ParsedInstance:
                 continue
             kind = tokens[0]
             if kind == "e":
-                u, v = _edge_record(tokens[1:], ln, n, seen)
-                eu.append(u)
-                ev.append(v)
+                loose.extend(_edge_record(tokens[1:], ln, n, seen))
             elif kind == "c":
                 record = tokens[1] if len(tokens) > 1 else None
                 if record == "role":
@@ -462,7 +468,7 @@ def _read_instance(text: str, bulk: bool) -> ParsedInstance:
         if n is None:  # a run before the p-line
             raise InputError
         if text[start] == "e":
-            pos = _read_edge_run(text, start, n, eu, ev)
+            pos = _read_edge_run(text, start, n, ends)
         else:
             pos, k = _read_interval_run(text, start, n, ids, a, b, k)
         if pos == start:  # a line longer than a slice
@@ -475,9 +481,10 @@ def _read_instance(text: str, bulk: bool) -> ParsedInstance:
     for name in _SCALARS:
         if name not in scalars:
             raise InputError(f"missing {name!r} record")
-    graph = Graph(n, zip(eu, ev))  # in a bulk read, a self-loop or repeat raises here
+    ends.append(np.array(loose, dtype=np.int64))
+    graph = Graph._from_ends(n, np.concatenate(ends))  # a bulk read's repeat raises here
     if m != graph.m:
-        raise InputError(f"p-line promises {m} edges, file has {len(eu)}")
+        raise InputError(f"p-line promises {m} edges, file has {graph.m}")
     inst = Instance(graph, scalars["s"], scalars["t"], scalars["b"], scalars["l"])
     model = None
     if ids:

@@ -1,12 +1,20 @@
 """Undirected simple graphs, hop distances, cuts, and the max-flow precheck.
 
-Vertex ids are dense integers 0..n-1.  Edges live only in the sorted `adj`
+Vertex ids are dense integers 0..n-1.  Edges live in the sorted `adj`
 tuples; `edge_list()` and `edges` are views built from them on each call.
 All types here are immutable after construction and safe to share.
-Construction is one pure-Python pass over the pairs: repeats are caught by
-an integer key u * n + w (u < w) rather than a tuple per edge, and the only
-containers it allocates are one neighbour list per vertex and the sorted
-tuples made from them.
+
+A graph has two builders, and the input picks one; they share no code.
+`Graph(n, pairs)` is one pure-Python pass over the pairs, for graphs built
+in memory: repeats are caught by an integer key u * n + w (u < w) rather
+than a tuple per edge, the first bad pair raises before the next is read,
+and the only containers it allocates are one neighbour list per vertex and
+the sorted tuples made from them.  `Graph._from_ends(n, ends)` takes an
+instance file's edges as one int64 array of ends and sorts them in numpy
+once, keeping the flat sorted neighbour array it built; its faults raise
+a bare InputError, since the file reader names them.  Either graph hands
+out that flat array and the degrees through `neighbour_arrays()`, which a
+graph built from pairs computes from `adj` on first use.
 
 Hop distances come from one bounded BFS, exposed as `bfs_distances` and
 `shortest_bounded_path`; their `removed` edge set stands for G - F without
@@ -22,6 +30,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .errors import InputError, InternalCheckError
 
@@ -42,6 +53,16 @@ def edge_set(pairs) -> frozenset[Edge]:
     return frozenset(edge(u, v) for u, v in pairs)
 
 
+_KEYED_N = 3_037_000_499  # the largest n with n * n below 2**63
+
+
+def _frozen(*arrays):
+    """The arrays, made read-only: a Graph shares them with every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _reject_pair(n: int, u: int, w: int):
     """Raise the InputError for a pair Graph cannot take: a self-loop first,
     then an id outside 0..n-1, else a repeat."""
@@ -52,9 +73,10 @@ def _reject_pair(n: int, u: int, w: int):
 
 
 class Graph:
-    """Immutable undirected simple graph; sorted `adj` is its only edge store."""
+    """Immutable undirected simple graph; its edges are the sorted `adj`
+    tuples, and `neighbour_arrays()` the same as two flat arrays."""
 
-    __slots__ = ("n", "m", "adj")
+    __slots__ = ("n", "m", "adj", "_arrays")
 
     def __init__(self, n: int, edges=()):
         """Build from (u, v) pairs in one pass; a self-loop, an id outside
@@ -75,6 +97,47 @@ class Graph:
         for a in adj:
             a.sort()
         self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self._arrays = None
+
+    @classmethod
+    def _from_ends(cls, n: int, ends) -> Graph:
+        """The graph on 0..n-1 (n >= 0) whose edges are the pairs
+        (ends[0], ends[1]), (ends[2], ends[3]), ... of an int64 array; an id
+        outside 0..n-1, a self-loop or a repeated pair raises a bare
+        InputError.
+
+        Each pair gives two (owner, neighbour) entries, sorted in one stable
+        argsort of owner * n + neighbour.  A repeated pair, either way
+        round, or a self-loop gives the same key twice.
+        """
+        if n > _KEYED_N:  # adj's n tuple slots alone would take over 24 GB
+            raise MemoryError(f"a graph on {n} vertices")
+        if len(ends) and (int(ends.min()) < 0 or int(ends.max()) >= n):
+            raise InputError
+        other = ends.reshape(-1, 2)[:, ::-1].ravel()  # the neighbour of each end
+        keys = ends * n + other
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        if (keys[1:] == keys[:-1]).any():
+            raise InputError
+        nbrs, deg = other[order], np.bincount(ends, minlength=n)
+        flat, stops = tuple(nbrs.tolist()), np.cumsum(deg).tolist()
+        g = object.__new__(cls)
+        g.n, g.m = n, len(flat) // 2
+        g.adj = tuple(map(flat.__getitem__, map(slice, [0, *stops], stops)))
+        g._arrays = _frozen(nbrs, deg)
+        return g
+
+    def neighbour_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nbrs, deg) as read-only int64 arrays: the `adj` tuples in vertex
+        order as one array, and their lengths; computed on first use."""
+        if self._arrays is None:
+            adj = self.adj
+            self._arrays = _frozen(
+                np.fromiter(chain.from_iterable(adj), np.int64, 2 * self.m),
+                np.fromiter(map(len, adj), np.int64, self.n),
+            )
+        return self._arrays
 
     @property
     def edges(self) -> frozenset[Edge]:

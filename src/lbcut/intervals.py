@@ -43,7 +43,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from math import gcd, lcm
 from operator import floordiv, gt
 
@@ -191,8 +191,10 @@ def _umbrella_runs(g: Graph, model: IntervalModel):
     strictly.  lo[r] is then the first rank ending at or after the start of
     rank r, and hi[r] the last starting at or before its end, so rank r
     needs hi - lo neighbours, none ranked above hi.  None can then rank
-    below lo either: it would have rank r above its own hi.  A mismatch
-    names the smallest pair on which graph and model disagree.
+    below lo either: it would have rank r above its own hi.  Both tests read
+    the graph's flat neighbour array and degrees (`Graph.neighbour_arrays`),
+    which a graph read from a file already holds.  A mismatch names the
+    smallest pair on which graph and model disagree.
     """
     _check_model_size(g, model)
     n, keys = g.n, model.start_keys + model.end_keys
@@ -207,8 +209,7 @@ def _umbrella_runs(g: Graph, model: IntervalModel):
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     lo, hi = es.searchsorted(ss), ss.searchsorted(es, side="right") - 1
-    deg = np.fromiter(map(len, g.adj), np.int64, n)
-    nbrs = np.fromiter(chain.from_iterable(g.adj), np.int64, 2 * g.m)
+    nbrs, deg = g.neighbour_arrays()
     if (deg[order] != hi - lo).any() or (rank[nbrs] > np.repeat(hi[rank], deg)).any():
         raise _mismatch_error(g, model, order.tolist())
     return order, rank, lo, hi

@@ -1,8 +1,10 @@
+import itertools
 import re
 import tracemalloc
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -28,8 +30,8 @@ from lbcut.formats import (
 from lbcut.graph import Graph, Instance, bfs_distances
 from lbcut.intervals import IntervalModel
 from lbcut.oracles import random_proper_interval_instance
-from lbcut.reductions_fvs import decode_fvs, forward_cut_fvs, gen_fvs
-from lbcut.reductions_pw import decode_pw, forward_cut_pw, gen_pw
+from lbcut.reductions_fvs import MulticoloredCliqueInstance, decode_fvs, forward_cut_fvs, gen_fvs
+from lbcut.reductions_pw import CliqueInstance, decode_pw, forward_cut_pw, gen_pw
 from lbcut.witnesses import PathDecomposition, build_pw_witness
 from test_dp import dp_pool
 from test_reductions_fvs import CASES as FVS_CASES
@@ -241,6 +243,13 @@ def test_path_positions_and_params_are_plain_ascii(token):
         assert str(err.value) == f"line 11: bad integer {token!r}"
 
 
+# the path 1, 2, ..., 1200 as one run of canonical `e` lines, a fault line
+# after its first 900 edges (at line 906)
+LONG_RUN = "p lbc 1200 1199\ns 1\nt 1200\nb 1\nl 3\n" + "".join(
+    [*(f"e {v} {v + 1}\n" for v in range(1, 901)), "{fault}",
+     *(f"e {v} {v + 1}\n" for v in range(901, 1200))])
+
+
 @pytest.mark.parametrize(
     "parse, text, message",
     [
@@ -254,15 +263,37 @@ def test_path_positions_and_params_are_plain_ascii(token):
          "line 4: duplicate edge (3, 4)"),
         (parse_source_graph, "p graph 4 3\ne 1 2\ne 3 3\ne 2 3\ne 3 4\n",
          "line 3: self-loop at vertex 3"),
+        (parse_instance, "p lbc 4 3\ns 1\nt 4\nb 1\nl 3\ne 1 2\ne 2 3\ne 2 3\ne 3 4\n",
+         "line 8: duplicate edge (2, 3)"),
+        (parse_instance, LONG_RUN.format(fault="e 2 1\n"), "line 906: duplicate edge (1, 2)"),
+        (parse_instance, "p lbc 4 3\ns 1\nt 4\nb 1\nl 3\ne 1 2\ne 2 3\ne 2  1\ne 3 4\n",
+         "line 8: duplicate edge (1, 2)"),
+        (parse_instance, "p lbc 4 3\ns 1\nt 4\nb 1\nl 3\ne 2  1\ne 1 2\ne 2 3\ne 3 4\n",
+         "line 7: duplicate edge (1, 2)"),
+        (parse_instance, LONG_RUN.format(fault="e 700 700\n"),
+         "line 906: self-loop at vertex 700"),
     ],
     ids=["instance-repeat", "instance-self-loop", "instance-repeat-between-scalars",
-         "source-repeat", "source-self-loop"],
+         "source-repeat", "source-self-loop", "instance-repeat-in-run",
+         "instance-repeat-across-slices", "instance-repeat-run-then-record",
+         "instance-repeat-record-then-run", "instance-self-loop-in-a-later-slice"],
 )
 def test_graph_faults_name_their_own_line(parse, text, message):
     # later `e` lines follow the fault, so the last line is not the one named
     with pytest.raises(InputError) as err:
         parse(text)
     assert str(err.value) == message
+
+
+def test_long_run_faults_lie_past_the_first_slice():
+    # LONG_RUN is one run of canonical lines, its fault (line 906) in a
+    # later slice than the first edge line (line 6)
+    for fault in ("e 2 1\n", "e 700 700\n"):
+        text = LONG_RUN.format(fault=fault)
+        first, at = text.index("e "), text.index("\n" + fault) + 1
+        assert formats._E_RUN.match(text, first).end() == len(text)
+        assert at - first > formats._RUN_SLICE
+        assert text.count("\n", 0, at) + 1 == 906
 
 
 # a repeated edge at line 8, then a second `l` record at line 10
@@ -674,15 +705,16 @@ def test_edge_run_reader_on_a_reduction_file():
 
 def test_edge_run_reader_holds_one_slice_at_a_time():
     text = "e 1 2\n" * 100_000  # about 150 default slices
-    eu, ev = [], []
+    ends = []
     tracemalloc.start()
     try:
-        assert formats._read_edge_run(text, 0, 2, eu, ev) == len(text)
+        assert formats._read_edge_run(text, 0, 2, ends) == len(text)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    eu, ev = np.concatenate(ends).reshape(-1, 2).T.tolist()
     assert (eu[-1], ev[-1], len(eu), len(ev)) == (0, 1, 100_000, 100_000)
-    # beyond the lists it fills, about one slice's worth; one match over
+    # beyond the arrays it fills, about one slice's worth; one match over
     # the whole run would hold re's per-repeat state for every line
     assert peak - held < 2 << 20
 
@@ -839,6 +871,43 @@ def test_pool_models_read_as_keys(name, seed):
         assert len(cut) == cost
         assert "starts" not in got.__dict__ and "ends" not in got.__dict__
         assert_same_keys(got, model)
+
+
+def hard_families_pool(seed):
+    """The benchmark's hard-families pool: per item a planted 3-clique in a
+    16-edge graph on 8 vertices, and a planted multicolored 3-clique over
+    parts of 4 with 6 more edges across parts."""
+    for item in range(4):
+        rng = Random(f"hard-families:{seed}:{item}")
+        clique = tuple(sorted(rng.sample(range(8), 3)))
+        edges = set(itertools.combinations(clique, 2))
+        rest = [e for e in itertools.combinations(range(8), 2) if e not in edges]
+        edges.update(rng.sample(rest, 16 - len(edges)))
+        cq = CliqueInstance(Graph(8, edges), 3)
+        clique = tuple(part * 4 + rng.randrange(4) for part in range(3))
+        edges = set(itertools.combinations(clique, 2))
+        rest = [(u, v) for u, v in itertools.combinations(range(12), 2)
+                if u // 4 != v // 4 and (u, v) not in edges]
+        edges.update(rng.sample(rest, 6))
+        yield cq, MulticoloredCliqueInstance(Graph(12, edges), 3, 4)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", ["dp-dense-ties", "dp-long", "xval", "hard-families"])
+def test_pool_files_read_back_the_graph_pairs_build(name, seed):
+    # the graph an instance file's id arrays build (Graph._from_ends) is the
+    # one Graph(n, pairs) builds from the generated edge list
+    if name == "hard-families":
+        outs = (gen(source) for sources in hard_families_pool(seed)
+                for gen, source in zip((gen_pw, gen_fvs), sources))
+        files = ((out.instance.graph, serialize_reduction_output(out)) for out in outs)
+    else:
+        pool = xval_pool(seed) if name == "xval" else dp_pool(name, seed)
+        files = [(inst.graph, serialize_instance(inst, model)) for inst, model in pool]
+    for g, text in files:
+        read, built = parse_instance(text).instance.graph, Graph(g.n, g.edge_list())
+        assert read == built and hash(read) == hash(built) and read.m == built.m == g.m
+        assert all(map(np.array_equal, read.neighbour_arrays(), built.neighbour_arrays()))
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -2,6 +2,7 @@ import itertools
 import math
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -118,6 +119,42 @@ class TestGraphBasics:
             assert h == g and hash(h) == hash(g)
         assert Graph(3, [(0, 1)]) != Graph(3, [(0, 2)])
         assert Graph(3, [(0, 1)]) != Graph(4, [(0, 1)])
+
+    def test_ends_builder_equals_the_pair_builder(self):
+        # Graph._from_ends (instance files) against Graph(n, pairs): random
+        # graphs with isolated vertices, pairs shuffled and turned round
+        for seed in range(300):
+            rng = Random(f"ends:{seed}")
+            n = rng.randint(0, 60)
+            p = rng.choice([0.0, 0.05, 0.3, 0.9])
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+            rng.shuffle(pairs)
+            g = Graph(n, pairs)
+            h = Graph._from_ends(n, np.array(pairs, dtype=np.int64).reshape(-1))
+            assert (h.n, h.m, h.adj) == (g.n, g.m, g.adj), seed
+            assert h == g and hash(h) == hash(g), seed
+            for built in (h, g):  # computed from adj for g, kept from the sort for h
+                nbrs, deg = built.neighbour_arrays()
+                assert nbrs.dtype == deg.dtype == np.int64, seed
+                assert nbrs.tolist() == list(itertools.chain(*g.adj)), seed
+                assert deg.tolist() == [len(a) for a in g.adj], seed
+                assert not nbrs.flags.writeable and not deg.flags.writeable
+            if not pairs:
+                assert g.m == 0 and all(a == () for a in h.adj)
+
+    @pytest.mark.parametrize(
+        "n, pairs",
+        [(3, [(0, 1), (2, 1), (1, 0)]), (3, [(0, 1), (1, 2), (0, 1)]), (3, [(0, 1), (2, 2)]),
+         (3, [(1, 1)]), (3, [(0, 3)]), (3, [(1, 2), (0, 5)]), (3, [(0, -1)]), (0, [(0, 1)])],
+        ids=["repeat-turned", "repeat", "self-loop", "self-loop-alone", "out-of-range",
+             "out-of-range-key-collision", "negative", "no-vertices"],
+    )
+    def test_ends_builder_faults_are_bare(self, n, pairs):
+        # a bare InputError: the instance file's line read names the fault
+        with pytest.raises(InputError) as err:
+            Graph._from_ends(n, np.array(pairs, dtype=np.int64).reshape(-1))
+        assert str(err.value) == ""
 
     def test_edge_views_match_brute_force(self):
         for seed in range(40):
