@@ -63,15 +63,23 @@ below the chosen rank follow from the two degrees alone.
 The table optimum is combined with the plain minimum s-t cut: a cheapest
 bounded-length cut either leaves s and t connected (then a monotone optimal
 solution exists and the table finds it) or disconnects them (then it is a
-plain minimum cut).  The max-flow runs after the fill and only until its
-value exceeds the table cost: that decides the branch, and the flow runs
-to its maximum (and yields the cut) only when the table does not win.  An
-edge {s,t}, if present, belongs to every cut once lam >= 1 and is
-accounted for separately; the tables never see it.
+plain minimum cut).  One max-flow per solve runs after the fill and only
+until its value exceeds the table cost: that decides the branch, and the
+flow runs to its maximum (and yields the cut) only when the table does not
+win.  Without a fill the same call decides: at lam = 1 the table's answer
+is the edge {s,t}, and once lam >= n - 1 there is no table, so the flow
+runs to its maximum.  An edge {s,t}, if present, belongs to every cut
+once lam >= 1 and is accounted for separately; the tables never see it.
 
-Cut reconstruction walks the S backpointers and re-collects the same edge
-rectangles the recurrence counted; the result is verified before being
-returned.
+Cut reconstruction applies the labelling rule to the optimum the table
+found.  The S backpointers from (best_rank, lam) give, for each d, the
+rank i_d where D first reaches d, down to where the walk stops at some
+(i, d): in the zero region, at rank 0, or at d = 2.  Below rank i the
+labels are delta capped at d, from i on they are d, and each i_d at or
+below a rank adds 1; D(s) = 0 and D(t) = lam + 1.  The cut is every edge
+inside the trim whose labels differ by 2 or more, a lam-cut whatever the
+labels are; its size is checked against the cost and the cut verified
+before it is returned.
 """
 
 from __future__ import annotations
@@ -81,7 +89,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalCheckError
-from .graph import INF, Instance, _dinic, edge, min_st_cut, verify_cut
+from .graph import INF, Instance, _dinic, edge, verify_cut
 from .intervals import IntervalModel, NormalizedInstance, _normalize_valid, _umbrella_runs
 
 BIG = np.int64(1) << 40
@@ -137,8 +145,11 @@ class DpTables:
     """Everything dp_solve computed, enough to reconstruct and audit a cut.
 
     The fields from norm to best_rank are filled by the table fill only;
-    they stay None when dp_solve answers before it.  table_cost is also set
-    when lam = 1, where the edge {s,t} alone is the table's answer.
+    they stay None when dp_solve answers without one.  table_cost is the
+    table's answer: the fill's optimum, or 1 at lam = 1, where the edge
+    {s,t} alone is the answer; it is None on the no-short-path and
+    all-paths branches.  Cut reconstruction reads norm, S, delta and
+    best_rank; T and crossing are kept for audits.
 
     T and S are q x c arrays holding the window of each rank (see the module
     docstring): the cell of rank i and distance d, delta[i] < d <=
@@ -178,10 +189,12 @@ class DpTables:
 def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
     """Minimum size of a lam-cut of a proper interval instance, exactly.
 
-    Returns (cost, tables); tables.decision is cost <= beta.  Fast paths:
-    if no s-t path of length <= lam exists the cost is 0, and once
-    lam >= n-1 every cut must be a full s-t cut, so the max-flow answer is
-    returned directly.
+    Returns (cost, tables); tables.decision is cost <= beta.  If no s-t path
+    of length <= lam exists the cost is 0 and no flow runs.  Every other
+    answer comes from one max-flow, bounded by the table's answer when there
+    is one: none once lam >= n-1, where every cut must be a full s-t cut
+    (the "all-paths" branch), the edge {s,t} at lam = 1, and the fill's
+    optimum otherwise.
     """
     _, rank, _, hi = runs = _umbrella_runs(inst.graph, model)
     g, s, t, lam = inst.graph, inst.s, inst.t, inst.lam
@@ -194,53 +207,40 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
             flow_bound=0, mincut_edges=None, st_edge=False,
         )
 
+    # here 1 <= dist(s,t) <= lam; limit is the table's answer, INF without one
+    norm = T = S = delta = crossing = best_rank = None
     if lam >= g.n - 1:
-        mincut_size, mincut_edges = min_st_cut(g, s, t)
-        return mincut_size, DpTables(
-            cost=mincut_size, decision=mincut_size <= inst.beta, branch="all-paths",
-            flow_bound=mincut_size, mincut_edges=mincut_edges, st_edge=st_edge,
-        )
-    # here 1 <= dist(s,t) <= lam <= n-2
-    base = 1 if st_edge else 0
-    if lam <= 1:
-        # dist(s,t) = lam = 1: the edge {s,t} exists and is the whole table
-        # answer; as below, the flow decides whether it is strictly cheaper
-        flow_bound, mincut_edges = _dinic(g, s, t, 1)
-        return 1, DpTables(
-            cost=1, decision=1 <= inst.beta,
-            branch="table" if flow_bound > 1 else "min-cut",
-            flow_bound=flow_bound, mincut_edges=mincut_edges, st_edge=True,
-            table_cost=1,
-        )
-
-    norm = _normalize_valid(inst, runs)
-    crossing = compute_crossing_counts(norm)
-    T, S, delta, last = _fill_tables(norm, crossing, lam, lam + 1 - dist)
-    q = len(norm.order)
-    if q > 0:
-        # t's interior neighbours are the last deg_t ranks; the ranks below
-        # i may stay closer to s than lam, so their t-edges are cut too
-        deg_t = norm.graph.degree(norm.t) - st_edge
-        totals = last + np.maximum(0, np.arange(q) - (q - deg_t))
-        best_rank = int(np.argmin(totals))
-        table_cost = base + int(totals[best_rank])
+        limit = INF
+    elif lam == 1:  # dist(s,t) = lam = 1: the edge {s,t} is the whole answer
+        limit = 1
     else:
-        # trimming left only the terminals; a short path forces the {s,t} edge
-        best_rank = None
-        table_cost = base
+        norm = _normalize_valid(inst, runs)
+        crossing = compute_crossing_counts(norm)
+        T, S, delta, last = _fill_tables(norm, crossing, lam, lam + 1 - dist)
+        # trimming may leave only the terminals: a short path forces {s,t}
+        limit = int(st_edge)
+        q = len(norm.order)
+        if q > 0:
+            # t's interior neighbours are the last deg_t ranks; the ranks
+            # below i may stay closer to s than lam, so their t-edges are cut
+            deg_t = norm.graph.degree(norm.t) - st_edge
+            totals = last + np.maximum(0, np.arange(q) - (q - deg_t))
+            best_rank = int(np.argmin(totals))
+            limit += int(totals[best_rank])
 
     # A cheapest cut that disconnects s and t costs at least the max-flow
     # value, and a cut that fails on the untrimmed graph costs at least
     # deg(t) >= max-flow (border argument), so the table branch is only
     # taken when it is strictly cheaper.  The flow stops once it exceeds
-    # table_cost, which decides that; otherwise it ran to the maximum.
-    flow_bound, mincut_edges = _dinic(g, s, t, table_cost)
-    cost = min(table_cost, flow_bound)
-    branch = "table" if table_cost < flow_bound else "min-cut"
-    tables = DpTables(
+    # the table's answer, which decides that; otherwise it ran to the
+    # maximum.
+    flow_bound, mincut_edges = _dinic(g, s, t, limit)
+    cost = min(limit, flow_bound)
+    table_cost = None if limit == INF else limit
+    return cost, DpTables(
         cost=cost,
         decision=cost <= inst.beta,
-        branch=branch,
+        branch="all-paths" if table_cost is None else "table" if limit < flow_bound else "min-cut",
         norm=norm,
         T=T,
         S=S,
@@ -252,7 +252,6 @@ def dp_solve(inst: Instance, model: IntervalModel) -> tuple[int, DpTables]:
         mincut_edges=mincut_edges,
         st_edge=st_edge,
     )
-    return cost, tables
 
 
 def _hop_distance(hi, a: int, b: int):
@@ -355,44 +354,35 @@ def extract_cut(inst: Instance, model: IntervalModel, tables: DpTables) -> froze
 
 
 def _reconstruct(inst, tables):
-    if tables.branch == "no-short-path":
-        return frozenset()
-    if tables.branch in ("all-paths", "min-cut"):
-        return tables.mincut_edges
-    # table branch
-    if tables.norm is None:  # lam <= 1 with an {s,t} edge
+    """The cut of the branch dp_solve took; on the table branch, the edges
+    whose labels differ by 2 or more (see the module docstring)."""
+    if tables.branch != "table":
+        return tables.mincut_edges or frozenset()
+    if tables.best_rank is None:
+        # lam = 1: a fill that keeps only s and t has deg(s) = 1, so the
+        # flow ties its answer and the min-cut branch wins
         return frozenset([edge(inst.s, inst.t)])
-    norm = tables.norm
-    g, s, t = norm.graph, norm.s, norm.t
-    pos, order = norm.pos, norm.order
-    cut: set[tuple[int, int]] = set()
-    if tables.st_edge:
-        cut.add(edge(s, t))
-    best = tables.best_rank
-    if best is None:  # no interior vertices survived trimming
-        return frozenset(cut)
-    for w in g.adj[t]:
-        if w != s and pos[w] < best:
-            cut.add(edge(t, w))
-
-    S, delta, z = tables.S, tables.delta.tolist(), tables.crossing.z
-    i, d = best, inst.lam
-    while d > delta[i]:  # the zero region cuts nothing
-        if i == 0 or d == 2:
-            # initialization cuts: s-edges to ranks >= i (all of them at rank 0)
-            for w in g.adj[s]:
-                if w != t and (i == 0 or pos[w] >= i):
-                    cut.add(edge(s, w))
-            break
-        j = int(S[i, d - delta[i] - 1])
-        h = int(S[j, d - delta[j] - 2] if d - 1 > delta[j] else z[j])
-        for l in range(h, j):
-            vl = order[l]
-            for w in g.adj[vl]:
-                if w != s and w != t and pos[w] >= i:
-                    cut.add(edge(vl, w))
-        i, d = j, d - 1
-    return frozenset(cut)
+    norm, lam, S, delta = tables.norm, inst.lam, tables.S, tables.delta
+    # firsts: the ranks i_d, the first interior rank with D >= d, read off
+    # the S backpointers down to the walk's stop (i, d): the zero region,
+    # rank 0 (D >= d on every rank) or d = 2 (D >= 2 cuts the s-edges)
+    firsts, i, d = [], tables.best_rank, lam
+    while d > delta[i] and i > 0 and d > 2:
+        firsts.append(i)
+        i, d = int(S[i, d - delta[i] - 1]), d - 1
+    ranks = np.arange(len(norm.order))
+    label = np.where(ranks < i, np.minimum(delta, d), d)
+    label += np.searchsorted(firsts[::-1], ranks, side="right")
+    g = norm.graph
+    D = np.zeros(g.n, dtype=np.int64)  # D(s) = 0
+    D[list(norm.order)] = label
+    D[norm.t] = lam + 1
+    kept = np.zeros(g.n, dtype=bool)  # no edge leaving the trim is cut
+    kept[list(norm.ranked)] = True
+    nbrs, deg = g.neighbour_arrays()
+    u = np.repeat(np.arange(g.n), deg)
+    cut = (u < nbrs) & kept[u] & kept[nbrs] & (np.abs(D[u] - D[nbrs]) >= 2)
+    return frozenset(zip(u[cut].tolist(), nbrs[cut].tolist()))
 
 
 def solve(inst: Instance, model: IntervalModel):

@@ -252,22 +252,21 @@ class NormalizedInstance:
     of umbrella ranks the trim keeps, terminals included: every vertex of
     graph outside it is dropped from the solve.  order is ranked without s
     and t, so order[r] is the vertex of interior rank r, counting from 0.
-    pos[v] is the interior rank of vertex v, or -1 for the terminals and
-    the vertices outside ranked.  hi[r] is the last interior rank that
-    interior rank r meets or r itself, the end of its run, from validation.
+    hi[r] is the last interior rank that interior rank r meets or r itself,
+    the end of its run, from validation.
 
     The interior neighbours of s are a prefix of order, and those of t a
     suffix: s is ranked before t, every vertex of ranked before s meets s
     and every one after t meets t, and closed neighbourhoods are contiguous
-    runs of ranks.  The solver and cut reconstruction read these ranks,
-    never the interval coordinates.
+    runs of ranks.  The solver reads these ranks, never the interval
+    coordinates; cut reconstruction labels the vertices of order by rank
+    and cuts no edge that leaves ranked.
     """
 
     graph: Graph
     s: int
     t: int
     order: tuple[int, ...]
-    pos: tuple[int, ...]
     ranked: tuple[int, ...]
     hi: tuple[int, ...]
 
@@ -292,10 +291,8 @@ def _normalize_valid(inst: Instance, runs) -> NormalizedInstance:
     ranked = order[first : last + 1]
     inner = (ranked != s) & (ranked != t)
     interior = ranked[inner]
-    pos = np.full(g.n, -1, dtype=np.int64)
-    pos[interior] = np.arange(len(interior))
     # an interior run ends at the last interior rank up to its own end
     # within ranked: the ranks from first, less the terminals among them
     end = np.minimum(hi[first : last + 1][inner], last)
-    fields = interior, pos, ranked, end - first - (end >= rs) - (end >= rt)
+    fields = interior, ranked, end - first - (end >= rs) - (end >= rt)
     return NormalizedInstance(g, s, t, *(tuple(a.tolist()) for a in fields))

@@ -135,9 +135,8 @@ def verify_path_decomposition(g: Graph, pd: PathDecomposition) -> PdVerdict:
         v = int(faulty.argmax())
         return PdVerdict(False, kind="contiguity" if count[v] else "vertex-uncovered", witness=v)
     # the arcs u -> w of `g.adj` in order; those with u < w are `edge_list()`
-    u = np.repeat(np.arange(n, dtype=np.int64),
-                  np.fromiter(map(len, g.adj), dtype=np.int64, count=n))
-    w = np.fromiter(chain.from_iterable(g.adj), dtype=np.int64, count=u.size)
+    w, deg = g.neighbour_arrays()
+    u = np.repeat(np.arange(n, dtype=np.int64), deg)
     # with contiguity verified, occurrence runs overlap iff some bag holds
     # both endpoints
     uncovered = (u < w) & (np.maximum(first[u], first[w]) > np.minimum(last[u], last[w]))

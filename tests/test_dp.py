@@ -14,7 +14,8 @@ from lbcut.dp import (
     solve,
 )
 from lbcut.errors import BudgetExceeded, ModelError
-from lbcut.graph import Graph, Instance, bfs_distances, min_st_cut, verify_cut
+from lbcut.formats import parse_instance, serialize_instance
+from lbcut.graph import Graph, Instance, bfs_distances, edge, min_st_cut, verify_cut
 from lbcut.intervals import IntervalModel, normalize
 from lbcut.oracles import (
     OracleBudget,
@@ -33,9 +34,9 @@ def unit_instance(starts, s, t, beta=3, lam=3):
 class TestCrossingCounts:
     def naive(self, norm, h, j, i):
         count = 0
-        pos = norm.pos
+        pos = {v: r for r, v in enumerate(norm.order)}  # interior ranks
         for u, v in norm.graph.edges:
-            ru, rv = pos[u], pos[v]
+            ru, rv = pos.get(u, -1), pos.get(v, -1)
             if ru < 0 or rv < 0:
                 continue
             lo, hi = min(ru, rv), max(ru, rv)
@@ -98,9 +99,9 @@ class TestCrossingCounts:
         cc = compute_crossing_counts(norm)
         q, width = len(norm.order), cc.prefix.shape[1] - 1
         assert q >= 60 and 1 <= width <= q // 3
+        pos = {v: r for r, v in enumerate(norm.order)}  # interior ranks
         pairs = np.array(
-            [sorted((norm.pos[u], norm.pos[v])) for u, v in norm.graph.edges
-             if norm.pos[u] >= 0 and norm.pos[v] >= 0]
+            [sorted((pos[u], pos[v])) for u, v in norm.graph.edges if u in pos and v in pos]
         )
         lo, hi = pairs[:, 0], pairs[:, 1]
         for i in range(q):
@@ -248,6 +249,23 @@ def dp_pool(name, seed):
     return instances
 
 
+def xval_pool(seed):
+    """The benchmark's xval pool: per item an n=30 and an n=8 unit-interval
+    instance, starts 3..5 grid steps apart (1/16 and 1/8), lam = dist + 1."""
+    for item in range(256):
+        rng = Random(f"xval:{seed}:{item}")
+        for n, grid, lo, hi in ((30, 16, 0.25, 0.75), (8, 8, 0.0, 1.0)):
+            pos, starts = 0, []
+            for _ in range(n):
+                starts.append(Fraction(pos, grid))
+                pos += rng.randint(3, 5)
+            model = IntervalModel.unit(starts)
+            g = model.induced_graph()
+            order = sorted(range(n), key=lambda v: (model.starts[v], v))
+            s, t = order[round(lo * (n - 1))], order[round(hi * (n - 1))]
+            yield Instance(g, s, t, g.m, int(bfs_distances(g, s)[t]) + 1), model
+
+
 def check_flow_bound(inst, model):
     """dp_solve's cost and branch against a full min_st_cut; returns the branch."""
     cost, tables = dp_solve(inst, model)
@@ -309,6 +327,80 @@ def test_bounded_flow_fuzz():
         branches[check_flow_bound(inst, model)] += 1
     assert branches["table"] >= 20 and branches["min-cut"] >= 20
     assert branches["no-short-path"] and branches["all-paths"]
+
+
+def rectangle_cut(inst, tables):
+    """Reference for the table branch's cut: the S walk from (best_rank,
+    lam) re-collects the edge rectangles the recurrence charged, cell by
+    cell, with the s-edges, the t-edges and {s,t} added apart."""
+    if tables.norm is None:  # lam = 1 with an {s,t} edge
+        return frozenset([edge(inst.s, inst.t)])
+    norm = tables.norm
+    g, s, t, order = norm.graph, norm.s, norm.t, norm.order
+    pos = {v: r for r, v in enumerate(order)}  # interior ranks; -1 for the rest
+    cut = {edge(s, t)} if tables.st_edge else set()
+    best = tables.best_rank
+    if best is None:  # no interior vertices survived trimming
+        return frozenset(cut)
+    cut.update(edge(t, w) for w in g.adj[t] if w != s and pos[w] < best)
+    S, delta, z = tables.S, tables.delta.tolist(), tables.crossing.z
+    i, d = best, inst.lam
+    while d > delta[i]:  # the zero region cuts nothing
+        if i == 0 or d == 2:
+            # initialization cuts: s-edges to ranks >= i (all of them at rank 0)
+            cut.update(edge(s, w) for w in g.adj[s] if w != t and pos[w] >= i)
+            break
+        j = int(S[i, d - delta[i] - 1])
+        h = int(S[j, d - delta[j] - 2] if d - 1 > delta[j] else z[j])
+        for vl in order[h:j]:
+            cut.update(edge(vl, w) for w in g.adj[vl]
+                       if w != s and w != t and pos.get(w, -1) >= i)
+        i, d = j, d - 1
+    return frozenset(cut)
+
+
+def twin_proper_models(count):
+    """(inst, model): seeded proper models with lengths 0..10 on an integer
+    grid, about every third interval a twin of the one before, in shuffled
+    ids, with terminals at finite distance and lam = dist .. dist + 4."""
+    for seed in range(count):
+        rng = Random(f"twins:{seed}")
+        n = rng.randint(4, 50)
+        pos = end = 0
+        spans = []
+        for k in range(n):
+            if k == 0 or rng.random() >= 0.3:  # else a twin of the last interval
+                pos += rng.randint(1, 3)
+                end = max(end + 1, pos + rng.randint(0, 10))
+            spans.append((Fraction(pos), Fraction(end)))
+        rng.shuffle(spans)
+        model = IntervalModel(*map(tuple, zip(*spans)))
+        g = model.induced_graph()
+        s, t = rng.sample(range(n), 2)
+        dist = bfs_distances(g, s)[t]
+        if dist != float("inf"):
+            yield Instance(g, s, t, g.m, int(dist) + rng.randint(0, 4)), model
+
+
+def test_labelling_cut_matches_rectangle_walk():
+    """extract_cut reads the table branch's cut off its labelling; it is the
+    same set as the rectangle walk's, on the benchmark pools (xval parsed
+    from its files) and on non-unit models with twins."""
+    xval = (parse_instance(serialize_instance(*case)) for case in xval_pool(0))
+    sources = {
+        "dp pools": [case for seed in range(3) for name in ("dp-dense-ties", "dp-long")
+                     for case in dp_pool(name, seed)],
+        "xval": ((parsed.instance, parsed.model) for parsed in xval),
+        "twins": twin_proper_models(1500),
+    }
+    hits = Counter()
+    for source, cases in sources.items():
+        for inst, model in cases:
+            tables = dp_solve(inst, model)[1]
+            if tables.branch == "table":
+                assert extract_cut(inst, model, tables) == rectangle_cut(inst, tables)
+                hits[source] += 1
+    assert hits["dp pools"] == 27 and hits["xval"] >= 200 and hits["twins"] >= 300, hits
 
 
 def dense_fill(T, S, prefix, lam, delta=None, c=None):

@@ -27,13 +27,13 @@ from lbcut.formats import (
     serialize_reduction_output,
     serialize_source_graph,
 )
-from lbcut.graph import Graph, Instance, bfs_distances
+from lbcut.graph import Graph, Instance
 from lbcut.intervals import IntervalModel
 from lbcut.oracles import random_proper_interval_instance
 from lbcut.reductions_fvs import MulticoloredCliqueInstance, decode_fvs, forward_cut_fvs, gen_fvs
 from lbcut.reductions_pw import CliqueInstance, decode_pw, forward_cut_pw, gen_pw
 from lbcut.witnesses import PathDecomposition, build_pw_witness
-from test_dp import dp_pool
+from test_dp import dp_pool, xval_pool
 from test_reductions_fvs import CASES as FVS_CASES
 from test_reductions_pw import CASES as PW_CASES
 
@@ -830,23 +830,6 @@ def test_interval_run_reader_holds_one_slice_at_a_time():
     # beyond the lists it fills, about one slice's worth; one findall over
     # the whole run would hold some 24 MB of field strings
     assert peak - held < 2 << 20
-
-
-def xval_pool(seed):
-    """The benchmark's xval pool: per item an n=30 and an n=8 unit-interval
-    instance, starts 3..5 grid steps apart (1/16 and 1/8), lam = dist + 1."""
-    for item in range(256):
-        rng = Random(f"xval:{seed}:{item}")
-        for n, grid, lo, hi in ((30, 16, 0.25, 0.75), (8, 8, 0.0, 1.0)):
-            pos, starts = 0, []
-            for _ in range(n):
-                starts.append(Fraction(pos, grid))
-                pos += rng.randint(3, 5)
-            model = IntervalModel.unit(starts)
-            g = model.induced_graph()
-            order = sorted(range(n), key=lambda v: (model.starts[v], v))
-            s, t = order[round(lo * (n - 1))], order[round(hi * (n - 1))]
-            yield Instance(g, s, t, g.m, int(bfs_distances(g, s)[t]) + 1), model
 
 
 def assert_same_keys(got: IntervalModel, model: IntervalModel) -> None:

@@ -397,11 +397,8 @@ def trimmed(norm):
         (new[u], new[w]) for u, w in norm.graph.edge_list() if u in new and w in new
     ])
     order = tuple(new[v] for v in norm.order)
-    pos = [-1] * len(kept)
-    for r, v in enumerate(order):
-        pos[v] = r
     ranked = tuple(new[v] for v in norm.ranked)
-    trim = NormalizedInstance(g, new[norm.s], new[norm.t], order, tuple(pos), ranked, norm.hi)
+    trim = NormalizedInstance(g, new[norm.s], new[norm.t], order, ranked, norm.hi)
     return trim, kept
 
 
@@ -479,7 +476,7 @@ class TestTrim:
     def test_left_outlier_removed(self):
         inst, model = unit_instance([-3, 0, Fraction(1, 2)], s=1, t=2)
         norm = normalize(inst, model)
-        assert norm.ranked == (1, 2) and norm.pos == (-1, -1, -1)
+        assert norm.ranked == (1, 2) and norm.order == ()
         assert trimmed(norm)[0].graph.n == 2
 
     def test_terminals_never_trimmed(self):
@@ -496,10 +493,7 @@ class TestNormalize:
         for seed in range(20):
             inst, model = random_proper_interval_instance(10, seed=seed)
             norm = normalize(inst, model)
-            for r, v in enumerate(norm.order):
-                assert norm.pos[v] == r
-            assert norm.pos[norm.s] == -1 and norm.pos[norm.t] == -1
-            assert norm.pos.count(-1) == model.n - len(norm.order)
+            assert sorted(norm.order) == sorted(set(norm.ranked) - {norm.s, norm.t})
             starts = [model.starts[v] for v in norm.order]
             assert starts == sorted(starts)
             # nothing outside the s..t span remains
@@ -552,7 +546,7 @@ def coordinate_normalize(inst, model):
     names when start(s) > start(t); drop the vertices ending before s starts
     or starting after t ends.
 
-    Returns (s, t, order, pos, kept), the first four like the fields of
+    Returns (s, t, order, kept), the first three like the fields of
     `NormalizedInstance`, and kept the sorted ids of the kept vertices.
     """
     s, t = inst.s, inst.t
@@ -571,10 +565,7 @@ def coordinate_normalize(inst, model):
         s, t = t, s
     keep = [v for v in range(model.n) if not (ends[v] < starts[s] or starts[v] > ends[t])]
     order = tuple(v for v in sorted(keep, key=starts.__getitem__) if v not in (s, t))
-    pos = [-1] * model.n
-    for r, v in enumerate(order):
-        pos[v] = r
-    return s, t, order, tuple(pos), keep
+    return s, t, order, keep
 
 
 def proper_instances(count):
@@ -600,7 +591,7 @@ def test_rank_normalize_matches_coordinate_reference():
         norm = normalize(inst, model)
         ref = coordinate_normalize(inst, model)
         assert norm.graph is inst.graph
-        assert (norm.s, norm.t, norm.order, norm.pos, sorted(norm.ranked)) == ref
+        assert (norm.s, norm.t, norm.order, sorted(norm.ranked)) == ref
         if len(set(model.starts)) < model.n:
             seen.add("tied starts")
         if twins(model, inst.s, inst.t):
